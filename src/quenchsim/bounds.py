@@ -19,6 +19,7 @@ from scipy.special import gammainc
 
 from .noise import CoefficientLike, NoisePath, as_coefficient, mixed_path
 from .operator import OperatorMatrix
+from .seeding import derive_seed
 from .solver import ModelParams
 
 INFINITE_TIME = math.inf
@@ -155,6 +156,15 @@ def _half_square_cumulative(tk: np.ndarray, coef) -> np.ndarray:
         return 0.5 * c.constant**2 * tk
     vals = c(tk) ** 2
     return 0.5 * cumulative_trapezoid(vals, tk, initial=0.0)
+
+
+def _drift(tk: np.ndarray, bp: BoundParams, eta: float) -> np.ndarray:
+    """gamma eta t - mu1 K(t) - A(t); the path exponents carry it as -3 times this."""
+    return (
+        bp.gamma * eta * tk
+        - bp.mu1 * _half_square_cumulative(tk, bp.k_fn)
+        - _half_square_cumulative(tk, bp.a_fn)
+    )
 
 
 def M_of(T: float, bp: BoundParams) -> float:
@@ -350,17 +360,9 @@ def general_lower_bound(
     )
     sups = np.empty(n_paths)
     for i in range(n_paths):
-        path = mixed_path(params, master_seed + i)
+        path = mixed_path(params, derive_seed(master_seed, i))
         tk = path.dt * np.arange(n_steps)
-        exponent = (
-            -3.0
-            * (
-                bp.gamma * bp.eta1 * tk
-                - bp.mu1 * _half_square_cumulative(tk, bp.k_fn)
-                - _half_square_cumulative(tk, bp.a_fn)
-            )
-            + 3.0 * path.N[:-1]
-        )
+        exponent = -3.0 * _drift(tk, bp, bp.eta1) + 3.0 * path.N[:-1]
         log_integral = np.logaddexp.accumulate(exponent + math.log(path.dt))
         t_right = path.dt * np.arange(1, n_steps + 1)
         log_integral_plus_1 = np.logaddexp(log_integral, 0.0)
@@ -400,15 +402,7 @@ def tau_star_sample(path: NoisePath, bp: BoundParams) -> PathFunctionalResult:
     marker when no crossing happens within the path horizon.
     """
     tk = path.dt * np.arange(path.n_steps)
-    exponent = (
-        -3.0
-        * (
-            bp.eta1 * bp.gamma * tk
-            - bp.mu1 * _half_square_cumulative(tk, bp.k_fn)
-            - _half_square_cumulative(tk, bp.a_fn)
-        )
-        + 3.0 * path.N[:-1]
-    )
+    exponent = -3.0 * _drift(tk, bp, bp.eta1) + 3.0 * path.N[:-1]
     time, series = _accumulate_crossing(path, exponent, bp.tau_star_threshold())
     return PathFunctionalResult(threshold_time=time, integral_series=series)
 
@@ -420,16 +414,7 @@ def eigen_mu(bp: BoundParams, W1: float):
     psi_m = bp.psi_min
 
     def mu(t):
-        t = np.asarray(t, dtype=float)
-        return (
-            W1
-            * psi_m
-            * np.exp(
-                bp.gamma * bp.eta2 * t
-                - bp.mu1 * _half_square_cumulative(t, bp.k_fn)
-                - _half_square_cumulative(t, bp.a_fn)
-            )
-        )
+        return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp, bp.eta2))
 
     return mu
 
@@ -483,6 +468,26 @@ def tau_lower_sample(path: NoisePath, bp: BoundParams, mu_fn) -> PathFunctionalR
     return PathFunctionalResult(threshold_time=time, integral_series=series, g_series=g_series)
 
 
+def bound_monte_carlo(
+    params: ModelParams, bp: BoundParams, mu_fn, n_paths: int, master_seed: int
+) -> tuple[float, bool]:
+    """Empirical P[tau* <= T] over sampled paths, and the per-path ordering.
+
+    Path i is `mixed_path(params, derive_seed(master_seed, i))`, the seeding
+    policy of the ensembles, so distinct master seeds draw disjoint paths.
+    The flag is True when tau_* <= tau* held on every path.
+    """
+    crossings = 0
+    ordered = True
+    for i in range(n_paths):
+        path = mixed_path(params, derive_seed(master_seed, i))
+        star = tau_star_sample(path, bp)
+        low = tau_lower_sample(path, bp, mu_fn)
+        crossings += star.threshold_time <= params.T
+        ordered = ordered and low.threshold_time <= star.threshold_time
+    return crossings / n_paths, ordered
+
+
 def global_existence_check(
     path: NoisePath, bp: BoundParams, W1: float, T_trunc: float
 ) -> bool:
@@ -504,15 +509,7 @@ def global_existence_check(
     if n_use < 1:
         raise ValueError("T_trunc shorter than one path step")
     tk = path.dt * np.arange(n_use)
-    exponent = (
-        -3.0
-        * (
-            bp.gamma * bp.eta2 * tk
-            - bp.mu1 * _half_square_cumulative(tk, bp.k_fn)
-            - _half_square_cumulative(tk, bp.a_fn)
-            - path.N[:n_use]
-        )
-    )
+    exponent = -3.0 * _drift(tk, bp, bp.eta2) + 3.0 * path.N[:n_use]
     log_total = float(np.logaddexp.reduce(exponent + math.log(path.dt)))
     if log_total >= math.log(w2):
         return False

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from .config import (
@@ -24,11 +21,10 @@ from .config import (
     emit_table,
     parse_config,
 )
-from .ensemble import sweep_alpha_H, sweep_kappa2, sweep_lambda
+from .ensemble import sweep
 from .errors import ConfigError, NumericalError
-from .noise import mixed_path
 from .operator import assemble_matrix
-from .solver import ModelParams, initial_condition, run_realization
+from .solver import ModelParams, run_realization
 from .spectral import inner_product_v0_psi1, principal_eigenpair
 from .validation import run_validation_suite
 
@@ -101,29 +97,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     n_r, seed, threads = config.n_realizations, config.master_seed, config.threads
     preset = args.preset
     if preset in ("t1", "t2"):
-        gamma = 0.1 if preset == "t2" else 0.0
-        base = replace(params, gamma=gamma)
-        sweep = sweep_lambda(base, TABLE_LAMBDAS, n_r, seed, threads)
+        base = replace(params, gamma=0.1 if preset == "t2" else 0.0)
+        axes = [("lambda", TABLE_LAMBDAS)]
         name = f"table_{preset}.csv"
     elif preset == "t3":
         base = replace(params, lam=0.4, gamma=0.0, kappa1=0.1)
-        sweep = sweep_kappa2(base, TABLE_KAPPA2S, n_r, seed, threads)
+        axes = [("kappa2", TABLE_KAPPA2S)]
         name = "table_t3.csv"
     elif preset in ("fig2", "fig2text"):
         kap = FIG2_KAPPA_CAPTION if preset == "fig2" else FIG2_KAPPA_TEXT
         base = replace(params, lam=0.4, gamma=0.0, kappa1=kap, kappa2=kap)
-        n_fig = min(n_r, 1000) if not config.full_scale else n_r
-        sweep = sweep_alpha_H(base, FIG2_ALPHAS, FIG2_HS, n_fig, seed, threads)
+        axes = [("alpha", FIG2_ALPHAS), ("H", FIG2_HS)]
+        if not config.full_scale:
+            n_r = min(n_r, 1000)
         name = f"{preset}_grid.csv"
     elif preset == "custom":
-        lambdas = args.lambdas or TABLE_LAMBDAS
-        sweep = sweep_lambda(params, lambdas, n_r, seed, threads)
+        base = params
+        axes = [("lambda", args.lambdas or TABLE_LAMBDAS)]
         name = "sweep_custom.csv"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown preset '{preset}'")
+    result = sweep(base, axes, n_r, seed, threads)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / name
-    emit_table(sweep, out_path)
+    emit_table(result, out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -178,21 +175,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "almost_sure": gamma_result.almost_sure,
         }
 
-    n_paths = config.bound_paths
     mu_fn = bounds_mod.eigen_mu(bp, config.W1)
-    crossings = 0
-    ordering_ok = True
-    for i in range(n_paths):
-        path = mixed_path(params, config.master_seed + i)
-        star = bounds_mod.tau_star_sample(path, bp)
-        low = bounds_mod.tau_lower_sample(path, bp, mu_fn)
-        if star.threshold_time <= T:
-            crossings += 1
-        if not low.threshold_time <= star.threshold_time:
-            ordering_ok = False
+    empirical, ordering_ok = bounds_mod.bound_monte_carlo(
+        params, bp, mu_fn, config.bound_paths, config.master_seed
+    )
     report["monte_carlo"] = {
-        "paths": n_paths,
-        "empirical_P_tau_star_le_T": crossings / n_paths,
+        "paths": config.bound_paths,
+        "empirical_P_tau_star_le_T": empirical,
         "per_path_ordering_ok": ordering_ok,
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)

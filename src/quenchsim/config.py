@@ -28,10 +28,7 @@ __all__ = [
     "derive_seed",
     "emit_table",
     "read_table",
-    "MODES",
 ]
-
-MODES = ("simulate", "sweep", "bounds", "eigen", "validate")
 
 # Desk-scale ensemble default; the full-scale run (1e4 realizations,
 # 1e4 steps) sits behind full_scale.
@@ -44,7 +41,6 @@ FULL_REALIZATIONS = 10_000
 class RunConfig:
     """Everything needed to reproduce a run."""
 
-    mode: str = "simulate"
     params: ModelParams = field(default_factory=ModelParams)
     n_realizations: int = DESK_REALIZATIONS
     master_seed: int = 0
@@ -58,7 +54,6 @@ class RunConfig:
     zeta_M: float = 1.0
     W1: float = 0.5
     lambda_cap: float = 1.0
-    T_trunc: float = 1.0
     bound_paths: int = 2000
 
 
@@ -80,7 +75,6 @@ _MODEL_KEYS = {
 }
 
 _RUN_KEYS = {
-    "mode": ("mode", str, f"one of {MODES}"),
     "realizations": ("n_realizations", int, "ensemble size >= 1"),
     "seed": ("master_seed", int, "master seed (any integer)"),
     "out": ("out_dir", Path, "output directory"),
@@ -92,7 +86,6 @@ _RUN_KEYS = {
     "zeta_M": ("zeta_M", float, "envelope maximum"),
     "W1": ("W1", float, "eigenfunction initial-data amplitude > 0"),
     "lambda_cap": ("lambda_cap", float, "constant-coefficient cap Lambda > 0"),
-    "T_trunc": ("T_trunc", float, "truncation horizon for perpetual integrals"),
     "bound_paths": ("bound_paths", int, "paths for bound Monte Carlo >= 1"),
 }
 
@@ -107,8 +100,6 @@ def _coerce(key: str, raw, kind) -> object:
             value = float(str(raw))
         elif kind is Path:
             value = Path(str(raw))
-        elif kind is str:
-            value = str(raw)
         else:
             value = kind(raw)
     except (TypeError, ValueError) as exc:
@@ -162,8 +153,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_run(config: RunConfig) -> None:
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got '{config.mode}'")
     if config.n_realizations < 1:
         raise ConfigError("realizations must be >= 1")
     if config.threads < 1:
@@ -174,8 +163,6 @@ def _validate_run(config: RunConfig) -> None:
         raise ConfigError("zeta_m must not exceed zeta_M")
     if config.W1 <= 0:
         raise ConfigError("W1 must be positive")
-    if config.T_trunc <= 0:
-        raise ConfigError("T_trunc must be positive")
     if config.bound_paths < 1:
         raise ConfigError("bound_paths must be >= 1")
 
@@ -196,8 +183,6 @@ def emit_config(config: RunConfig) -> str:
             lines.append(f"{key} = {value}")
         elif isinstance(value, bool):
             lines.append(f"{key} = {str(value).lower()}")
-        elif isinstance(value, str):
-            lines.append(f"{key} = {value}")
         else:
             lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"

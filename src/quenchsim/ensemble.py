@@ -7,6 +7,7 @@ and thread count; estimates over disjoint index ranges pool exactly.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -75,12 +76,7 @@ class SweepResult:
 
     def grid_points(self):
         """Yield (coordinate tuple, stats) pairs in storage order."""
-        if not self.axis_values:
-            return
-        mesh = [()]
-        for vals in self.axis_values:
-            mesh = [m + (v,) for m in mesh for v in vals]
-        yield from zip(mesh, self.stats)
+        yield from zip(itertools.product(*self.axis_values), self.stats)
 
 
 def estimate(
@@ -124,78 +120,42 @@ def estimate(
     return EnsembleStats.from_results(results)
 
 
-def sweep_lambda(
+# Sweep axes are named by config key; only lambda differs from its ModelParams field.
+_PARAM_FIELD = {"lambda": "lam"}
+
+
+def sweep(
     base: ModelParams,
-    lambdas,
+    axes,
     n_realizations: int,
     master_seed: int,
     threads: int = 1,
 ) -> SweepResult:
-    """One ensemble per forcing strength; gamma comes from `base`."""
+    """One ensemble per point of the grid spanned by `axes`, row-major.
+
+    `axes` is an ordered list of (config key, values) pairs, for example
+    [("alpha", alphas), ("H", hurst_indices)]; the last axis varies fastest.
+    Every other parameter comes from `base`.  The operator and its
+    factorization are built once per distinct (alpha, dt) and shared by the
+    ensembles that use them.
+    """
+    names = tuple(key for key, _ in axes)
+    values = tuple(tuple(float(v) for v in vals) for _, vals in axes)
+    factored = {}
     stats = []
-    op = assemble_matrix(base.grid, base.alpha)
-    factor = factorize(op, base.dt)
-    for lam in lambdas:
-        params = replace(base, lam=float(lam))
+    for point in itertools.product(*values):
+        params = replace(base, **{_PARAM_FIELD.get(k, k): v for k, v in zip(names, point)})
+        key = (params.alpha, params.dt)
+        if key not in factored:
+            op = assemble_matrix(params.grid, params.alpha)
+            factored[key] = (op, factorize(op, params.dt))
+        op, factor = factored[key]
         stats.append(
             estimate(params, n_realizations, master_seed, threads, op=op, factor=factor)
         )
     return SweepResult(
-        axis_names=("lambda",),
-        axis_values=(tuple(float(v) for v in lambdas),),
-        stats=tuple(stats),
-        master_seed=master_seed,
-    )
-
-
-def sweep_kappa2(
-    base: ModelParams,
-    kappa2s,
-    n_realizations: int,
-    master_seed: int,
-    threads: int = 1,
-) -> SweepResult:
-    """One ensemble per fractional-noise intensity kappa2."""
-    stats = []
-    op = assemble_matrix(base.grid, base.alpha)
-    factor = factorize(op, base.dt)
-    for k2 in kappa2s:
-        params = replace(base, kappa2=float(k2))
-        stats.append(
-            estimate(params, n_realizations, master_seed, threads, op=op, factor=factor)
-        )
-    return SweepResult(
-        axis_names=("kappa2",),
-        axis_values=(tuple(float(v) for v in kappa2s),),
-        stats=tuple(stats),
-        master_seed=master_seed,
-    )
-
-
-def sweep_alpha_H(
-    base: ModelParams,
-    alphas,
-    Hs,
-    n_realizations: int,
-    master_seed: int,
-    threads: int = 1,
-) -> SweepResult:
-    """2-D sweep over the fractional order and the Hurst index (row-major)."""
-    stats = []
-    for alpha in alphas:
-        op = assemble_matrix(base.grid, float(alpha))
-        factor = factorize(op, base.dt)
-        for H in Hs:
-            params = replace(base, alpha=float(alpha), H=float(H))
-            stats.append(
-                estimate(params, n_realizations, master_seed, threads, op=op, factor=factor)
-            )
-    return SweepResult(
-        axis_names=("alpha", "H"),
-        axis_values=(
-            tuple(float(v) for v in alphas),
-            tuple(float(v) for v in Hs),
-        ),
+        axis_names=names,
+        axis_values=values,
         stats=tuple(stats),
         master_seed=master_seed,
     )

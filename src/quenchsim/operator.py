@@ -52,27 +52,6 @@ def singular_integral_constant(alpha: float) -> float:
     return 4.0**alpha * _gamma(0.5 + alpha) / (np.sqrt(np.pi) * abs(_gamma(-alpha)))
 
 
-def near_field_weight(alpha: float, rho: float) -> float:
-    """Quadrature weight constant for the near-singular cell of the scheme.
-
-    Calibrated against the principal-value quadrature oracle: the value 1
-    is consistent for every fractional order in (0, 1) and coincides with
-    the exactly-known 2*alpha = 1 case.
-    """
-    _check_orders(alpha, rho)
-    return 1.0
-
-
-def _check_orders(alpha: float, rho: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 2.0 * alpha < rho <= 2.0:
-        raise ValueError(
-            f"splitting parameter rho must lie in (2*alpha, 2], got rho={rho} "
-            f"for alpha={alpha}"
-        )
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense symmetric discretization of (-Delta)^alpha with Dirichlet exterior."""
@@ -107,10 +86,18 @@ def assemble_matrix(grid: GridSpec, alpha: float, rho: float | None = None) -> O
     """
     if rho is None:
         rho = 1.0 + alpha
-    _check_orders(alpha, rho)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 2.0 * alpha < rho <= 2.0:
+        raise ValueError(
+            f"splitting parameter rho must lie in (2*alpha, 2], got rho={rho} "
+            f"for alpha={alpha}"
+        )
     M = grid.M
     chi = rho - 2.0 * alpha
-    kappa = near_field_weight(alpha, rho)
+    # Near-field weight of the near-singular cell: 1 is consistent with the
+    # quadrature oracle for every order in (0, 1) and exact for 2*alpha = 1.
+    kappa = 1.0
 
     k = np.arange(2, M + 1, dtype=float)
     band = np.zeros(M)

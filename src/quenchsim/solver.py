@@ -10,8 +10,8 @@ reported as the last compliant step time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -82,17 +82,16 @@ class RealizationResult:
 
     quenched: bool
     T_q: float | None
-    sup_norm_series: np.ndarray | None
     steps_taken: int
     embedding_warning: bool = False
     failed: bool = False
+    sup_norm_series: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class Factorization:
     """Cholesky factorization of the stepping matrix I + dt*A."""
 
-    dt: float
     _factor: tuple = field(repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -107,14 +106,6 @@ def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
     return c * (1.0 - x * x)
 
 
-def source_term(u: np.ndarray, lam: float, gamma: float) -> np.ndarray:
-    """g(u) = lambda / (1-u)^2 - gamma (1-u); singular as u -> 1."""
-    one_minus = 1.0 - np.asarray(u, dtype=float)
-    if np.any(one_minus <= 0.0):
-        raise ValueError("source evaluated at u >= 1; quench detection must run first")
-    return lam / one_minus**2 - gamma * one_minus
-
-
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
     """Factor I + dt*A once; the matrix is SPD so Cholesky always succeeds."""
     if dt <= 0:
@@ -124,17 +115,7 @@ def factorize(op: OperatorMatrix, dt: float) -> Factorization:
         factor = cho_factor(stepping)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericalError(f"stepping matrix is not positive definite: {exc}") from exc
-    return Factorization(dt=dt, _factor=factor)
-
-
-def step(
-    u: np.ndarray,
-    factor: Factorization,
-    g: np.ndarray,
-    noise_kick: np.ndarray,
-) -> np.ndarray:
-    """One semi-implicit update: solve (I + dt*A) u_next = u + dt*g + kick."""
-    return factor.solve(u + factor.dt * g + noise_kick)
+    return Factorization(_factor=factor)
 
 
 def _sample_increments(params: ModelParams, seed: int):
@@ -149,14 +130,21 @@ def simulate_batch(
     factor: Factorization,
     params: ModelParams,
     seeds: Sequence[int],
-    record_series: bool = False,
+    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
 
-    Each column evolves independently from its own seed-derived increments,
-    so results are identical whether realizations run alone or batched.
-    Quench detection runs before the source evaluation each step; quenched
-    and failed columns are frozen immediately.
+    Each step solves (I + dt*A) u_next = u + dt*g(u) + (1-u)^+ (kappa1 dB +
+    kappa2 dB^H) with g(u) = lambda / (1-u)^2 - gamma (1-u).  Each column
+    evolves independently from its own seed-derived increments, so results
+    are identical whether realizations run alone or batched.  Quench
+    detection runs before the source evaluation each step; quenched and
+    failed columns are frozen immediately.
+
+    `observer(n, u, active)`, when given, is called at the start of every
+    step n = 0..N before quench detection, with the state u (interior nodes
+    by batch column) and the mask of columns still running.  Both arrays are
+    live: an observer that keeps them must copy.
     """
     n_batch = len(seeds)
     dt, n_steps = params.dt, params.N
@@ -173,15 +161,10 @@ def simulate_batch(
     quench_time = np.full(n_batch, np.nan)
     failed = np.zeros(n_batch, dtype=bool)
     steps_taken = np.zeros(n_batch, dtype=int)
-    series: list[list[float]] | None = None
-    if record_series:
-        series = [[] for _ in range(n_batch)]
 
     for n in range(n_steps + 1):
-        if record_series:
-            sup = np.max(np.abs(u), axis=0)
-            for j in np.where(active)[0]:
-                series[j].append(float(sup[j]))
+        if observer is not None:
+            observer(n, u, active)
         col_max = np.max(u, axis=0)
         bad = active & ~np.isfinite(col_max)
         if np.any(bad):
@@ -209,7 +192,6 @@ def simulate_batch(
             RealizationResult(
                 quenched=quenched,
                 T_q=float(quench_time[j]) if quenched else None,
-                sup_norm_series=np.asarray(series[j]) if record_series else None,
                 steps_taken=int(steps_taken[j]),
                 embedding_warning=bool(warn[j]),
                 failed=bool(failed[j]),
@@ -218,20 +200,20 @@ def simulate_batch(
     return results
 
 
-def run_realization(
-    params: ModelParams,
-    seed: int,
-    record_series: bool = True,
-    op: OperatorMatrix | None = None,
-    factor: Factorization | None = None,
-) -> RealizationResult:
+def run_realization(params: ModelParams, seed: int) -> RealizationResult:
     """Run a single realization to quenching or the horizon.
 
-    Deterministic: identical (params, seed) reproduce the result bitwise.
-    A prebuilt operator/factorization pair may be passed to amortize setup.
+    The result carries the sup-norm series max_j |u_j| of every state up to
+    and including the one that quenched.  Deterministic: identical
+    (params, seed) reproduce the result bitwise.
     """
-    if op is None:
-        op = assemble_matrix(params.grid, params.alpha)
-    if factor is None:
-        factor = factorize(op, params.dt)
-    return simulate_batch(op, factor, params, [seed], record_series=record_series)[0]
+    op = assemble_matrix(params.grid, params.alpha)
+    factor = factorize(op, params.dt)
+    series: list[float] = []
+
+    def record(n: int, u: np.ndarray, active: np.ndarray) -> None:
+        if active[0]:
+            series.append(float(np.max(np.abs(u[:, 0]))))
+
+    result = simulate_batch(op, factor, params, [seed], observer=record)[0]
+    return replace(result, sup_norm_series=np.asarray(series))

@@ -17,9 +17,18 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as _gamma
 
+from .bounds import (
+    bound_monte_carlo,
+    bound_params_from_model,
+    chebyshev_bounds,
+    eigen_mu,
+    nu_of,
+    tail_upper_bound,
+)
 from .noise import fgn_autocovariance, fgn_circulant
 from .operator import GridSpec, apply_operator, assemble_matrix, singular_integral_constant
-from .spectral import principal_eigenpair, rayleigh_min_check
+from .solver import ModelParams
+from .spectral import principal_eigenpair, rayleigh_min_check, trapezoid_integral
 
 # Nodes within this distance of the endpoints are excluded from oracle
 # comparisons: sampled profiles like (1-x^2)^alpha have unbounded
@@ -162,44 +171,18 @@ def _check_spectral() -> CheckResult:
 
 
 def _check_bound_inequalities() -> CheckResult:
-    from .bounds import (
-        bound_params_from_model,
-        chebyshev_bounds,
-        nu_of,
-        tail_upper_bound,
-        tau_lower_sample,
-        tau_star_sample,
-        eigen_mu,
-    )
-    from .noise import mixed_path
-    from .solver import ModelParams
-
     grid = GridSpec(41)
     op = assemble_matrix(grid, 0.6)
     pair = principal_eigenpair(op)
     w1 = 0.5
     params = ModelParams(lam=1e-5, gamma=0.0, H=0.7, T=1.0, N=1024, a_fn=0.1, b_fn=0.1, k_fn=2.0)
-    from .spectral import trapezoid_integral
-
     v0_psi1 = w1 * trapezoid_integral(pair.psi1**2, pair.dx)
     bp = bound_params_from_model(params, pair, v0_psi1)
     w = bp.tau_star_threshold()
     nu1 = nu_of(1.0, bp)
     tail = tail_upper_bound(1.0, w, bp, nu1)
     cheb = chebyshev_bounds(1.0, bp, independent=True)
-    mu_fn = eigen_mu(bp, w1)
-    n_paths = 500
-    crossings = 0
-    ordered = True
-    for i in range(n_paths):
-        path = mixed_path(params, 5_000 + i)
-        star = tau_star_sample(path, bp)
-        low = tau_lower_sample(path, bp, mu_fn)
-        if star.threshold_time <= 1.0:
-            crossings += 1
-        if not low.threshold_time <= star.threshold_time:
-            ordered = False
-    empirical = crossings / n_paths
+    empirical, ordered = bound_monte_carlo(params, bp, eigen_mu(bp, w1), 500, 5_000)
     passed = w > nu1 and empirical <= tail and empirical <= cheb and ordered
     return CheckResult(
         "bound_inequalities",

@@ -11,6 +11,7 @@ from quenchsim import (
     K_of,
     M_of,
     NoisePath,
+    bound_monte_carlo,
     bound_params_from_model,
     chebyshev_bounds,
     eigen_mu,
@@ -25,6 +26,7 @@ from quenchsim import (
     tau_lower_sample,
     tau_star_sample,
 )
+from quenchsim import bounds
 from quenchsim.spectral import trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
@@ -312,12 +314,29 @@ class TestPathOrdering:
         params = ModelParams(lam=1e-5, N=512, a_fn=0.1, b_fn=0.1)
         v0_psi1 = w1 * trapezoid_integral(pair41.psi1**2, pair41.dx)
         bp = bound_params_from_model(params, pair41, v0_psi1)
-        mu_fn = eigen_mu(bp, w1)
-        for seed in range(50):
-            path = mixed_path(params, seed)
-            low = tau_lower_sample(path, bp, mu_fn)
-            star = tau_star_sample(path, bp)
-            assert low.threshold_time <= star.threshold_time
+        _, ordered = bound_monte_carlo(params, bp, eigen_mu(bp, w1), 50, master_seed=0)
+        assert ordered
+
+
+class TestBoundMonteCarlo:
+    def test_master_seeds_draw_disjoint_paths(self, monkeypatch, pair41):
+        drawn = []
+
+        def recording_path(params, seed):
+            drawn.append(seed)
+            return mixed_path(params, seed)
+
+        monkeypatch.setattr(bounds, "mixed_path", recording_path)
+        params = ModelParams(lam=1e-5, N=64, a_fn=0.1, b_fn=0.1)
+        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
+        bp = bound_params_from_model(params, pair41, v0_psi1)
+        seeds = []
+        for master in (0, 1):
+            drawn.clear()
+            bound_monte_carlo(params, bp, eigen_mu(bp, 0.5), 2000, master)
+            seeds.append(set(drawn))
+        assert len(seeds[0]) == len(seeds[1]) == 2000
+        assert seeds[0].isdisjoint(seeds[1])
 
 
 class TestMuHelpers:

@@ -17,7 +17,7 @@ from quenchsim import (
     estimate,
     parse_config,
     read_table,
-    sweep_lambda,
+    sweep,
 )
 from quenchsim.cli import main
 from quenchsim.config import RunConfig
@@ -68,7 +68,7 @@ class TestParseConfig:
         assert config.master_seed == 9
 
     def test_round_trip_identity(self):
-        text = "lambda = 0.4\nM = 21\nseed = 123\nthreads = 2\nmode = sweep\n"
+        text = "lambda = 0.4\nM = 21\nseed = 123\nthreads = 2\n"
         first = parse_config(text)
         second = parse_config(emit_config(first))
         assert first == second
@@ -112,20 +112,20 @@ class TestDeriveSeed:
 
 class TestEmitTable:
     def test_empty_sweep_writes_header_only(self, tmp_path):
-        sweep = sweep_lambda(ModelParams(N=50, M=11), [], 10, master_seed=0)
+        result = sweep(ModelParams(N=50, M=11), [("lambda", [])], 10, master_seed=0)
         out = tmp_path / "empty.csv"
-        emit_table(sweep, out)
+        emit_table(result, out)
         assert out.read_text() == "lambda,probability,mean_Tq,var_Tq,std_error,failures\n"
 
     def test_table_shape_and_round_trip(self, tmp_path):
         params = ModelParams(N=100, M=11)
         lambdas = [0.01, 0.4, 1.4]
-        sweep = sweep_lambda(params, lambdas, 40, master_seed=1)
+        result = sweep(params, [("lambda", lambdas)], 40, master_seed=1)
         out = tmp_path / "t.csv"
-        emit_table(sweep, out)
+        emit_table(result, out)
         rows = read_table(out)
         assert len(rows) == 3
-        for row, lam, stats in zip(rows, lambdas, sweep.stats):
+        for row, lam, stats in zip(rows, lambdas, result.stats):
             assert row["lambda"] == lam
             assert row["probability"] == stats.quench_probability
             assert row["mean_Tq"] == stats.mean_Tq
@@ -135,9 +135,9 @@ class TestEmitTable:
 
     def test_missing_moments_render_empty(self, tmp_path):
         params = ModelParams(N=50, M=11, lam=0.0, kappa1=0.0, kappa2=0.0, c=0.0)
-        sweep = sweep_lambda(params, [0.0], 5, master_seed=0)
+        result = sweep(params, [("lambda", [0.0])], 5, master_seed=0)
         out = tmp_path / "none.csv"
-        emit_table(sweep, out)
+        emit_table(result, out)
         line = out.read_text().splitlines()[1]
         assert ",,," in line  # empty mean and variance fields
 

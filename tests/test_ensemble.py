@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quenchsim import ModelParams, estimate, sweep_alpha_H, sweep_kappa2, sweep_lambda
+from quenchsim import ModelParams, estimate, sweep
 
 FAST = dict(N=200, M=21)
 
@@ -59,15 +59,15 @@ class TestEstimate:
 class TestSweeps:
     def test_empty_lambda_list(self):
         params = ModelParams(**FAST)
-        sweep = sweep_lambda(params, [], 10, master_seed=0)
-        assert sweep.stats == ()
-        assert list(sweep.grid_points()) == []
+        result = sweep(params, [("lambda", [])], 10, master_seed=0)
+        assert result.stats == ()
+        assert list(result.grid_points()) == []
 
     def test_lambda_sweep_monotone_trend(self):
         params = ModelParams(**FAST)
-        sweep = sweep_lambda(params, [0.01, 0.6, 1.4], 150, master_seed=6)
-        probs = [s.quench_probability for s in sweep.stats]
-        ses = [s.std_error_p for s in sweep.stats]
+        result = sweep(params, [("lambda", [0.01, 0.6, 1.4])], 150, master_seed=6)
+        probs = [s.quench_probability for s in result.stats]
+        ses = [s.std_error_p for s in result.stats]
         for lo, hi, se_lo, se_hi in zip(probs, probs[1:], ses, ses[1:]):
             assert hi >= lo - 2.0 * math.hypot(se_lo, se_hi)
 
@@ -82,22 +82,22 @@ class TestSweeps:
 
     def test_kappa2_sweep_structure(self):
         params = ModelParams(lam=0.4, kappa1=0.1, **FAST)
-        sweep = sweep_kappa2(params, [0.1, 2.0], 100, master_seed=8)
-        assert sweep.axis_names == ("kappa2",)
-        assert sweep.axis_values == ((0.1, 2.0),)
-        assert len(sweep.stats) == 2
+        result = sweep(params, [("kappa2", [0.1, 2.0])], 100, master_seed=8)
+        assert result.axis_names == ("kappa2",)
+        assert result.axis_values == ((0.1, 2.0),)
+        assert len(result.stats) == 2
 
     def test_degenerate_alpha_h_grid_matches_estimate(self):
         params = ModelParams(lam=0.8, **FAST)
-        sweep = sweep_alpha_H(params, [0.6], [0.7], 80, master_seed=9)
-        assert len(sweep.stats) == 1
+        result = sweep(params, [("alpha", [0.6]), ("H", [0.7])], 80, master_seed=9)
+        assert len(result.stats) == 1
         direct = estimate(params, 80, master_seed=9)
-        assert sweep.stats[0] == direct
+        assert result.stats[0] == direct
 
     def test_alpha_h_grid_row_major(self):
         params = ModelParams(**FAST)
-        sweep = sweep_alpha_H(params, [0.3, 0.6], [0.6, 0.8], 20, master_seed=10)
-        coords = [c for c, _ in sweep.grid_points()]
+        result = sweep(params, [("alpha", [0.3, 0.6]), ("H", [0.6, 0.8])], 20, master_seed=10)
+        coords = [c for c, _ in result.grid_points()]
         assert coords == [(0.3, 0.6), (0.3, 0.8), (0.6, 0.6), (0.6, 0.8)]
 
 
@@ -106,7 +106,7 @@ class TestFailureAccounting:
         from quenchsim import RealizationResult
 
         return RealizationResult(
-            quenched=quenched, T_q=tq, sup_norm_series=None, steps_taken=1, failed=failed
+            quenched=quenched, T_q=tq, steps_taken=1, failed=failed
         )
 
     def test_failures_excluded_from_probability(self):
