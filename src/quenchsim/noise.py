@@ -7,6 +7,7 @@ carry the exact target autocovariance up to floating rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -134,23 +135,40 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     if n_steps == 1:
         return FgnSample(rng.standard_normal(1) * dt**H, False)
 
+    ends, inner, clipped = _circulant_scale(n_steps, dt, H)
+    m = 2 * n_steps
+    draws = rng.standard_normal(m)
+    y = np.zeros(m, dtype=complex)
+    y[0] = ends[0] * draws[0]
+    y[n_steps] = ends[1] * draws[1]
+    y[1:n_steps] = inner * (draws[2 : n_steps + 1] + 1j * draws[n_steps + 1 : m])
+    y[n_steps + 1 :] = np.conj(y[1:n_steps][::-1])
+    return FgnSample(np.fft.fft(y).real[:n_steps], clipped)
+
+
+# One entry: every batch, sweep point and bound report samples all its paths
+# on one (n_steps, dt, H), and more entries would only hold memory.
+@functools.lru_cache(maxsize=1)
+def _circulant_scale(n_steps: int, dt: float, H: float):
+    """Scales sqrt(lambda / m) of the circulant embedding's spectral draws.
+
+    The embedding of size m = 2 * n_steps depends only on (n_steps, dt, H),
+    so its spectrum is computed once per key.  Returns read-only arrays of
+    the real DC and Nyquist scales and of the n_steps - 1 complex-pair
+    scales (lambda halved), and whether negative eigenvalues were clipped.
+    """
     g = fgn_autocovariance(np.arange(n_steps + 1), H, dt)
     c = np.concatenate([g[:n_steps], g[n_steps : n_steps + 1], g[n_steps - 1 : 0 : -1]])
     lam = np.fft.fft(c).real
     clipped = bool(np.any(lam < 0.0))
     if clipped:
         lam = np.maximum(lam, 0.0)
-
     m = 2 * n_steps
-    draws = rng.standard_normal(m)
-    y = np.zeros(m, dtype=complex)
-    y[0] = np.sqrt(lam[0] / m) * draws[0]
-    y[n_steps] = np.sqrt(lam[n_steps] / m) * draws[1]
-    y[1:n_steps] = np.sqrt(lam[1:n_steps] / (2.0 * m)) * (
-        draws[2 : n_steps + 1] + 1j * draws[n_steps + 1 : m]
-    )
-    y[n_steps + 1 :] = np.conj(y[1:n_steps][::-1])
-    return FgnSample(np.fft.fft(y).real[:n_steps], clipped)
+    ends = np.sqrt(lam[[0, n_steps]] / m)
+    inner = np.sqrt(lam[1:n_steps] / (2.0 * m))
+    ends.flags.writeable = False
+    inner.flags.writeable = False
+    return ends, inner, clipped
 
 
 def covariance_RH(t: float, s: float, H: float) -> float:

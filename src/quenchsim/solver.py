@@ -1,11 +1,13 @@
 """Semi-implicit Euler stepping of the stochastic membrane equation.
 
 State u lives on the interior grid nodes; the nonlocal diffusion is treated
-implicitly through a single Cholesky factorization of (I + dt*A) reused by
-every step and realization, while the singular source lambda / (1-u)^2
-- gamma * (1-u) and the multiplicative noise kick are explicit.  A
-realization quenches when max_j u_j exceeds 1 - epsilon; the quench time is
-reported as the last compliant step time.
+implicitly through (I + dt*A)^-1, formed once from a Cholesky factorization
+and applied by matrix product to every step and realization, while the
+singular source lambda / (1-u)^2 - gamma * (1-u) and the multiplicative
+noise kick are explicit.  A realization quenches when max_j u_j exceeds
+1 - epsilon; the quench time is reported as the last compliant step time.
+Running realizations are kept packed in the leading columns of the state,
+and the pack is compacted only on a step where one of them stops.
 """
 
 from __future__ import annotations
@@ -88,14 +90,42 @@ class RealizationResult:
     sup_norm_series: np.ndarray | None = None
 
 
+# Column width of every product with the inverse.  A product R @ X is not
+# bit-identical per column across widths of X: BLAS sends a single column to
+# gemv, whose last bits differ from gemm's, and a gemm build may pick its
+# kernel by width.  One fixed gemm shape gives each column the same bits
+# whatever the other columns hold and wherever the column sits (checked for
+# widths 4 to 256 at M = 41 and M = 321 on OpenBLAS 0.3.31), which keeps a
+# realization's result independent of its batch.
+BLOCK = 64
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """Cholesky factorization of the stepping matrix I + dt*A."""
+    """The inverse of the stepping matrix I + dt*A."""
 
-    _factor: tuple = field(repr=False)
+    _inverse: np.ndarray = field(repr=False)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, rhs)
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(I + dt*A)^-1 rhs for a vector or an (n, k) block of columns.
+
+        The columns are multiplied BLOCK at a time, the last block
+        zero-padded to full width; `out`, when given, receives the result.
+        """
+        if rhs.ndim == 1:
+            return self.solve(rhs[:, None])[:, 0]
+        inverse = self._inverse
+        n, k = rhs.shape
+        if out is None:
+            out = np.empty((n, k))
+        full = k - k % BLOCK
+        for j in range(0, full, BLOCK):
+            np.matmul(inverse, rhs[:, j : j + BLOCK], out=out[:, j : j + BLOCK])
+        if full < k:
+            pad = np.zeros((n, BLOCK))
+            pad[:, : k - full] = rhs[:, full:]
+            out[:, full:] = (inverse @ pad)[:, : k - full]
+        return out
 
 
 def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
@@ -107,22 +137,30 @@ def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
-    """Factor I + dt*A once; the matrix is SPD so Cholesky always succeeds."""
+    """Invert I + dt*A once through its Cholesky factor.
+
+    The matrix is SPD by construction, so the factorization always succeeds;
+    a failure raises NumericalError.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stepping = np.eye(op.n) + dt * op.entries
+    identity = np.eye(op.n)
     try:
-        factor = cho_factor(stepping)
+        factor = cho_factor(identity + dt * op.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericalError(f"stepping matrix is not positive definite: {exc}") from exc
-    return Factorization(_factor=factor)
+    return Factorization(_inverse=cho_solve(factor, identity))
 
 
-def _sample_increments(params: ModelParams, seed: int):
-    """Component streams of one realization (indices 1: Brownian, 2: fGN)."""
+def _sample_drive(params: ModelParams, seed: int):
+    """kappa1 dB + kappa2 dB^H of one realization, and its embedding flag.
+
+    The component streams are the seed's derived indices 1 (Brownian) and
+    2 (fGN).
+    """
     db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
     fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2))
-    return db, fgn.increments, fgn.eigenvalue_clipped
+    return params.kappa1 * db + params.kappa2 * fgn.increments, fgn.eigenvalue_clipped
 
 
 def simulate_batch(
@@ -134,56 +172,79 @@ def simulate_batch(
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
 
-    Each step solves (I + dt*A) u_next = u + dt*g(u) + (1-u)^+ (kappa1 dB +
-    kappa2 dB^H) with g(u) = lambda / (1-u)^2 - gamma (1-u).  Each column
-    evolves independently from its own seed-derived increments, so results
-    are identical whether realizations run alone or batched.  Quench
-    detection runs before the source evaluation each step; quenched and
-    failed columns are frozen immediately.
+    Each step sets u_next = (I + dt*A)^-1 (u + dt*g(u) + (1-u)^+ (kappa1 dB +
+    kappa2 dB^H)) with g(u) = lambda / (1-u)^2 - gamma (1-u), through one
+    `Factorization.solve` call over the running columns.  Each column
+    evolves independently from its own seed-derived increments, and the
+    solve multiplies fixed-width blocks, so results are identical whether
+    realizations run alone or batched.  Quench detection runs before the
+    source evaluation each step; quenched and failed columns stop at once.
+    The running columns are kept packed and in batch order, and the pack is
+    compacted only on a step where some column stops.
 
     `observer(n, u, active)`, when given, is called at the start of every
     step n = 0..N before quench detection, with the state u (interior nodes
-    by batch column) and the mask of columns still running.  Both arrays are
-    live: an observer that keeps them must copy.
+    by batch column) and the mask of columns still running.  The running
+    columns are written back into u before each call; a stopped column keeps
+    the state it stopped in.  Both arrays are live: an observer that keeps
+    them must copy.
     """
     n_batch = len(seeds)
     dt, n_steps = params.dt, params.N
+    lam, gamma = params.lam, params.gamma
     threshold = 1.0 - params.epsilon
 
-    db = np.empty((n_steps, n_batch))
-    dbh = np.empty((n_steps, n_batch))
+    drive = np.empty((n_steps, n_batch))
     warn = np.zeros(n_batch, dtype=bool)
     for j, seed in enumerate(seeds):
-        db[:, j], dbh[:, j], warn[j] = _sample_increments(params, seed)
+        drive[:, j], warn[j] = _sample_drive(params, seed)
 
-    u = np.tile(initial_condition(params.grid, params.c)[:, None], (1, n_batch))
+    # state[:, :k] holds the k running columns; order[:k] their batch indices
+    state = np.tile(initial_condition(params.grid, params.c)[:, None], (1, n_batch))
+    gap, source, rhs = np.empty_like(state), np.empty_like(state), np.empty_like(state)
+    order = np.arange(n_batch)
+    k = n_batch
+    u = state.copy() if observer is not None else None
     active = np.ones(n_batch, dtype=bool)
     quench_time = np.full(n_batch, np.nan)
     failed = np.zeros(n_batch, dtype=bool)
-    steps_taken = np.zeros(n_batch, dtype=int)
+    steps_taken = np.full(n_batch, n_steps)
 
     for n in range(n_steps + 1):
+        x = state[:, :k]
         if observer is not None:
+            u[:, order[:k]] = x
             observer(n, u, active)
-        col_max = np.max(u, axis=0)
-        bad = active & ~np.isfinite(col_max)
-        if np.any(bad):
-            failed[bad] = True
-            active[bad] = False
-        newly = active & (col_max > threshold)
-        if np.any(newly):
-            quench_time[newly] = max(n - 1, 0) * dt
-            active[newly] = False
-        if n == n_steps or not np.any(active):
+        col_max = x.max(axis=0)
+        running = np.isfinite(col_max) & (col_max <= threshold)
+        if not running.all():
+            stop = ~running
+            stopped = order[:k][stop]
+            bad = ~np.isfinite(col_max[stop])
+            failed[stopped[bad]] = True
+            quench_time[stopped[~bad]] = max(n - 1, 0) * dt
+            steps_taken[stopped] = n
+            active[stopped] = False
+            k_kept = int(np.count_nonzero(running))
+            order[:k_kept] = order[:k][running]
+            state[:, :k_kept] = x[:, running]
+            k = k_kept
+            x = state[:, :k]
+        if n == n_steps or k == 0:
             break
-        idx = np.where(active)[0]
-        ua = u[:, idx]
-        g = params.lam / (1.0 - ua) ** 2 - params.gamma * (1.0 - ua)
-        kick = np.maximum(1.0 - ua, 0.0) * (
-            params.kappa1 * db[n, idx] + params.kappa2 * dbh[n, idx]
-        )
-        u[:, idx] = factor.solve(ua + dt * g + kick)
-        steps_taken[idx] += 1
+        w, g, b = gap[:, :k], source[:, :k], rhs[:, :k]
+        np.subtract(1.0, x, out=w)
+        np.square(w, out=g)
+        np.divide(lam, g, out=g)
+        np.multiply(gamma, w, out=b)
+        np.subtract(g, b, out=g)
+        np.multiply(dt, g, out=g)
+        np.add(x, g, out=b)
+        # (1-u)^+ is 1-u here: every entry of a running column is at most
+        # 1 - epsilon (or -inf), so w > 0 already
+        np.multiply(w, drive[n, order[:k]], out=w)
+        np.add(b, w, out=b)
+        factor.solve(b, out=x)
 
     results = []
     for j in range(n_batch):

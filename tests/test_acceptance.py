@@ -6,8 +6,8 @@ M=41, 2000 time steps, T=1, 2000 realizations (1000 for the 3x3 grid).
 
 Two upstream table point-values are marked xfail: with the
 oracle-consistent operator and the pinned noise conventions they are not
-reproducible (the reference table is internally inconsistent; see the
-project decision log).  The assertions themselves are verbatim.
+reproducible (the reference table is internally inconsistent; see
+docs/decision-log.md).  The assertions themselves are verbatim.
 """
 
 import math
@@ -122,7 +122,7 @@ class TestCriterion1TableT1:
         strict=True,
         reason="Table T1 point values are not reproducible with the "
         "oracle-consistent operator and pinned noise scaling (measured "
-        "p(0.4) ~ 0.60, mean T_q ~ 0.82); see decision log",
+        "p(0.4) ~ 0.60, mean T_q ~ 0.82); see docs/decision-log.md",
     )
     def test_point_values_lambda_04(self, t1_sweep):
         stats = t1_sweep.stats[TABLE_LAMBDAS.index(0.4)]
@@ -157,7 +157,7 @@ class TestCriterion2TableT2:
         strict=True,
         reason="Table T2 point value not reproducible: both probabilities "
         "saturate at 1.0 at lambda=0.8 under the pinned conventions; see "
-        "decision log",
+        "docs/decision-log.md",
     )
     def test_point_value_lambda_08(self, t2_sweep):
         stats = t2_sweep.stats[TABLE_LAMBDAS.index(0.8)]

@@ -1,0 +1,50 @@
+"""Sweep outputs pinned across commits.
+
+The t1 and t3 presets at M = 11, N = 100, 300 realizations and seed 7 must
+reproduce these exact bytes.  Every probability, mean and variance depends
+on which realizations quench and on their quench steps, so a change to the
+stepping kernel or to the noise that moves any quench set or quench time
+shows up here; rounding-level changes of the states that leave them alone
+do not.
+"""
+
+import pytest
+
+from quenchsim.cli import main
+
+GOLDEN = {
+    "t1": (
+        "table_t1.csv",
+        "lambda,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.01,0.0,,,0.0,0\n"
+        "0.2,0.0,,,0.0,0\n"
+        "0.4,0.5133333333333333,0.8436363636363637,0.010207605466428994,0.02885724762933466,0\n"
+        "0.6,1.0,0.5598333333333334,0.00868057413600892,0.0,0\n"
+        "0.8,1.0,0.3894,0.002587598662207358,0.0,0\n"
+        "1.0,1.0,0.30043333333333333,0.0011044938684503904,0.0,0\n"
+        "1.2,1.0,0.24533333333333332,0.0005641025641025642,0.0,0\n"
+        "1.4,1.0,0.20776666666666666,0.00031840691192865106,0.0,0\n",
+    ),
+    "t3": (
+        "table_t3.csv",
+        "kappa2,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.05,0.5266666666666666,0.8735443037974683,0.007411561718938965,0.028826428203351226,0\n"
+        "0.1,0.5133333333333333,0.8436363636363637,0.010207605466428994,0.02885724762933466,0\n"
+        "0.5,0.54,0.6305555555555555,0.03251708074534162,0.02877498913987632,0\n"
+        "1.0,0.5966666666666667,0.5102234636871509,0.047187590232879294,0.028322873886404698,0\n"
+        "1.5,0.65,0.42723076923076925,0.046814972244250595,0.02753785273643051,0\n"
+        "2.0,0.67,0.3786567164179105,0.04939368656716418,0.027147743920996455,0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN))
+def test_preset_csv_bytes(preset, tmp_path):
+    name, expected = GOLDEN[preset]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M = 11\nN = 100\n")
+    out = tmp_path / "out"
+    argv = ["sweep", "--preset", preset, "--config", str(cfg), "--out", str(out)]
+    argv += ["--realizations", "300", "--seed", "7", "--threads", "1"]
+    assert main(argv) == 0
+    assert (out / name).read_bytes() == expected.encode()

@@ -216,6 +216,9 @@ def test_fgn_negative_eigenvalue_fallback(monkeypatch):
         return out
 
     monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
+    # bypass the spectrum cache: a cached (64, 1.0, 0.7) entry would hide the
+    # hostile covariance, and the hostile spectrum must not be cached either
+    monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
     sample = noise_mod.fgn_circulant(64, 1.0, 0.7, seed=1)
     assert sample.eigenvalue_clipped is True
     assert np.all(np.isfinite(sample.increments))
@@ -260,3 +263,25 @@ def test_fgn_embedding_covariance_is_exact():
     direct = sample_from(draws)
     packaged = noise_mod.fgn_circulant(n, dt, H, seed=123).increments
     assert np.max(np.abs(direct - packaged)) <= 1e-14
+
+
+class TestCirculantScaleCache:
+    def test_cached_scales_are_read_only(self):
+        import quenchsim.noise as noise_mod
+
+        ends, inner, _ = noise_mod._circulant_scale(100, 0.01, 0.7)
+        assert not ends.flags.writeable and not inner.flags.writeable
+        with pytest.raises(ValueError):
+            inner[0] = 0.0
+
+    def test_interleaved_keys_match_first_calls(self):
+        import quenchsim.noise as noise_mod
+
+        keys = [(100, 0.01, 0.7), (64, 1.0, 0.9), (100, 0.01, 0.55), (257, 0.5, 0.7)]
+        first = {}
+        for key in keys:
+            noise_mod._circulant_scale.cache_clear()
+            first[key] = fgn_circulant(*key, seed=3).increments
+        for _ in range(2):
+            for key in keys + keys[::-1]:
+                assert np.array_equal(fgn_circulant(*key, seed=3).increments, first[key])

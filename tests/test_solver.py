@@ -10,6 +10,7 @@ from quenchsim import (
     initial_condition,
     run_realization,
 )
+from quenchsim.solver import BLOCK
 
 from naive_reference import gaussian_solve, naive_trajectory
 from solver_states import ORACLE_PARAMS, oracle_deviation, record_states
@@ -58,6 +59,16 @@ class TestFactorization:
         rhs = np.array([0.3, -0.1, 0.7, 0.2])
         naive = np.array(gaussian_solve(stepping.tolist(), rhs.tolist()))
         assert np.max(np.abs(f.solve(rhs) - naive)) <= 1e-12
+
+    def test_block_columns_match_single_solves(self, op41, rng):
+        f = factorize(op41, 1e-3)
+        for k in (BLOCK - 1, BLOCK, 2 * BLOCK + 3):
+            rhs = rng.standard_normal((op41.n, k))
+            wide = np.full((op41.n, k + 5), np.nan)
+            f.solve(rhs, out=wide[:, :k])  # a strided view, as the kernel passes
+            assert np.array_equal(wide[:, :k], f.solve(rhs))
+            for j in (0, k // 2, k - 1):
+                assert np.array_equal(wide[:, j], f.solve(rhs[:, j]))
 
     def test_positive_dt_required(self, op41):
         with pytest.raises(ValueError):
@@ -146,21 +157,24 @@ class TestNaiveOracleEquivalence:
 
 
 class TestBatchWidthInvariance:
-    # The solve runs on the active columns only, so its width changes as
-    # columns quench and BLAS may block it differently; N is cut at M=321
-    # to bound the run time, the widths still sweep down from 257.
+    # The solve runs on the packed running columns in BLOCK-wide products,
+    # so a column's block and position change with the batch width and as
+    # columns quench and the pack is compacted; widths either side of BLOCK
+    # straddle a block edge.  N is cut at M=321 to bound the run time, the
+    # widths still sweep down from 257.
     @pytest.mark.parametrize("M,N", [(41, 2000), (321, 200)])
     def test_column_result_independent_of_batch(self, M, N):
         params = ModelParams(lam=0.4, M=M, N=N)
         op = assemble_matrix(params.grid, params.alpha)
         f = factorize(op, params.dt)
         seeds = [derive_seed(20240901, i) for i in range(257)]
-        probes = (0, 128, 255, 256)
+        probes = (0, BLOCK - 1, BLOCK, 128, 255, 256)
         batches = {
             width: record_states(params, seeds[:width], [j for j in probes if j < width], op, f)
-            for width in (256, 257)
+            for width in (BLOCK - 1, BLOCK, BLOCK + 1, 256, 257)
         }
-        assert batches[256][0] == batches[257][0][:256]
+        for width, (results, _) in batches.items():
+            assert results == batches[257][0][:width]
         for j in probes:
             (alone,), solo = record_states(params, [seeds[j]], op=op, factor=f)
             for width, (results, states) in batches.items():
