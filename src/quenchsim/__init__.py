@@ -3,9 +3,6 @@ one-dimensional fractional-diffusion membrane model."""
 
 from .bounds import (
     BoundParams,
-    GammaBoundResult,
-    GeneralBoundResult,
-    PathFunctionalResult,
     A_of,
     K_of,
     M_of,
@@ -14,45 +11,19 @@ from .bounds import (
     chebyshev_bounds,
     eigen_mu,
     gamma_lower_bound,
-    general_lower_bound,
-    global_existence_check,
     nu_of,
-    semigroup_mu,
     tail_upper_bound,
     tau_lower_sample,
     tau_star_sample,
 )
-from .config import RunConfig, derive_seed, emit_config, emit_table, parse_config, read_table
-from .ensemble import EnsembleStats, SweepResult, estimate, sweep
+from .config import emit_config, emit_table, parse_config, read_table
+from .ensemble import EnsembleStats, estimate, sweep
 from .errors import ConfigError, NumericalError
-from .noise import (
-    HurstParams,
-    NoisePath,
-    bm_increments,
-    covariance_RH,
-    fgn_autocovariance,
-    fgn_circulant,
-    mixed_path,
-    volterra_covariance,
-    volterra_kernel,
-)
-from .operator import (
-    GridSpec,
-    OperatorMatrix,
-    apply_operator,
-    assemble_matrix,
-    laplacian_limit_check,
-    singular_integral_constant,
-)
-from .solver import (
-    Factorization,
-    ModelParams,
-    RealizationResult,
-    factorize,
-    initial_condition,
-    run_realization,
-)
-from .spectral import EigenPair, inner_product_v0_psi1, principal_eigenpair, rayleigh_min_check
+from .noise import NoisePath, bm_increments, fgn_autocovariance, fgn_circulant, mixed_path
+from .operator import GridSpec, assemble_matrix, singular_integral_constant
+from .seeding import derive_seed
+from .solver import ModelParams, RealizationResult, factorize, initial_condition, run_realization
+from .spectral import inner_product_v0_psi1, principal_eigenpair, rayleigh_min_check
 
 __version__ = "0.1.0"
 
@@ -60,30 +31,19 @@ __all__ = [
     "A_of",
     "BoundParams",
     "ConfigError",
-    "EigenPair",
     "EnsembleStats",
-    "Factorization",
-    "GammaBoundResult",
-    "GeneralBoundResult",
     "GridSpec",
-    "HurstParams",
     "K_of",
     "M_of",
     "ModelParams",
     "NoisePath",
     "NumericalError",
-    "OperatorMatrix",
-    "PathFunctionalResult",
     "RealizationResult",
-    "RunConfig",
-    "SweepResult",
-    "apply_operator",
     "assemble_matrix",
     "bm_increments",
     "bound_monte_carlo",
     "bound_params_from_model",
     "chebyshev_bounds",
-    "covariance_RH",
     "derive_seed",
     "eigen_mu",
     "emit_config",
@@ -93,11 +53,8 @@ __all__ = [
     "fgn_autocovariance",
     "fgn_circulant",
     "gamma_lower_bound",
-    "general_lower_bound",
-    "global_existence_check",
     "initial_condition",
     "inner_product_v0_psi1",
-    "laplacian_limit_check",
     "mixed_path",
     "nu_of",
     "parse_config",
@@ -105,12 +62,9 @@ __all__ = [
     "rayleigh_min_check",
     "read_table",
     "run_realization",
-    "semigroup_mu",
     "singular_integral_constant",
     "sweep",
     "tail_upper_bound",
     "tau_lower_sample",
     "tau_star_sample",
-    "volterra_covariance",
-    "volterra_kernel",
 ]

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.linalg import expm
 from scipy.special import gammainc
 
 from .noise import CoefficientLike, NoisePath, as_coefficient, mixed_path
-from .operator import OperatorMatrix
 from .seeding import derive_seed
 from .solver import ModelParams
 
@@ -176,27 +174,24 @@ def M_of(T: float, bp: BoundParams) -> float:
     return 18.0 * int_a2 + 36.0 * bp.H * T ** (2.0 * bp.H - 1.0) * int_b2
 
 
-def _mixed_variance(t: float, bp: BoundParams, fbm_variance: str) -> float:
+def _mixed_variance(t: float, bp: BoundParams) -> float:
     """Var N_t for independent drivers; fBM part exact for constant b."""
     var_bm = 2.0 * A_of(t, bp.a_fn)
     b = as_coefficient(bp.b_fn)
-    if fbm_variance == "exact" or (fbm_variance == "auto" and b.is_constant):
-        if not b.is_constant:
-            raise ValueError("exact fBM variance requires a constant b coefficient")
+    if b.is_constant:
         return var_bm + b.constant**2 * t ** (2.0 * bp.H)
     # conservative envelope 2 H t^(2H-1) Int b^2
     int_b2 = 2.0 * _half_square_integral(t, bp.b_fn)
     return var_bm + 2.0 * bp.H * t ** (2.0 * bp.H - 1.0) * int_b2
 
 
-def nu_of(T: float, bp: BoundParams, fbm_variance: str = "auto") -> float:
+def nu_of(T: float, bp: BoundParams) -> float:
     """Mean accumulated exponential functional nu(T) = Int_0^T E[e^(X_t)] dt.
 
     X_t = -3 (gamma eta1 t - mu1 K(t) - A(t)) + 3 N_t, so the integrand is
     the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t).  For
-    constant b the fBM variance is exact; otherwise (or when
-    fbm_variance="bound") the conservative envelope of the Malliavin
-    estimate is used, making nu an upper proxy.
+    constant b the fBM variance is exact; otherwise the conservative
+    envelope of the Malliavin estimate is used, making nu an upper proxy.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -205,7 +200,7 @@ def nu_of(T: float, bp: BoundParams, fbm_variance: str = "auto") -> float:
         drift = -3.0 * (
             bp.gamma * bp.eta1 * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
         )
-        return math.exp(drift + 4.5 * _mixed_variance(t, bp, fbm_variance))
+        return math.exp(drift + 4.5 * _mixed_variance(t, bp))
 
     return quad(integrand, 0.0, T, limit=200)[0]
 
@@ -300,85 +295,6 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     return GammaBoundResult(value=float(gammainc(-nu, lam_tilde)), almost_sure=False)
 
 
-@dataclass(frozen=True)
-class GeneralBoundResult:
-    value: float
-    m_w: float
-    U_w: float
-    vacuous: bool
-    growth_condition_ok: bool
-
-
-def growth_condition_ok(theta: float, eta: float, rho: float, H: float) -> bool:
-    """Exponent condition theta > max(rho, H - 1/2 + eta) of the general bound."""
-    return theta > max(rho, H - 0.5 + eta)
-
-
-def general_lower_bound(
-    bp: BoundParams,
-    h_exponent: float,
-    n_paths: int,
-    T_trunc: float,
-    master_seed: int,
-    n_steps: int = 2048,
-    grid_points: int = 4096,
-    coefficient_exponents: tuple[float, float, float] = (0.5, 0.5, 0.5),
-) -> GeneralBoundResult:
-    """Concentration lower bound 1 - exp(-(m_w - 1)^2 / (2 U_w)) on quenching.
-
-    U_w maximizes M(t) / (ln(w+1) + h(t))^2 over a dense logarithmic grid
-    with h(t) = t^(2 theta); m_w is estimated by Monte Carlo over paths
-    truncated at T_trunc (the truncation is an approximation: the supremum
-    in m_w formally runs over all t).  The bound is meaningful only when
-    m_w > 1; otherwise value 0 is returned with the vacuous flag.  The
-    coefficient growth exponents (theta, eta, rho) are checked against the
-    validity condition and reported, not enforced: constant coefficients
-    sit exactly on its boundary yet are the reference configuration.
-    """
-    if n_paths < 1 or T_trunc <= 0:
-        raise ValueError("need n_paths >= 1 and T_trunc > 0")
-    theta = h_exponent
-    w = bp.tau_star_threshold()
-    if not math.isfinite(w):
-        return GeneralBoundResult(0.0, 0.0, math.inf, True, False)
-    log_w1 = math.log1p(w)
-
-    t_scale = max(1.0, log_w1 ** (1.0 / (2.0 * theta)))
-    grid = np.geomspace(1e-6 * t_scale, 1e4 * t_scale, grid_points)
-    m_vals = np.array([M_of(float(t), bp) for t in grid])
-    U_w = float(np.max(m_vals / (log_w1 + grid ** (2.0 * theta)) ** 2))
-
-    params = ModelParams(
-        lam=bp.lam,
-        gamma=bp.gamma,
-        H=bp.H,
-        T=T_trunc,
-        N=n_steps,
-        a_fn=bp.a_fn,
-        b_fn=bp.b_fn,
-        k_fn=bp.k_fn,
-    )
-    sups = np.empty(n_paths)
-    for i in range(n_paths):
-        path = mixed_path(params, derive_seed(master_seed, i))
-        tk = path.dt * np.arange(n_steps)
-        exponent = -3.0 * _drift(tk, bp, bp.eta1) + 3.0 * path.N[:-1]
-        log_integral = np.logaddexp.accumulate(exponent + math.log(path.dt))
-        t_right = path.dt * np.arange(1, n_steps + 1)
-        log_integral_plus_1 = np.logaddexp(log_integral, 0.0)
-        ratio = (log_integral_plus_1 + t_right ** (2 * theta)) / (
-            log_w1 + t_right ** (2 * theta)
-        )
-        sups[i] = float(np.max(ratio))
-    m_w = float(np.mean(sups))
-
-    ok = growth_condition_ok(theta, coefficient_exponents[1], coefficient_exponents[2], bp.H)
-    if m_w <= 1.0 or not math.isfinite(U_w) or U_w <= 0.0:
-        return GeneralBoundResult(0.0, m_w, U_w, True, ok)
-    value = max(0.0, 1.0 - math.exp(-((m_w - 1.0) ** 2) / (2.0 * U_w)))
-    return GeneralBoundResult(value, m_w, U_w, False, ok)
-
-
 def _accumulate_crossing(
     path: NoisePath, log_integrand: np.ndarray, threshold: float
 ) -> tuple[float, np.ndarray]:
@@ -415,32 +331,6 @@ def eigen_mu(bp: BoundParams, W1: float):
 
     def mu(t):
         return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp, bp.eta2))
-
-    return mu
-
-
-def semigroup_mu(op: OperatorMatrix, bp: BoundParams, v0: np.ndarray, coarse_times: np.ndarray):
-    """mu(t) for arbitrary initial data via the discrete semigroup action.
-
-    Evaluates inf_x exp(-K(t) A) v0 on a coarse time grid through dense
-    matrix exponentials and interpolates linearly in between; an
-    approximation, adequate because mu enters the functionals through a
-    slowly varying envelope.
-    """
-    coarse_times = np.asarray(coarse_times, dtype=float)
-    infima = np.empty(coarse_times.shape)
-    for i, t in enumerate(coarse_times):
-        k_t = K_of(float(t), bp.k_fn)
-        infima[i] = float(np.min(expm(-k_t * op.entries) @ v0))
-    if np.any(infima <= 0):
-        raise ValueError("semigroup infimum is not positive on the requested grid")
-
-    def mu(t):
-        t = np.asarray(t, dtype=float)
-        envelope = np.exp(
-            bp.gamma * bp.eta2 * t - _half_square_cumulative(t, bp.a_fn)
-        )
-        return envelope * np.interp(t, coarse_times, infima)
 
     return mu
 
@@ -486,34 +376,3 @@ def bound_monte_carlo(
         crossings += star.threshold_time <= params.T
         ordered = ordered and low.threshold_time <= star.threshold_time
     return crossings / n_paths, ordered
-
-
-def global_existence_check(
-    path: NoisePath, bp: BoundParams, W1: float, T_trunc: float
-) -> bool:
-    """Truncated check of the global-existence integral condition.
-
-    True when the accumulated integral of e^{-3 (gamma eta2 s - mu1 K - A
-    - N_s)} stays below W2 = (W1 psi_min)^3 / (4 lambda eta2 zeta_M) up to
-    T_trunc and the deterministic decay rate at T_trunc is negative.  A
-    truncation-based heuristic: the true condition integrates to infinity.
-    """
-    psi_m = bp.psi_min
-    denom = 4.0 * bp.lam * bp.eta2 * bp.zeta_M
-    w2 = (W1 * psi_m) ** 3 / denom if denom > 0 else INFINITE_TIME
-    if w2 <= 0.0:
-        return False
-    if not math.isfinite(w2):
-        return True
-    n_use = min(path.n_steps, int(round(T_trunc / path.dt)))
-    if n_use < 1:
-        raise ValueError("T_trunc shorter than one path step")
-    tk = path.dt * np.arange(n_use)
-    exponent = -3.0 * _drift(tk, bp, bp.eta2) + 3.0 * path.N[:n_use]
-    log_total = float(np.logaddexp.reduce(exponent + math.log(path.dt)))
-    if log_total >= math.log(w2):
-        return False
-    t_end = float(tk[-1])
-    k_rate = float(as_coefficient(bp.k_fn)(t_end)) ** 2 / 2.0
-    a_rate = float(as_coefficient(bp.a_fn)(t_end)) ** 2 / 2.0
-    return bp.gamma * bp.eta2 > bp.mu1 * k_rate + a_rate

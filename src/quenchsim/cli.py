@@ -20,6 +20,7 @@ from .config import (
     apply_scale,
     emit_table,
     parse_config,
+    _validate_run,
 )
 from .ensemble import sweep
 from .errors import ConfigError, NumericalError
@@ -57,6 +58,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         config = replace(config, threads=args.threads)
     if getattr(args, "full", False):
         config = replace(config, full_scale=True)
+    _validate_run(config)
     return config
 
 

@@ -1,4 +1,4 @@
-"""Run configuration: parsing, defaults, seeding policy, and table output.
+"""Run configuration: parsing, defaults, and table output.
 
 Configs are flat key-value text (one `key = value` per line, `#` comments)
 or a JSON object with the same keys.  Every key has a documented default;
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .ensemble import SweepResult
 from .errors import ConfigError
-from .seeding import derive_seed  # re-exported: seeding policy is part of the config surface
 from .solver import ModelParams
 
 
@@ -25,7 +24,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "emit_config",
-    "derive_seed",
     "emit_table",
     "read_table",
 ]
@@ -85,7 +83,7 @@ _RUN_KEYS = {
     "zeta_m": ("zeta_m", float, "envelope minimum"),
     "zeta_M": ("zeta_M", float, "envelope maximum"),
     "W1": ("W1", float, "eigenfunction initial-data amplitude > 0"),
-    "lambda_cap": ("lambda_cap", float, "constant-coefficient cap Lambda > 0"),
+    "lambda_cap": ("lambda_cap", float, "constant-coefficient cap Lambda >= 0"),
     "bound_paths": ("bound_paths", int, "paths for bound Monte Carlo >= 1"),
 }
 
@@ -163,6 +161,8 @@ def _validate_run(config: RunConfig) -> None:
         raise ConfigError("zeta_m must not exceed zeta_M")
     if config.W1 <= 0:
         raise ConfigError("W1 must be positive")
+    if config.lambda_cap < 0:
+        raise ConfigError("lambda_cap must be >= 0")
     if config.bound_paths < 1:
         raise ConfigError("bound_paths must be >= 1")
 

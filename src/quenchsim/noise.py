@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import beta as _beta
 
 from .seeding import derive_seed
 
@@ -56,22 +54,6 @@ class Coefficient:
 
 
 @dataclass(frozen=True)
-class HurstParams:
-    """Hurst index and the associated Volterra kernel constant."""
-
-    H: float
-
-    def __post_init__(self) -> None:
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"Hurst index must lie in (1/2, 1), got {self.H}")
-
-    @property
-    def C_H(self) -> float:
-        H = self.H
-        return float(np.sqrt(H * (2.0 * H - 1.0) / _beta(2.0 - 2.0 * H, H - 0.5)))
-
-
-@dataclass(frozen=True)
 class NoisePath:
     """One realization of the driving increments and the mixed process N_t."""
 
@@ -81,10 +63,6 @@ class NoisePath:
     fbm_increments: np.ndarray
     N: np.ndarray  # accumulated mixed process at t_0..t_n; N[0] = 0
     embedding_warning: bool = False
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
 
 
 class FgnSample(NamedTuple):
@@ -171,78 +149,6 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     return ends, inner, clipped
 
 
-def covariance_RH(t: float, s: float, H: float) -> float:
-    """Fractional Brownian covariance R_H(t, s) = (t^2H + s^2H - |t-s|^2H)/2."""
-    if t < 0 or s < 0:
-        raise ValueError("times must be non-negative")
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
-
-
-def volterra_kernel(t: float, s: float, H: float) -> float:
-    """Volterra kernel G(t, s) representing fBM against a Brownian motion.
-
-    G(t, s) = C_H s^(1/2-H) Int_s^t (sigma-s)^(H-3/2) sigma^(H-1/2) dsigma
-    for t > s, zero otherwise.  The (sigma-s)^(H-3/2) endpoint singularity is
-    integrable and handled by weighted adaptive quadrature.  At s = 0 the
-    kernel itself diverges like s^(1/2-H); the singularity is square
-    integrable, and this function returns +inf there.
-    """
-    if t < 0 or s < 0:
-        raise ValueError("times must be non-negative")
-    if t <= s:
-        return 0.0
-    hp = HurstParams(H)
-    if s == 0.0:
-        return float("inf")
-    integral = quad(
-        lambda tau: (s + tau) ** (H - 0.5),
-        0.0,
-        t - s,
-        weight="alg",
-        wvar=(H - 1.5, 0.0),
-        limit=200,
-    )[0]
-    return hp.C_H * s ** (0.5 - H) * integral
-
-
-def _regularized_kernel(t: float, s: float, H: float, c_h: float) -> float:
-    # G(t,s) * s^(H-1/2); finite down to s = 0.
-    if t <= s:
-        return 0.0
-    if s == 0.0:
-        return c_h * t ** (2.0 * H - 1.0) / (2.0 * H - 1.0)
-    return c_h * quad(
-        lambda tau: (s + tau) ** (H - 0.5),
-        0.0,
-        t - s,
-        weight="alg",
-        wvar=(H - 1.5, 0.0),
-        limit=200,
-    )[0]
-
-
-def volterra_covariance(t: float, s: float, H: float) -> float:
-    """Reconstruct R_H(t, s) from the kernel: Int_0^min G(t,r) G(s,r) dr.
-
-    The integrand's r^(1-2H) singularity at zero is folded into the
-    quadrature weight, keeping the evaluation accurate near r = 0.
-    """
-    hp = HurstParams(H)
-    lo = min(t, s)
-    if lo <= 0.0:
-        return 0.0
-    val = quad(
-        lambda r: _regularized_kernel(max(t, s), r, H, hp.C_H)
-        * _regularized_kernel(lo, r, H, hp.C_H),
-        0.0,
-        lo,
-        weight="alg",
-        wvar=(1.0 - 2.0 * H, 0.0),
-        limit=200,
-    )[0]
-    return float(val)
-
-
 def mixed_path(params, seed: int) -> NoisePath:
     """Sample the mixed process N_t = Int a dB + Int b dB^H on the step grid.
 
@@ -265,16 +171,3 @@ def mixed_path(params, seed: int) -> NoisePath:
         N=N,
         embedding_warning=fgn.eigenvalue_clipped,
     )
-
-
-def path_to_csv(path: NoisePath, file) -> None:
-    """Dump a path as CSV columns (t, dB, dB_H, N); increments lead by one row."""
-    rows = np.column_stack(
-        [
-            path.times,
-            np.concatenate([path.bm_increments, [np.nan]]),
-            np.concatenate([path.fbm_increments, [np.nan]]),
-            path.N,
-        ]
-    )
-    np.savetxt(file, rows, delimiter=",", header="t,dB,dB_H,N", comments="")

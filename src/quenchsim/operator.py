@@ -58,7 +58,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     alpha: float
-    rho: float
     grid: GridSpec = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -69,11 +68,12 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def assemble_matrix(grid: GridSpec, alpha: float, rho: float | None = None) -> OperatorMatrix:
+def assemble_matrix(grid: GridSpec, alpha: float) -> OperatorMatrix:
     """Assemble the (M-1)x(M-1) fractional-Laplacian matrix.
 
-    The default splitting parameter is rho = 1 + alpha.  Row structure, with
-    chi = rho - 2*alpha and kappa the near-field weight:
+    The splitting parameter of the weights (Duo, van Wyk & Zhang, J. Comput.
+    Phys. 2018) is fixed at rho = 1 + alpha.  Row structure, with
+    chi = rho - 2*alpha = 1 - alpha and kappa the near-field weight:
 
       * off-diagonal, |i-j| = k >= 2:  -((k+1)^chi - (k-1)^chi) / (2 k^rho)
       * first off-diagonals:           -(2^chi + kappa - 1) / 2
@@ -84,15 +84,9 @@ def assemble_matrix(grid: GridSpec, alpha: float, rho: float | None = None) -> O
     matrix consistent with the principal-value integral (verified against
     the quadrature oracle); see the module doc.
     """
-    if rho is None:
-        rho = 1.0 + alpha
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 2.0 * alpha < rho <= 2.0:
-        raise ValueError(
-            f"splitting parameter rho must lie in (2*alpha, 2], got rho={rho} "
-            f"for alpha={alpha}"
-        )
+    rho = 1.0 + alpha
     M = grid.M
     chi = rho - 2.0 * alpha
     # Near-field weight of the near-singular cell: 1 is consistent with the
@@ -112,45 +106,4 @@ def assemble_matrix(grid: GridSpec, alpha: float, rho: float | None = None) -> O
     first_row[1:] = -band[1 : M - 1]
     scale = singular_integral_constant(alpha) * grid.dx ** (-2.0 * alpha) / chi
     entries = scale * toeplitz(first_row)
-    return OperatorMatrix(entries=entries, alpha=alpha, rho=rho, grid=grid)
-
-
-def apply_operator(op: OperatorMatrix, u: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A @ u on interior values."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != op.n:
-        raise ValueError(f"vector length {u.shape[0]} != interior size {op.n}")
-    return op.entries @ u
-
-
-def laplacian_limit_check(
-    grid: GridSpec,
-    alpha: float,
-    samples: np.ndarray | None = None,
-    reference: np.ndarray | None = None,
-) -> float:
-    """Max-norm gap between A @ s and -s'' for a smooth Dirichlet profile.
-
-    Diagnostic for the local limit alpha -> 1: by default s is the first
-    Dirichlet sine mode sin(pi (x+1) / 2), whose negated second derivative
-    is (pi/2)^2 s.  Returns the discrepancy over all interior nodes; the
-    caller decides what is acceptable.  Note the discrepancy does not vanish
-    with grid refinement at fixed alpha < 1: the zero-extended sine has a
-    gradient kink at the boundary, so the fractional operator genuinely
-    differs from -s'' near the endpoints.
-    """
-    if alpha < 0.95:
-        raise ValueError(f"limit check is meaningful for alpha >= 0.95, got {alpha}")
-    if samples is None:
-        x = grid.interior_points
-        samples = np.sin(np.pi * (x + 1.0) / 2.0)
-        reference = (np.pi / 2.0) ** 2 * samples
-    elif reference is None:
-        raise ValueError("reference values are required with custom samples")
-    op = assemble_matrix(grid, alpha)
-    return float(np.max(np.abs(apply_operator(op, samples) - reference)))
-
-
-def matrix_to_csv(op: OperatorMatrix, path) -> None:
-    """Dump the matrix row-major as headerless CSV for external cross-checks."""
-    np.savetxt(path, op.entries, delimiter=",")
+    return OperatorMatrix(entries=entries, alpha=alpha, grid=grid)

@@ -59,6 +59,8 @@ class ModelParams:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.N < 1:
             raise ValueError(f"step count N must be >= 1, got {self.N}")
+        if self.M < 3:
+            raise ValueError(f"space subintervals M must be >= 3, got {self.M}")
         for name in ("lam", "gamma", "kappa1", "kappa2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -26,7 +26,7 @@ from .bounds import (
     tail_upper_bound,
 )
 from .noise import fgn_autocovariance, fgn_circulant
-from .operator import GridSpec, apply_operator, assemble_matrix, singular_integral_constant
+from .operator import GridSpec, assemble_matrix, singular_integral_constant
 from .solver import ModelParams
 from .spectral import principal_eigenpair, rayleigh_min_check, trapezoid_integral
 
@@ -112,7 +112,7 @@ def operator_oracle_deviation(
     op = assemble_matrix(grid, alpha)
     x = grid.interior_points
     samples = np.array([profile(xi) for xi in x])
-    discrete = apply_operator(op, samples)
+    discrete = op.entries @ samples
     oracle = np.array([fractional_laplacian_pv(profile, xi, alpha) for xi in x])
     window = np.abs(x) <= 1.0 - margin + 1e-12
     scale = np.max(np.abs(oracle[window]))

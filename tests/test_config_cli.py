@@ -198,6 +198,18 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("H = 0.3\n")
         assert self._run("simulate", "--config", str(bad)) == 2
+        coarse = self._cfg(tmp_path, "M = 2\n")
+        assert self._run("simulate", "--config", str(coarse), "--out", str(tmp_path)) == 2
+        tiny = self._cfg(tmp_path, "M = 11\nN = 100\n")
+        for flags in (("--realizations", "0"), ("--realizations", "2", "--threads", "0")):
+            code = self._run(
+                "sweep", "--preset", "custom", "--lambdas", "0.4",
+                "--config", str(tiny), "--out", str(tmp_path), *flags,
+            )
+            assert code == 2
+        # gamma * eta1 > 1 + mu1 is the case in which the cap enters the bound
+        cap = self._cfg(tmp_path, "M = 11\nN = 100\ngamma = 10\nlambda_cap = -1\nbound_paths = 5\n")
+        assert self._run("bounds", "--config", str(cap), "--out", str(tmp_path)) == 2
 
     def test_missing_config_file_exit_code(self):
         assert self._run("simulate", "--config", "/nonexistent/path.cfg") == 2

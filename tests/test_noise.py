@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchsim import (
-    HurstParams,
-    ModelParams,
-    bm_increments,
-    covariance_RH,
-    fgn_autocovariance,
-    fgn_circulant,
-    mixed_path,
-    volterra_covariance,
-    volterra_kernel,
-)
+from quenchsim import ModelParams, bm_increments, fgn_autocovariance, fgn_circulant, mixed_path
 
 
 def bartlett_se(k, H, n, truncation=400):
@@ -113,55 +103,47 @@ class TestFgnCirculant:
             fgn_circulant(16, 0.1, 1.0, seed=0)
 
 
+def covariance_RH(t, s, H):
+    """Fractional Brownian covariance R_H(t, s) = (t^2H + s^2H - |t-s|^2H) / 2."""
+    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
+
+
+def summed_fgn_covariance(i, j, H, dt):
+    """Cov(B^H(i dt), B^H(j dt)) as the double sum of fGN autocovariances."""
+    lags = np.subtract.outer(np.arange(i), np.arange(j))
+    return float(np.sum(fgn_autocovariance(lags, H, dt)))
+
+
 class TestCovarianceRH:
+    """Partial sums of the sampled fGN carry the fBM covariance R_H."""
+
     def test_unit_time(self):
-        assert covariance_RH(1.0, 1.0, 0.7) == pytest.approx(1.0)
+        n = 64
+        assert covariance_RH(1.0, 1.0, 0.7) == 1.0
+        assert summed_fgn_covariance(n, n, 0.7, 1.0 / n) == pytest.approx(1.0, rel=1e-12)
 
     def test_reduces_to_min_at_half(self):
-        for t, s in ((0.3, 0.8), (1.2, 0.4), (0.5, 0.5)):
-            assert covariance_RH(t, s, 0.5) == pytest.approx(min(t, s))
+        dt = 0.1
+        for i, j in ((3, 8), (12, 4), (5, 5)):
+            got = summed_fgn_covariance(i, j, 0.5, dt)
+            assert got == pytest.approx(min(i, j) * dt, rel=1e-12)
 
     def test_zero_time(self):
         assert covariance_RH(0.7, 0.0, 0.8) == 0.0
+        assert summed_fgn_covariance(7, 0, 0.8, 0.1) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
-        t=st.floats(0.0, 5.0),
-        s=st.floats(0.0, 5.0),
+        i=st.integers(0, 40),
+        j=st.integers(0, 40),
         H=st.floats(0.51, 0.99),
     )
-    def test_symmetry_and_positivity(self, t, s, H):
-        assert covariance_RH(t, s, H) == pytest.approx(covariance_RH(s, t, H))
-        assert covariance_RH(t, t, H) >= 0.0
-
-
-class TestVolterraKernel:
-    def test_zero_for_t_le_s(self):
-        assert volterra_kernel(0.5, 0.5, 0.7) == 0.0
-        assert volterra_kernel(0.3, 0.5, 0.7) == 0.0
-
-    def test_constant_positive(self):
-        assert HurstParams(0.7).C_H > 0.0
-
-    def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
-            volterra_kernel(-0.1, 0.0, 0.7)
-
-    def test_origin_singularity_is_flagged_infinite(self):
-        assert volterra_kernel(1.0, 0.0, 0.7) == math.inf
-
-    def test_covariance_identity_point(self):
-        got = volterra_covariance(1.0, 0.5, 0.7)
-        want = covariance_RH(1.0, 0.5, 0.7)
-        assert abs(got - want) / want <= 1e-4
-
-    def test_covariance_identity_grid(self):
-        H = 0.7
-        for t in (0.25, 0.5, 0.75, 1.0):
-            for s in (0.2, 0.4, 0.6, 0.8):
-                got = volterra_covariance(t, s, H)
-                want = covariance_RH(t, s, H)
-                assert abs(got - want) / want <= 1e-3
+    def test_symmetry_and_positivity(self, i, j, H):
+        dt = 0.05
+        got = summed_fgn_covariance(i, j, H, dt)
+        assert got == pytest.approx(covariance_RH(i * dt, j * dt, H), rel=1e-9, abs=1e-12)
+        assert got == pytest.approx(summed_fgn_covariance(j, i, H, dt), rel=1e-12, abs=1e-15)
+        assert summed_fgn_covariance(i, i, H, dt) >= 0.0
 
 
 class TestMixedPath:
@@ -190,18 +172,6 @@ class TestMixedPath:
         assert np.array_equal(a.N, b.N)
         assert np.array_equal(a.bm_increments, b.bm_increments)
         assert np.array_equal(a.fbm_increments, b.fbm_increments)
-
-
-def test_path_csv_dump(tmp_path):
-    from quenchsim.noise import path_to_csv
-
-    params = ModelParams(N=16)
-    path = mixed_path(params, 5)
-    out = tmp_path / "path.csv"
-    path_to_csv(path, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,dB,dB_H,N"
-    assert len(lines) == 18  # header + n_steps + 1 rows
 
 
 def test_fgn_negative_eigenvalue_fallback(monkeypatch):
