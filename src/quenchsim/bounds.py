@@ -5,6 +5,10 @@ quadrature expression in the model constants, and as a functional of
 sampled noise paths, so the Monte Carlo estimates can be checked against
 the theory.  Exponential path functionals accumulate through a running
 log-sum-exp, which stays finite even when the raw integrand overflows.
+The Monte Carlo loop (`bound_monte_carlo`) evaluates only the first-crossing
+times: it forms the path-independent exponents once per call and stops each
+log-sum-exp at its threshold, while `tau_star_sample` and `tau_lower_sample`
+also return the full series.
 """
 
 from __future__ import annotations
@@ -295,18 +299,50 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     return GammaBoundResult(value=float(gammainc(-nu, lam_tilde)), almost_sure=False)
 
 
-def _accumulate_crossing(
-    path: NoisePath, log_integrand: np.ndarray, threshold: float
-) -> tuple[float, np.ndarray]:
-    """Left-endpoint accumulation with first-crossing detection in log space."""
-    log_series = np.logaddexp.accumulate(log_integrand + math.log(path.dt))
-    series = np.exp(log_series)
+CROSSING_PREFIX = 256
+
+
+def _first_crossing(log_terms: np.ndarray, threshold: float, dt: float) -> float:
+    """First step time at which the running log-sum-exp of log_terms reaches threshold.
+
+    np.logaddexp.accumulate runs on a prefix of CROSSING_PREFIX terms that
+    doubles each round, and each round restarts from the previous round's
+    last value, so it follows the full accumulate's recurrence and finds the
+    same index.  Paths that cross early never pay for the rest of the horizon.
+    """
     if not math.isfinite(threshold):
-        return INFINITE_TIME, series
-    crossed = np.nonzero(log_series >= math.log(threshold))[0]
-    if crossed.size == 0:
-        return INFINITE_TIME, series
-    return float(path.dt * (crossed[0] + 1)), series
+        return INFINITE_TIME
+    log_threshold = math.log(threshold)
+    start, size, carry = 0, CROSSING_PREFIX, log_terms[:0]
+    while start < log_terms.size:
+        stop = min(start + size, log_terms.size)
+        running = np.logaddexp.accumulate(np.concatenate([carry, log_terms[start:stop]]))
+        hits = np.flatnonzero(running >= log_threshold)
+        if hits.size:
+            return dt * (start - carry.size + int(hits[0]) + 1)
+        carry, start, size = running[-1:], stop, 2 * size
+    return INFINITE_TIME
+
+
+def _log_terms(base: np.ndarray, path: NoisePath) -> np.ndarray:
+    """Per-step log integrand base + 3 N plus log dt, for left-endpoint sums."""
+    return base + 3.0 * path.N[:-1] + math.log(path.dt)
+
+
+def _star_base(tk: np.ndarray, bp: BoundParams) -> np.ndarray:
+    """Path-independent part of the tau* exponent: -3 (gamma eta1 t - mu1 K - A)."""
+    return -3.0 * _drift(tk, bp, bp.eta1)
+
+
+def _lower_base(tk: np.ndarray, mu_fn) -> np.ndarray:
+    """Path-independent part of the tau_* exponent: -3 log mu(t).
+
+    Negation is exact, so adding 3 N to it gives the bits of 3 N - 3 log mu.
+    """
+    mu_vals = np.asarray(mu_fn(tk), dtype=float)
+    if np.any(mu_vals <= 0):
+        raise ValueError("mu(t) must be positive on the path horizon")
+    return -3.0 * np.log(mu_vals)
 
 
 def tau_star_sample(path: NoisePath, bp: BoundParams) -> PathFunctionalResult:
@@ -318,8 +354,9 @@ def tau_star_sample(path: NoisePath, bp: BoundParams) -> PathFunctionalResult:
     marker when no crossing happens within the path horizon.
     """
     tk = path.dt * np.arange(path.n_steps)
-    exponent = -3.0 * _drift(tk, bp, bp.eta1) + 3.0 * path.N[:-1]
-    time, series = _accumulate_crossing(path, exponent, bp.tau_star_threshold())
+    log_terms = _log_terms(_star_base(tk, bp), path)
+    time = _first_crossing(log_terms, bp.tau_star_threshold(), path.dt)
+    series = np.exp(np.logaddexp.accumulate(log_terms))
     return PathFunctionalResult(threshold_time=time, integral_series=series)
 
 
@@ -344,12 +381,10 @@ def tau_lower_sample(path: NoisePath, bp: BoundParams, mu_fn) -> PathFunctionalR
     (zero marks the crossing and beyond); G(0) = 1 by construction.
     """
     tk = path.dt * np.arange(path.n_steps)
-    mu_vals = np.asarray(mu_fn(tk), dtype=float)
-    if np.any(mu_vals <= 0):
-        raise ValueError("mu(t) must be positive on the path horizon")
-    exponent = 3.0 * path.N[:-1] - 3.0 * np.log(mu_vals)
+    log_terms = _log_terms(_lower_base(tk, mu_fn), path)
     threshold = bp.tau_lower_threshold()
-    time, series = _accumulate_crossing(path, exponent, threshold)
+    time = _first_crossing(log_terms, threshold, path.dt)
+    series = np.exp(np.logaddexp.accumulate(log_terms))
     if math.isfinite(threshold):
         radicand = np.clip(1.0 - series / threshold, 0.0, 1.0)
     else:
@@ -365,14 +400,20 @@ def bound_monte_carlo(
 
     Path i is `mixed_path(params, derive_seed(master_seed, i))`, the seeding
     policy of the ensembles, so distinct master seeds draw disjoint paths.
-    The flag is True when tau_* <= tau* held on every path.
+    The flag is True when tau_* <= tau* held on every path.  Only the
+    first-crossing times are evaluated: the drift and mu(t) exponents are
+    formed once per call, and each path's log-sum-exp stops at its threshold.
     """
+    tk = params.dt * np.arange(params.N)
+    star_base = _star_base(tk, bp)
+    lower_base = _lower_base(tk, mu_fn)
+    w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     crossings = 0
     ordered = True
     for i in range(n_paths):
         path = mixed_path(params, derive_seed(master_seed, i))
-        star = tau_star_sample(path, bp)
-        low = tau_lower_sample(path, bp, mu_fn)
-        crossings += star.threshold_time <= params.T
-        ordered = ordered and low.threshold_time <= star.threshold_time
+        star = _first_crossing(_log_terms(star_base, path), w, path.dt)
+        low = _first_crossing(_log_terms(lower_base, path), lower_threshold, path.dt)
+        crossings += star <= params.T
+        ordered = ordered and low <= star
     return crossings / n_paths, ordered

@@ -211,7 +211,6 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _ = _load_config(args)
     results = run_validation_suite()
     failed = 0
     for check in results:
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigen.set_defaults(func=_cmd_eigen)
 
     p_val = sub.add_parser("validate", help="run the invariant cross-check suite")
-    add_common(p_val)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quenchsim import (
@@ -15,6 +17,7 @@ from quenchsim import (
     bound_monte_carlo,
     bound_params_from_model,
     chebyshev_bounds,
+    derive_seed,
     eigen_mu,
     gamma_lower_bound,
     mixed_path,
@@ -24,7 +27,7 @@ from quenchsim import (
     tau_star_sample,
 )
 from quenchsim import bounds
-from quenchsim.spectral import trapezoid_integral
+from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
 
@@ -307,6 +310,137 @@ class TestBoundMonteCarlo:
             seeds.append(set(drawn))
         assert len(seeds[0]) == len(seeds[1]) == 2000
         assert seeds[0].isdisjoint(seeds[1])
+
+
+def full_crossing(log_terms, threshold, dt):
+    """The crossing rule applied to the whole running log-sum-exp at once."""
+    if not math.isfinite(threshold):
+        return math.inf
+    hits = np.flatnonzero(np.logaddexp.accumulate(log_terms) >= math.log(threshold))
+    return dt * (int(hits[0]) + 1) if hits.size else math.inf
+
+
+class TestFirstCrossing:
+    N_TERMS = 2000
+
+    def spike(self, k):
+        # negligible terms everywhere except one large term at index k
+        x = np.full(self.N_TERMS, -50.0)
+        if k is not None:
+            x[k] = 10.0
+        return x
+
+    @pytest.mark.parametrize("k", [0, 255, 256, 257, 767, 768, 1999, None])
+    def test_spike_crossing_index(self, k):
+        x = self.spike(k)
+        expected = math.inf if k is None else float(k + 1)
+        assert bounds._first_crossing(x, math.exp(5.0), 1.0) == expected
+        assert bounds._first_crossing(x, math.exp(5.0), 1e-3) == full_crossing(
+            x, math.exp(5.0), 1e-3
+        )
+
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_non_finite_threshold_never_crosses(self, threshold):
+        assert bounds._first_crossing(self.spike(3), threshold, 1.0) == math.inf
+
+    @pytest.mark.parametrize("k", [0, 300, 1000, None])
+    def test_minus_infinity_and_nan_entries(self, k):
+        # a -inf run carries a -inf running sum across the first prefix boundary
+        x = self.spike(None)
+        x[:600] = -np.inf
+        if k is not None:
+            x[k] = 10.0
+        assert bounds._first_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+            x, math.exp(5.0), 1.0
+        )
+        x[700] = np.nan  # the running sum is NaN from here on and never crosses
+        with np.errstate(invalid="ignore"):
+            assert bounds._first_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+                x, math.exp(5.0), 1.0
+            )
+        x[:] = -np.inf  # the running sum stays -inf and never crosses
+        assert bounds._first_crossing(x, math.exp(-700.0), 1.0) == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        value=st.floats(-20.0, 20.0),
+        log_threshold=st.floats(-30.0, 30.0),
+    )
+    def test_constant_terms(self, n, value, log_threshold):
+        x = np.full(n, value)
+        thr = math.exp(log_threshold)
+        assert bounds._first_crossing(x, thr, 0.01) == full_crossing(x, thr, 0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        drift=st.floats(-0.05, 0.05),
+        log_threshold=st.floats(-10.0, 40.0),
+    )
+    def test_random_terms(self, seed, n, drift, log_threshold):
+        rng = np.random.default_rng(seed)
+        x = drift * np.arange(n) + rng.standard_normal(n)
+        thr = math.exp(log_threshold)
+        assert bounds._first_crossing(x, thr, 1.0 / n) == full_crossing(x, thr, 1.0 / n)
+
+
+class TestBoundMonteCarloOracle:
+    """bound_monte_carlo against the public per-path functionals on the same paths."""
+
+    @staticmethod
+    def oracle(params, bp, mu_fn, n_paths, master):
+        stars, lows = [], []
+        for i in range(n_paths):
+            path = mixed_path(params, derive_seed(master, i))
+            stars.append(tau_star_sample(path, bp).threshold_time)
+            lows.append(tau_lower_sample(path, bp, mu_fn).threshold_time)
+        stars, lows = np.array(stars), np.array(lows)
+        empirical = int(np.sum(stars <= params.T)) / n_paths
+        return empirical, bool(np.all(lows <= stars)), stars, lows
+
+    def check(self, monkeypatch, params, bp, mu_fn, n_paths, master):
+        empirical, ordered, stars, lows = self.oracle(params, bp, mu_fn, n_paths, master)
+        times = []
+
+        def recording_crossing(log_terms, threshold, dt):
+            times.append(first_crossing(log_terms, threshold, dt))
+            return times[-1]
+
+        first_crossing = bounds._first_crossing
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_first_crossing", recording_crossing)
+            result = bound_monte_carlo(params, bp, mu_fn, n_paths, master)
+        assert result == (empirical, ordered)
+        # the loop evaluates tau* then tau_* on each path, in path order
+        assert np.array_equal(times[0::2], stars)
+        assert np.array_equal(times[1::2], lows)
+        return stars / params.dt, lows / params.dt
+
+    def test_validate_bound_parameters(self, monkeypatch, pair41):
+        # the validate check's parameters: every tau_* crosses past the first prefix
+        params = ModelParams(lam=1e-5, gamma=0.0, H=0.7, T=1.0, N=1024,
+                             a_fn=0.1, b_fn=0.1, k_fn=2.0)
+        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
+        bp = bound_params_from_model(params, pair41, v0_psi1)
+        _, lows = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 5_000)
+        assert np.all(lows[np.isfinite(lows)] > bounds.CROSSING_PREFIX)
+
+    def test_default_bounds_config_reduced_n(self, monkeypatch, grid41, pair41):
+        params = ModelParams(N=1000)
+        v0_psi1 = inner_product_v0_psi1(0.5 * pair41.psi1, pair41, grid41)
+        bp = bound_params_from_model(params, pair41, v0_psi1)
+        stars, _ = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 7)
+        assert np.all(np.isfinite(stars))
+
+    def test_crossings_on_both_sides_of_the_prefix(self, monkeypatch, pair41):
+        params = ModelParams(lam=0.01, N=1024, a_fn=0.1, b_fn=0.1)
+        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
+        bp = bound_params_from_model(params, pair41, v0_psi1)
+        stars, _ = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 11)
+        assert np.any(stars <= bounds.CROSSING_PREFIX)
+        assert np.any(np.isfinite(stars) & (stars > bounds.CROSSING_PREFIX))
 
 
 class TestMuHelpers:

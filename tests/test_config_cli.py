@@ -1,9 +1,7 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from quenchsim import (
     derive_seed,
     emit_config,
     emit_table,
-    estimate,
     parse_config,
     read_table,
     sweep,
@@ -248,6 +245,13 @@ class TestValidateCli:
         assert code == 0
         assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out
+
+    def test_validate_rejects_run_flags(self, capsys):
+        # validate runs fixed checks, so flags it would ignore are refused
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_validate_failure_maps_to_exit_3(self, monkeypatch, capsys):
         from quenchsim import cli
