@@ -13,8 +13,6 @@ from .bounds import (
     gamma_lower_bound,
     nu_of,
     tail_upper_bound,
-    tau_lower_sample,
-    tau_star_sample,
 )
 from .config import emit_config, emit_table, parse_config, read_table
 from .ensemble import EnsembleStats, estimate, sweep
@@ -65,6 +63,4 @@ __all__ = [
     "singular_integral_constant",
     "sweep",
     "tail_upper_bound",
-    "tau_lower_sample",
-    "tau_star_sample",
 ]

@@ -1,14 +1,15 @@
 """Analytic quenching-time and quenching-probability bounds.
 
-Every bound is evaluated two ways where possible: as a closed-form or
-quadrature expression in the model constants, and as a functional of
-sampled noise paths, so the Monte Carlo estimates can be checked against
-the theory.  Exponential path functionals accumulate through a running
-log-sum-exp, which stays finite even when the raw integrand overflows.
-The Monte Carlo loop (`bound_monte_carlo`) evaluates only the first-crossing
-times: it forms the path-independent exponents once per call and stops each
-log-sum-exp at its threshold, while `tau_star_sample` and `tau_lower_sample`
-also return the full series.
+The coefficients a, b and k are constants, so the clocks K(t) = k^2 t / 2
+and A(t) = a^2 t / 2 are closed forms.  Every bound is evaluated two ways
+where possible: as a closed-form or quadrature expression in the model
+constants, and by Monte Carlo over sampled noise paths, so the estimates
+can be checked against the theory.  The Monte Carlo loop
+(`bound_monte_carlo`) evaluates only the first-crossing times of tau* and
+tau_*: it forms the path-independent exponents once per call and
+accumulates each path's exponential functional through a running
+log-sum-exp, which stays finite even when the raw integrand overflows and
+stops at its threshold.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
 from scipy.special import gammainc
 
-from .noise import CoefficientLike, NoisePath, as_coefficient, mixed_path
+from .noise import NoisePath, mixed_path
 from .seeding import derive_seed
 from .solver import ModelParams
 
@@ -33,8 +34,9 @@ class BoundParams:
 
     eta1/eta2 are the lower/upper growth-envelope constants of the
     nonlinearity, zeta_m/zeta_M the envelope extrema; they default to the
-    unit-envelope case matching the simulated source.  psi1 and dx are
-    optional but required by the eigenfunction-initial-data helpers.
+    unit-envelope case matching the simulated source.  a_fn, b_fn and k_fn
+    are the constant coefficients a, b and k.  psi1 and dx are optional but
+    required by the eigenfunction-initial-data helpers.
     """
 
     mu1: float
@@ -46,9 +48,9 @@ class BoundParams:
     eta2: float = 1.0
     zeta_m: float = 1.0
     zeta_M: float = 1.0
-    a_fn: CoefficientLike = 1.0
-    b_fn: CoefficientLike = 1.0
-    k_fn: CoefficientLike = 2.0
+    a_fn: float = 1.0
+    b_fn: float = 1.0
+    k_fn: float = 2.0
     psi1: np.ndarray | None = field(default=None, repr=False)
     dx: float | None = None
 
@@ -88,19 +90,6 @@ class BoundParams:
         return 1.0 / denom
 
 
-@dataclass(frozen=True)
-class PathFunctionalResult:
-    """First-crossing time and the accumulated functional along one path."""
-
-    threshold_time: float
-    integral_series: np.ndarray
-    g_series: np.ndarray | None = None
-
-    @property
-    def crossed(self) -> bool:
-        return math.isfinite(self.threshold_time)
-
-
 def bound_params_from_model(
     params: ModelParams,
     pair,
@@ -129,43 +118,31 @@ def bound_params_from_model(
     )
 
 
-def _half_square_integral(t: float, coef) -> float:
-    """(1/2) Int_0^t c(s)^2 ds, closed form for constants."""
-    c = as_coefficient(coef)
-    if c.is_constant:
-        return 0.5 * c.constant**2 * t
-    return 0.5 * quad(lambda s: float(c(s)) ** 2, 0.0, t, limit=200)[0]
+def _half_square(t, c: float):
+    """(1/2) Int_0^t c^2 ds = c^2 t / 2 for a constant c, at a time or on a grid."""
+    return 0.5 * c**2 * t
 
 
-def K_of(t: float, k_fn: CoefficientLike) -> float:
-    """Diffusion clock K(t) = (1/2) Int_0^t k^2."""
+def K_of(t: float, k_fn: float) -> float:
+    """Diffusion clock K(t) = (1/2) Int_0^t k^2 = k^2 t / 2."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return _half_square_integral(t, k_fn)
+    return _half_square(t, k_fn)
 
 
-def A_of(t: float, a_fn: CoefficientLike) -> float:
-    """Brownian clock A(t) = (1/2) Int_0^t a^2."""
+def A_of(t: float, a_fn: float) -> float:
+    """Brownian clock A(t) = (1/2) Int_0^t a^2 = a^2 t / 2."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return _half_square_integral(t, a_fn)
-
-
-def _half_square_cumulative(tk: np.ndarray, coef) -> np.ndarray:
-    """K or A evaluated on a time grid (exact for constants)."""
-    c = as_coefficient(coef)
-    if c.is_constant:
-        return 0.5 * c.constant**2 * tk
-    vals = c(tk) ** 2
-    return 0.5 * cumulative_trapezoid(vals, tk, initial=0.0)
+    return _half_square(t, a_fn)
 
 
 def _drift(tk: np.ndarray, bp: BoundParams, eta: float) -> np.ndarray:
     """gamma eta t - mu1 K(t) - A(t); the path exponents carry it as -3 times this."""
     return (
         bp.gamma * eta * tk
-        - bp.mu1 * _half_square_cumulative(tk, bp.k_fn)
-        - _half_square_cumulative(tk, bp.a_fn)
+        - bp.mu1 * _half_square(tk, bp.k_fn)
+        - _half_square(tk, bp.a_fn)
     )
 
 
@@ -174,28 +151,16 @@ def M_of(T: float, bp: BoundParams) -> float:
     if T <= 0:
         raise ValueError("T must be positive")
     int_a2 = 2.0 * A_of(T, bp.a_fn)
-    int_b2 = 2.0 * _half_square_integral(T, bp.b_fn)
+    int_b2 = 2.0 * _half_square(T, bp.b_fn)
     return 18.0 * int_a2 + 36.0 * bp.H * T ** (2.0 * bp.H - 1.0) * int_b2
-
-
-def _mixed_variance(t: float, bp: BoundParams) -> float:
-    """Var N_t for independent drivers; fBM part exact for constant b."""
-    var_bm = 2.0 * A_of(t, bp.a_fn)
-    b = as_coefficient(bp.b_fn)
-    if b.is_constant:
-        return var_bm + b.constant**2 * t ** (2.0 * bp.H)
-    # conservative envelope 2 H t^(2H-1) Int b^2
-    int_b2 = 2.0 * _half_square_integral(t, bp.b_fn)
-    return var_bm + 2.0 * bp.H * t ** (2.0 * bp.H - 1.0) * int_b2
 
 
 def nu_of(T: float, bp: BoundParams) -> float:
     """Mean accumulated exponential functional nu(T) = Int_0^T E[e^(X_t)] dt.
 
     X_t = -3 (gamma eta1 t - mu1 K(t) - A(t)) + 3 N_t, so the integrand is
-    the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t).  For
-    constant b the fBM variance is exact; otherwise the conservative
-    envelope of the Malliavin estimate is used, making nu an upper proxy.
+    the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t), with
+    Var N_t = a^2 t + b^2 t^(2H) for the independent drivers.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -204,7 +169,8 @@ def nu_of(T: float, bp: BoundParams) -> float:
         drift = -3.0 * (
             bp.gamma * bp.eta1 * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
         )
-        return math.exp(drift + 4.5 * _mixed_variance(t, bp))
+        var = 2.0 * A_of(t, bp.a_fn) + bp.b_fn**2 * t ** (2.0 * bp.H)
+        return math.exp(drift + 4.5 * var)
 
     return quad(integrand, 0.0, T, limit=200)[0]
 
@@ -240,7 +206,7 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
     H = bp.H
 
     def int_b2(t: float) -> float:
-        return 2.0 * _half_square_integral(t, bp.b_fn)
+        return 2.0 * _half_square(t, bp.b_fn)
 
     if independent:
         def integrand(t: float) -> float:
@@ -329,37 +295,6 @@ def _log_terms(base: np.ndarray, path: NoisePath) -> np.ndarray:
     return base + 3.0 * path.N[:-1] + math.log(path.dt)
 
 
-def _star_base(tk: np.ndarray, bp: BoundParams) -> np.ndarray:
-    """Path-independent part of the tau* exponent: -3 (gamma eta1 t - mu1 K - A)."""
-    return -3.0 * _drift(tk, bp, bp.eta1)
-
-
-def _lower_base(tk: np.ndarray, mu_fn) -> np.ndarray:
-    """Path-independent part of the tau_* exponent: -3 log mu(t).
-
-    Negation is exact, so adding 3 N to it gives the bits of 3 N - 3 log mu.
-    """
-    mu_vals = np.asarray(mu_fn(tk), dtype=float)
-    if np.any(mu_vals <= 0):
-        raise ValueError("mu(t) must be positive on the path horizon")
-    return -3.0 * np.log(mu_vals)
-
-
-def tau_star_sample(path: NoisePath, bp: BoundParams) -> PathFunctionalResult:
-    """Upper-bound stopping time tau* evaluated along one sampled path.
-
-    Accumulates Int_0^t exp(-3 (eta1 gamma s - mu1 K(s) - A(s)) + 3 N_s) ds
-    by left-endpoint sums and reports the first step time at which it
-    reaches w = <v0, psi1>^3 / (3 lambda eta1 zeta_m), or the infinity
-    marker when no crossing happens within the path horizon.
-    """
-    tk = path.dt * np.arange(path.n_steps)
-    log_terms = _log_terms(_star_base(tk, bp), path)
-    time = _first_crossing(log_terms, bp.tau_star_threshold(), path.dt)
-    series = np.exp(np.logaddexp.accumulate(log_terms))
-    return PathFunctionalResult(threshold_time=time, integral_series=series)
-
-
 def eigen_mu(bp: BoundParams, W1: float):
     """Closed-form mu(t) for eigenfunction initial data v0 = W1 psi1."""
     if W1 <= 0:
@@ -370,27 +305,6 @@ def eigen_mu(bp: BoundParams, W1: float):
         return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp, bp.eta2))
 
     return mu
-
-
-def tau_lower_sample(path: NoisePath, bp: BoundParams, mu_fn) -> PathFunctionalResult:
-    """Lower-bound stopping time tau_* along one sampled path.
-
-    Accumulates Int_0^t e^(3 N_r) mu(r)^-3 dr against the threshold
-    1 / (4 lambda eta2 zeta_M) and also returns the survival envelope
-    G(t) = (1 - 4 lambda eta2 zeta_M * integral)^(1/4), clamped to [0, 1]
-    (zero marks the crossing and beyond); G(0) = 1 by construction.
-    """
-    tk = path.dt * np.arange(path.n_steps)
-    log_terms = _log_terms(_lower_base(tk, mu_fn), path)
-    threshold = bp.tau_lower_threshold()
-    time = _first_crossing(log_terms, threshold, path.dt)
-    series = np.exp(np.logaddexp.accumulate(log_terms))
-    if math.isfinite(threshold):
-        radicand = np.clip(1.0 - series / threshold, 0.0, 1.0)
-    else:
-        radicand = np.ones_like(series)
-    g_series = np.concatenate([[1.0], radicand**0.25])
-    return PathFunctionalResult(threshold_time=time, integral_series=series, g_series=g_series)
 
 
 def bound_monte_carlo(
@@ -405,8 +319,11 @@ def bound_monte_carlo(
     formed once per call, and each path's log-sum-exp stops at its threshold.
     """
     tk = params.dt * np.arange(params.N)
-    star_base = _star_base(tk, bp)
-    lower_base = _lower_base(tk, mu_fn)
+    star_base = -3.0 * _drift(tk, bp, bp.eta1)
+    mu_vals = np.asarray(mu_fn(tk), dtype=float)
+    if np.any(mu_vals <= 0):
+        raise ValueError("mu(t) must be positive on the path horizon")
+    lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     crossings = 0
     ordered = True

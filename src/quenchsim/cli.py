@@ -115,7 +115,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name = f"{preset}_grid.csv"
     elif preset == "custom":
         base = params
-        axes = [("lambda", args.lambdas or TABLE_LAMBDAS)]
+        lambdas = args.lambdas or TABLE_LAMBDAS
+        # reject a bad grid point before any ensemble runs
+        try:
+            for lam in lambdas:
+                replace(base, lam=lam)
+        except ValueError as exc:
+            raise ConfigError(f"--lambdas: {exc}") from exc
+        axes = [("lambda", lambdas)]
         name = "sweep_custom.csv"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown preset '{preset}'")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .ensemble import SweepResult
@@ -151,6 +152,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_run(config: RunConfig) -> None:
+    for f in fields(config):
+        if f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
     if config.n_realizations < 1:
         raise ConfigError("realizations must be >= 1")
     if config.threads < 1:
@@ -172,10 +176,7 @@ def emit_config(config: RunConfig) -> str:
     lines = []
     for key in sorted(_MODEL_KEYS):
         attr = _MODEL_KEYS[key][0]
-        value = getattr(config.params, attr)
-        if attr in ("a_fn", "b_fn", "k_fn") and not isinstance(value, (int, float)):
-            raise ConfigError(f"cannot serialize non-constant coefficient '{key}'")
-        lines.append(f"{key} = {value!r}")
+        lines.append(f"{key} = {getattr(config.params, attr)!r}")
     for key in sorted(_RUN_KEYS):
         attr = _RUN_KEYS[key][0]
         value = getattr(config, attr)

@@ -8,6 +8,7 @@ and thread count; estimates over disjoint index ranges pool exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -68,7 +69,7 @@ class SweepResult:
     master_seed: int
 
     def __post_init__(self) -> None:
-        expected = int(np.prod([len(v) for v in self.axis_values])) if self.axis_values else 0
+        expected = math.prod(len(v) for v in self.axis_values)
         if expected != len(self.stats):
             raise ValueError(
                 f"grid size {expected} inconsistent with {len(self.stats)} stats entries"

@@ -9,58 +9,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import derive_seed
 
-CoefficientLike = float | int | Callable[[np.ndarray], np.ndarray] | tuple
-
-
-def as_coefficient(c: CoefficientLike) -> "Coefficient":
-    if isinstance(c, Coefficient):
-        return c
-    return Coefficient(c)
-
-
-class Coefficient:
-    """Time coefficient: a constant, a callable of t, or a (t, value) table."""
-
-    def __init__(self, spec: CoefficientLike) -> None:
-        if isinstance(spec, (int, float)):
-            self.constant: float | None = float(spec)
-            self._fn = None
-        elif callable(spec):
-            self.constant = None
-            self._fn = spec
-        elif isinstance(spec, tuple) and len(spec) == 2:
-            ts, vals = np.asarray(spec[0], float), np.asarray(spec[1], float)
-            if ts.shape != vals.shape or ts.ndim != 1:
-                raise ValueError("tabulated coefficient needs matching 1-D (t, value) arrays")
-            self.constant = None
-            self._fn = lambda t: np.interp(t, ts, vals)
-        else:
-            raise ValueError(f"cannot interpret coefficient spec {spec!r}")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
-
-    def __call__(self, t):
-        if self.constant is not None:
-            return self.constant * np.ones_like(np.asarray(t, dtype=float))
-        return np.asarray(self._fn(t), dtype=float)
-
 
 @dataclass(frozen=True)
 class NoisePath:
-    """One realization of the driving increments and the mixed process N_t."""
+    """One realization of the mixed process N_t on the step grid."""
 
     dt: float
     n_steps: int
-    bm_increments: np.ndarray
-    fbm_increments: np.ndarray
     N: np.ndarray  # accumulated mixed process at t_0..t_n; N[0] = 0
     embedding_warning: bool = False
 
@@ -121,7 +82,9 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     y[n_steps] = ends[1] * draws[1]
     y[1:n_steps] = inner * (draws[2 : n_steps + 1] + 1j * draws[n_steps + 1 : m])
     y[n_steps + 1 :] = np.conj(y[1:n_steps][::-1])
-    return FgnSample(np.fft.fft(y).real[:n_steps], clipped)
+    # transform in place: a second 2n complex buffer per path lets the heap
+    # trim and re-fault its pages on every draw at large n
+    return FgnSample(np.fft.fft(y, out=y).real[:n_steps], clipped)
 
 
 # One entry: every batch, sweep point and bound report samples all its paths
@@ -149,25 +112,25 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     return ends, inner, clipped
 
 
-def mixed_path(params, seed: int) -> NoisePath:
-    """Sample the mixed process N_t = Int a dB + Int b dB^H on the step grid.
+def _drive(params, seed: int, c1: float, c2: float) -> tuple[np.ndarray, bool]:
+    """c1 dB + c2 dB^H on the step grid of `params`, and the embedding flag.
 
-    The Brownian and fractional components are drawn from independent
-    derived streams (indices 1 and 2 of `seed`), and N is accumulated by
-    left-endpoint sums: N_{t_{k+1}} = N_{t_k} + a(t_k) dB_k + b(t_k) dB^H_k.
+    The Brownian and fractional increments are the seed's derived streams 1
+    and 2.  `simulate_batch` and `mixed_path` both draw through here, so
+    that rule has one owner.
     """
-    n, dt = params.N, params.T / params.N
-    db = bm_increments(n, dt, derive_seed(seed, 1))
-    fgn = fgn_circulant(n, dt, params.H, derive_seed(seed, 2))
-    tk = dt * np.arange(n)
-    a = as_coefficient(params.a_fn)(tk)
-    b = as_coefficient(params.b_fn)(tk)
-    N = np.concatenate([[0.0], np.cumsum(a * db + b * fgn.increments)])
-    return NoisePath(
-        dt=dt,
-        n_steps=n,
-        bm_increments=db,
-        fbm_increments=fgn.increments,
-        N=N,
-        embedding_warning=fgn.eigenvalue_clipped,
-    )
+    db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
+    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2))
+    return c1 * db + c2 * fgn.increments, fgn.eigenvalue_clipped
+
+
+def mixed_path(params, seed: int) -> NoisePath:
+    """Sample the mixed process N_t = a B_t + b B^H_t on the step grid.
+
+    The coefficients a = `params.a_fn` and b = `params.b_fn` are constants,
+    and N is accumulated by left-endpoint sums:
+    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.
+    """
+    increments, clipped = _drive(params, seed, params.a_fn, params.b_fn)
+    N = np.concatenate([[0.0], np.cumsum(increments)])
+    return NoisePath(dt=params.dt, n_steps=params.N, N=N, embedding_warning=clipped)

@@ -12,16 +12,17 @@ and the pack is compacted only on a step where one of them stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .noise import CoefficientLike, bm_increments, fgn_circulant
+from .noise import _drive
 from .operator import GridSpec, OperatorMatrix, assemble_matrix
-from .seeding import derive_seed
 
 MACHINE_EPSILON = 2.2204e-16
 
@@ -30,11 +31,13 @@ MACHINE_EPSILON = 2.2204e-16
 class ModelParams:
     """Full parameter set of one model configuration.
 
-    a_fn, b_fn, k_fn describe the time coefficients of the mixed noise and
-    the diffusion clock used by the analytic bounds; the solver's noise
+    a_fn, b_fn and k_fn are the constant coefficients a, b of the mixed
+    process N_t = a B_t + b B^H_t and k of the diffusion clock K(t) = k^2 t / 2
+    that the analytic bounds use (config keys a, b, k).  The solver's noise
     injection itself is kappa1 * dB + kappa2 * dB^H with raw increments
     (dB ~ Normal(0, dt), dB^H fractional Gaussian noise of variance dt^2H),
-    which makes the update a consistent Euler-Maruyama/Young step.
+    which makes the update a consistent Euler-Maruyama/Young step.  Every
+    float field must be finite.
     """
 
     lam: float = 0.4
@@ -47,12 +50,16 @@ class ModelParams:
     T: float = 1.0
     N: int = 10_000
     M: int = 41
-    a_fn: CoefficientLike = 1.0
-    b_fn: CoefficientLike = 1.0
-    k_fn: CoefficientLike = 2.0
+    a_fn: float = 1.0
+    b_fn: float = 1.0
+    k_fn: float = 2.0
     epsilon: float = MACHINE_EPSILON
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"initial amplitude must satisfy 0 <= c < 1, got {self.c}")
         if self.T <= 0:
@@ -154,17 +161,6 @@ def factorize(op: OperatorMatrix, dt: float) -> Factorization:
     return Factorization(_inverse=cho_solve(factor, identity))
 
 
-def _sample_drive(params: ModelParams, seed: int):
-    """kappa1 dB + kappa2 dB^H of one realization, and its embedding flag.
-
-    The component streams are the seed's derived indices 1 (Brownian) and
-    2 (fGN).
-    """
-    db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
-    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2))
-    return params.kappa1 * db + params.kappa2 * fgn.increments, fgn.eigenvalue_clipped
-
-
 def simulate_batch(
     op: OperatorMatrix,
     factor: Factorization,
@@ -199,7 +195,7 @@ def simulate_batch(
     drive = np.empty((n_steps, n_batch))
     warn = np.zeros(n_batch, dtype=bool)
     for j, seed in enumerate(seeds):
-        drive[:, j], warn[j] = _sample_drive(params, seed)
+        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2)
 
     # state[:, :k] holds the k running columns; order[:k] their batch indices
     state = np.tile(initial_condition(params.grid, params.c)[:, None], (1, n_batch))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import quenchsim
 
 
@@ -8,3 +11,36 @@ def test_star_import_exports_all():
     assert len(set(quenchsim.__all__)) == len(quenchsim.__all__)
     for name in quenchsim.__all__:
         assert namespace[name] is getattr(quenchsim, name)
+
+
+def unused_imports(source):
+    """(line, name) of each imported name the module never reads; __all__ reads."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_package():
+    modules = Path(quenchsim.__file__).parent.glob("*.py")
+    found = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert "bounds.py" in found
+    assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def test_unused_import_detector():
+    source = (
+        "from __future__ import annotations\nimport math\nimport os.path\n"
+        "from typing import Callable, Sequence\nfrom .a import b as c, d\n"
+        "x: Sequence[int] = os.path.join(d)\n__all__ = ['c']\n"
+    )
+    assert unused_imports(source) == [(2, "math"), (4, "Callable")]

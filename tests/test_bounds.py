@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -23,13 +22,12 @@ from quenchsim import (
     mixed_path,
     nu_of,
     tail_upper_bound,
-    tau_lower_sample,
-    tau_star_sample,
 )
 from quenchsim import bounds
 from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
+from path_functionals import full_crossing, tau_lower, tau_star
 
 
 def make_bp(**overrides):
@@ -48,9 +46,7 @@ def make_bp(**overrides):
 
 
 def flat_path(n=200, dt=0.005):
-    zeros = np.zeros(n)
-    return NoisePath(dt=dt, n_steps=n, bm_increments=zeros, fbm_increments=zeros,
-                     N=np.zeros(n + 1))
+    return NoisePath(dt=dt, n_steps=n, N=np.zeros(n + 1))
 
 
 class TestClockFunctions:
@@ -60,10 +56,6 @@ class TestClockFunctions:
 
     def test_zero_coefficient(self):
         assert A_of(5.0, 0.0) == 0.0
-
-    def test_linear_coefficient_vs_antiderivative(self):
-        # k(t) = t: K(1) = (1/2) * (1/3) = 1/6
-        assert K_of(1.0, lambda t: t) == pytest.approx(1.0 / 6.0, abs=1e-10)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -78,15 +70,6 @@ class TestMOf:
     def test_unit_coefficients_closed_form(self):
         bp = make_bp(a_fn=1.0, b_fn=1.0, H=0.75)
         assert M_of(1.0, bp) == pytest.approx(18.0 + 36.0 * 0.75)
-
-    def test_tabulated_matches_quadrature(self):
-        ts = np.linspace(0.0, 2.0, 401)
-        bp = make_bp(a_fn=(ts, 1.0 + 0.5 * ts), b_fn=(ts, 0.3 * np.ones_like(ts)))
-        T, H = 1.5, 0.7
-        int_a2 = quad(lambda s: (1.0 + 0.5 * s) ** 2, 0, T)[0]
-        int_b2 = 0.09 * T
-        expected = 18.0 * int_a2 + 36.0 * H * T ** (2 * H - 1) * int_b2
-        assert M_of(T, bp) == pytest.approx(expected, abs=1e-8)
 
 
 class TestNuOf:
@@ -106,14 +89,6 @@ class TestNuOf:
         bp = make_bp()
         values = [nu_of(T, bp) for T in (0.25, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_conservative_variant_dominates_exact(self):
-        # the same b = 0.3 as a constant takes the exact fBM variance, as a
-        # (t, value) table the envelope 2 H t^(2H-1) Int b^2
-        ts = np.linspace(0.0, 2.0, 401)
-        exact = nu_of(1.0, make_bp(b_fn=0.3))
-        envelope = nu_of(1.0, make_bp(b_fn=(ts, np.full_like(ts, 0.3))))
-        assert envelope > exact
 
 
 class TestTailUpperBound:
@@ -202,60 +177,54 @@ class TestGammaLowerBound:
 
 
 class TestTauStarSample:
+    """The oracle's tau* on paths whose crossing is known."""
+
     def test_flat_path_linear_accumulation(self):
         # integrand 1 everywhere: crossing at the first grid time >= w
         bp = make_bp(a_fn=0.0, b_fn=0.0, k_fn=0.0, gamma=0.0,
                      lam=1.0, v0_psi1=(3.0 * 0.5) ** (1 / 3))
         w = bp.tau_star_threshold()
         assert w == pytest.approx(0.5)
-        path = flat_path(n=1000, dt=1e-3)
-        result = tau_star_sample(path, bp)
-        assert result.threshold_time == pytest.approx(0.5, abs=2e-3)
-        assert np.all(np.diff(result.integral_series) >= 0.0)
+        assert tau_star(flat_path(n=1000, dt=1e-3), bp) == pytest.approx(0.5, abs=2e-3)
 
     def test_huge_threshold_returns_infinity(self):
         bp = make_bp(lam=1e-300)
-        result = tau_star_sample(flat_path(), bp)
-        assert math.isinf(result.threshold_time)
-        assert not result.crossed
+        assert math.isinf(tau_star(flat_path(), bp))
 
     def test_zero_lambda_threshold_infinite(self):
         bp = make_bp(lam=0.0)
         assert math.isinf(bp.tau_star_threshold())
-        assert math.isinf(tau_star_sample(flat_path(), bp).threshold_time)
+        assert math.isinf(tau_star(flat_path(), bp))
 
     def test_flat_path_refinement_consistency(self):
         # zero-noise accumulation at two resolutions crosses within O(dt)
         bp = make_bp(a_fn=0.0, b_fn=0.0, k_fn=0.0, gamma=0.0,
                      lam=1.0, v0_psi1=(3.0 * 0.37) ** (1 / 3))
-        coarse = tau_star_sample(flat_path(n=512, dt=1.0 / 512), bp)
-        fine = tau_star_sample(flat_path(n=1024, dt=1.0 / 1024), bp)
-        assert math.isfinite(coarse.threshold_time)
-        assert coarse.threshold_time == pytest.approx(fine.threshold_time, abs=2.0 / 512)
+        coarse = tau_star(flat_path(n=512, dt=1.0 / 512), bp)
+        fine = tau_star(flat_path(n=1024, dt=1.0 / 1024), bp)
+        assert math.isfinite(coarse)
+        assert coarse == pytest.approx(fine, abs=2.0 / 512)
 
     def test_reaccumulation_with_plain_loop(self):
-        # accumulated series equals a scalar re-accumulation of the same
-        # integrand on the same path
+        # the crossing of a scalar re-accumulation of the same integrand on
+        # the same path
         params = ModelParams(N=256, T=1.0, a_fn=0.2, b_fn=0.2, gamma=0.3)
         path = mixed_path(params, 7)
         bp = make_bp(lam=5e-3, a_fn=0.2, b_fn=0.2, gamma=0.3)
-        result = tau_star_sample(path, bp)
-        tk = path.dt * np.arange(path.n_steps)
-        series = []
-        total = 0.0
+        w = bp.tau_star_threshold()
+        total, crossing = 0.0, math.inf
         for m in range(path.n_steps):
+            t = m * path.dt
             exponent = (
-                -3.0
-                * (
-                    bp.gamma * bp.eta1 * tk[m]
-                    - bp.mu1 * (0.5 * 2.0**2 * tk[m])
-                    - 0.5 * 0.2**2 * tk[m]
-                )
+                -3.0 * (bp.gamma * bp.eta1 * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
                 + 3.0 * path.N[m]
             )
             total += math.exp(exponent) * path.dt
-            series.append(total)
-        assert np.allclose(result.integral_series, series, rtol=1e-10)
+            if total >= w:
+                crossing = (m + 1) * path.dt
+                break
+        assert math.isfinite(crossing)
+        assert tau_star(path, bp) == crossing
 
 
 class TestTauLowerSample:
@@ -264,21 +233,15 @@ class TestTauLowerSample:
         threshold = bp.tau_lower_threshold()
         assert threshold == pytest.approx(0.25)
         path = flat_path(n=1000, dt=1e-3)
-        result = tau_lower_sample(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
-        assert result.threshold_time == pytest.approx(0.25, abs=2e-3)
-
-    def test_g_series_starts_at_one_and_decreases(self):
-        bp = make_bp(lam=1.0)
-        path = flat_path(n=100, dt=1e-3)
-        result = tau_lower_sample(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
-        assert result.g_series[0] == 1.0
-        assert np.all(np.diff(result.g_series) <= 1e-15)
-        assert np.all((result.g_series >= 0.0) & (result.g_series <= 1.0))
+        time = tau_lower(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
+        assert time == pytest.approx(0.25, abs=2e-3)
 
     def test_nonpositive_mu_rejected(self):
-        bp = make_bp()
+        params = ModelParams(N=64)
         with pytest.raises(ValueError, match="positive"):
-            tau_lower_sample(flat_path(), bp, lambda t: np.zeros_like(np.asarray(t, float)))
+            bound_monte_carlo(
+                params, make_bp(), lambda t: np.zeros_like(np.asarray(t, float)), 1, 0
+            )
 
 
 class TestPathOrdering:
@@ -310,14 +273,6 @@ class TestBoundMonteCarlo:
             seeds.append(set(drawn))
         assert len(seeds[0]) == len(seeds[1]) == 2000
         assert seeds[0].isdisjoint(seeds[1])
-
-
-def full_crossing(log_terms, threshold, dt):
-    """The crossing rule applied to the whole running log-sum-exp at once."""
-    if not math.isfinite(threshold):
-        return math.inf
-    hits = np.flatnonzero(np.logaddexp.accumulate(log_terms) >= math.log(threshold))
-    return dt * (int(hits[0]) + 1) if hits.size else math.inf
 
 
 class TestFirstCrossing:
@@ -387,15 +342,15 @@ class TestFirstCrossing:
 
 
 class TestBoundMonteCarloOracle:
-    """bound_monte_carlo against the public per-path functionals on the same paths."""
+    """bound_monte_carlo against the full-accumulate oracle on the same paths."""
 
     @staticmethod
     def oracle(params, bp, mu_fn, n_paths, master):
         stars, lows = [], []
         for i in range(n_paths):
             path = mixed_path(params, derive_seed(master, i))
-            stars.append(tau_star_sample(path, bp).threshold_time)
-            lows.append(tau_lower_sample(path, bp, mu_fn).threshold_time)
+            stars.append(tau_star(path, bp))
+            lows.append(tau_lower(path, bp, mu_fn))
         stars, lows = np.array(stars), np.array(lows)
         empirical = int(np.sum(stars <= params.T)) / n_paths
         return empirical, bool(np.all(lows <= stars)), stars, lows

@@ -207,6 +207,20 @@ class TestCli:
         # gamma * eta1 > 1 + mu1 is the case in which the cap enters the bound
         cap = self._cfg(tmp_path, "M = 11\nN = 100\ngamma = 10\nlambda_cap = -1\nbound_paths = 5\n")
         assert self._run("bounds", "--config", str(cap), "--out", str(tmp_path)) == 2
+        # a bad --lambdas point is rejected before any ensemble runs
+        for lambdas in (("-1",), ("0.4", "nan")):
+            code = self._run(
+                "sweep", "--preset", "custom", "--lambdas", *lambdas,
+                "--config", str(tiny), "--out", str(tmp_path),
+            )
+            assert code == 2
+        # non-finite model values; epsilon = nan used to report p = 1 at
+        # lambda = 0.01, and kappa1 = inf used to simulate and exit 3
+        for line in ("T = nan", "kappa1 = inf", "epsilon = nan", "a = inf", "k = nan",
+                     "W1 = nan", "eta1 = nan", "zeta_M = inf", "lambda_cap = nan"):
+            bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
+            for command in ("simulate", "bounds"):
+                assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2
 
     def test_missing_config_file_exit_code(self):
         assert self._run("simulate", "--config", "/nonexistent/path.cfg") == 2
@@ -289,10 +303,8 @@ class TestScaleResolution:
         desk = apply_scale(parse_config(""))
         assert desk.n_realizations == 2000
 
-    def test_emit_rejects_non_constant_coefficients(self):
-        from dataclasses import replace
-
-        config = RunConfig()
-        bad = replace(config, params=replace(config.params, a_fn=lambda t: t))
-        with pytest.raises(ConfigError, match="non-constant"):
-            emit_config(bad)
+    def test_non_constant_coefficients_rejected(self):
+        # coefficients are constants: a callable or a table fails at construction
+        for bad in (lambda t: t, ([0.0, 1.0], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="a_fn must be a finite number"):
+                ModelParams(a_fn=bad)

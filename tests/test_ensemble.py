@@ -93,6 +93,13 @@ class TestSweeps:
         direct = estimate(params, 80, master_seed=9)
         assert result.stats[0] == direct
 
+    def test_no_axes_is_one_ensemble(self):
+        # the empty product is one grid point: the base parameters themselves
+        params = ModelParams(lam=0.8, **FAST)
+        result = sweep(params, [], 3, master_seed=4)
+        assert result.stats == (estimate(params, 3, master_seed=4),)
+        assert list(result.grid_points()) == [((), result.stats[0])]
+
     def test_alpha_h_grid_row_major(self):
         params = ModelParams(**FAST)
         result = sweep(params, [("alpha", [0.3, 0.6]), ("H", [0.6, 0.8])], 20, master_seed=10)

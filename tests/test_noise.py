@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchsim import ModelParams, bm_increments, fgn_autocovariance, fgn_circulant, mixed_path
+from quenchsim import (
+    ModelParams,
+    bm_increments,
+    derive_seed,
+    fgn_autocovariance,
+    fgn_circulant,
+    mixed_path,
+)
 
 
 def bartlett_se(k, H, n, truncation=400):
@@ -151,8 +158,7 @@ class TestMixedPath:
         params = ModelParams(N=64, a_fn=0.0, b_fn=0.0)
         path = mixed_path(params, seed=1)
         assert np.all(path.N == 0.0)
-        assert path.N[0] == 0.0
-        assert len(path.bm_increments) == len(path.fbm_increments) == 64
+        assert len(path.N) == 65
 
     def test_pure_brownian_terminal_variance(self):
         params = ModelParams(N=64, T=1.0, a_fn=1.0, b_fn=0.0)
@@ -170,8 +176,20 @@ class TestMixedPath:
         a = mixed_path(params, seed=77)
         b = mixed_path(params, seed=77)
         assert np.array_equal(a.N, b.N)
-        assert np.array_equal(a.bm_increments, b.bm_increments)
-        assert np.array_equal(a.fbm_increments, b.fbm_increments)
+        assert a.embedding_warning == b.embedding_warning
+
+    @pytest.mark.parametrize("a, b, H", [(0.1, 0.1, 0.7), (1.0, 0.3, 0.55), (0.0, 2.0, 0.9)])
+    def test_streams_one_and_two_of_the_seed(self, a, b, H):
+        # N is the running sum of a dB + b dB^H, with dB and dB^H drawn from
+        # the seed's derived streams 1 and 2, bit for bit
+        params = ModelParams(N=300, T=0.7, H=H, a_fn=a, b_fn=b)
+        seed = derive_seed(5, 12)
+        dt = params.T / params.N
+        db = bm_increments(params.N, dt, derive_seed(seed, 1))
+        dbh = fgn_circulant(params.N, dt, H, derive_seed(seed, 2)).increments
+        path = mixed_path(params, seed)
+        assert np.array_equal(path.N, np.concatenate([[0.0], np.cumsum(a * db + b * dbh)]))
+        assert path.dt == dt and path.n_steps == params.N
 
 
 def test_fgn_negative_eigenvalue_fallback(monkeypatch):
