@@ -96,7 +96,7 @@ def _preset_params(config: RunConfig) -> ModelParams:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = apply_scale(_load_config(args))
     params = _preset_params(config)
-    n_r, seed, threads = config.n_realizations, config.master_seed, config.threads
+    n_r, seed = config.n_realizations, config.master_seed
     preset = args.preset
     if preset in ("t1", "t2"):
         base = replace(params, gamma=0.1 if preset == "t2" else 0.0)
@@ -126,7 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name = "sweep_custom.csv"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown preset '{preset}'")
-    result = sweep(base, axes, n_r, seed, threads)
+    result = sweep(base, axes, n_r, seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / name
     emit_table(result, out_path)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--realizations", type=int, default=None, help="ensemble size")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None, help="compatibility only; no effect")
 
     p_sim = sub.add_parser("simulate", help="run one realization and dump its trajectory")
     add_common(p_sim)

@@ -2,7 +2,8 @@
 
 Configs are flat key-value text (one `key = value` per line, `#` comments)
 or a JSON object with the same keys.  Every key has a documented default;
-parse -> emit -> parse is the identity.
+parse -> emit -> parse is the identity, and `emit_config` refuses an output
+path that the flat format cannot carry.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from .solver import ModelParams
 
 
 def _parse_bool(raw) -> bool:
-    return str(raw).lower() in ("1", "true", "yes")
+    text = str(raw).lower()
+    if text in ("1", "true", "yes"):
+        return True
+    if text in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
 
 __all__ = [
     "RunConfig",
@@ -172,7 +179,14 @@ def _validate_run(config: RunConfig) -> None:
 
 
 def emit_config(config: RunConfig) -> str:
-    """Serialize a RunConfig back to the flat key-value format."""
+    """Serialize a RunConfig back to the flat key-value format.
+
+    Raises ConfigError for an output path the format cannot carry: one
+    containing '#' or a line break, or with leading or trailing whitespace.
+    """
+    out = str(config.out_dir)
+    if "#" in out or out.splitlines() != [out] or out != out.strip():
+        raise ConfigError(f"output path {out!r} cannot be written as a config value")
     lines = []
     for key in sorted(_MODEL_KEYS):
         attr = _MODEL_KEYS[key][0]

@@ -1,15 +1,15 @@
 """Ensemble estimation of quenching statistics and the parameter sweeps.
 
 Realization i always draws its noise from the stream derived from
-(master_seed, i), so ensembles are reproducible and independent of chunking
-and thread count; estimates over disjoint index ranges pool exactly.
+(master_seed, i), so ensembles are reproducible and independent of chunking;
+estimates over disjoint index ranges pool exactly.  Stepping runs on the
+calling thread; the solve's BLAS is what uses the cores.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,11 +91,12 @@ def estimate(
 ) -> EnsembleStats:
     """Run an ensemble on seeds derived from (master_seed, index).
 
-    Realizations are processed in fixed chunks of CHUNK_SIZE regardless of
-    `threads`, and aggregation is a pure function of the ordered results,
-    so the outcome does not depend on the degree of parallelism.
+    Realizations are stepped on the calling thread in fixed chunks of
+    CHUNK_SIZE, which bounds the noise drive held at once to (N, CHUNK_SIZE).
     `index_offset` shifts the realization indices, letting disjoint ranges
-    of one logical ensemble be computed separately and pooled.
+    of one logical ensemble be computed separately and pooled.  `threads` is
+    unused: it is kept so existing callers, and the benchmark tracer in
+    perfbench/spans.py that reads it by name, keep working.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -103,21 +104,11 @@ def estimate(
         op = assemble_matrix(params.grid, params.alpha)
     if factor is None:
         factor = factorize(op, params.dt)
-    chunks = [
-        range(start, min(start + CHUNK_SIZE, n_realizations))
-        for start in range(0, n_realizations, CHUNK_SIZE)
-    ]
-
-    def run_chunk(chunk: range):
+    results = []
+    for start in range(0, n_realizations, CHUNK_SIZE):
+        chunk = range(start, min(start + CHUNK_SIZE, n_realizations))
         seeds = [derive_seed(master_seed, index_offset + i) for i in chunk]
-        return simulate_batch(op, factor, params, seeds)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(run_chunk, chunks))
-    else:
-        per_chunk = [run_chunk(c) for c in chunks]
-    results = [r for chunk in per_chunk for r in chunk]
+        results.extend(simulate_batch(op, factor, params, seeds))
     return EnsembleStats.from_results(results)
 
 
@@ -130,7 +121,6 @@ def sweep(
     axes,
     n_realizations: int,
     master_seed: int,
-    threads: int = 1,
 ) -> SweepResult:
     """One ensemble per point of the grid spanned by `axes`, row-major.
 
@@ -151,9 +141,7 @@ def sweep(
             op = assemble_matrix(params.grid, params.alpha)
             factored[key] = (op, factorize(op, params.dt))
         op, factor = factored[key]
-        stats.append(
-            estimate(params, n_realizations, master_seed, threads, op=op, factor=factor)
-        )
+        stats.append(estimate(params, n_realizations, master_seed, op=op, factor=factor))
     return SweepResult(
         axis_names=names,
         axis_values=values,

@@ -40,22 +40,20 @@ def fractional_laplacian_pv(
     u: Callable[[float], float],
     x: float,
     alpha: float,
-    domain: tuple[float, float] = (-1.0, 1.0),
 ) -> float:
     """Evaluate (-Delta)^alpha u(x) by adaptive quadrature of the p.v. integral.
 
-    u is extended by zero outside `domain`.  The quadratic singularity at
-    zero separation is regularized by subtracting a finite-difference
-    second-derivative term analytically; the exterior tail where both
-    shifted arguments leave the domain is integrated in closed form.
+    u is extended by zero outside the domain (-1, 1).  The quadratic
+    singularity at zero separation is regularized by subtracting a
+    finite-difference second-derivative term analytically; the exterior tail
+    where both shifted arguments leave the domain is integrated in closed form.
     """
-    left, right = domain
-    if not left < x < right:
-        raise ValueError(f"x={x} must lie inside the domain {domain}")
+    if not -1.0 < x < 1.0:
+        raise ValueError(f"x={x} must lie inside the domain (-1, 1)")
     c = singular_integral_constant(alpha)
 
     def uu(y: float) -> float:
-        return u(y) if left <= y <= right else 0.0
+        return u(y) if -1.0 <= y <= 1.0 else 0.0
 
     ux = uu(x)
 
@@ -65,7 +63,7 @@ def fractional_laplacian_pv(
     def integrand(xi: float) -> float:
         return second_difference(xi) * xi ** (-1.0 - 2.0 * alpha)
 
-    xi_max = max(right - x, x - left)
+    xi_max = max(1.0 - x, x + 1.0)
     h = 1e-5
     upp = -second_difference(h) / h**2
     delta = 0.005
@@ -76,7 +74,7 @@ def fractional_laplacian_pv(
         delta,
         limit=400,
     )[0] - upp * delta ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
-    kinks = sorted(p for p in (right - x, x - left) if delta < p < xi_max)
+    kinks = sorted(p for p in (1.0 - x, x + 1.0) if delta < p < xi_max)
     far = quad(integrand, delta, xi_max, points=kinks or None, limit=400)[0]
     tail = 2.0 * ux * xi_max ** (-2.0 * alpha) / (2.0 * alpha)
     return c * (near + far + tail)
@@ -97,17 +95,15 @@ def boundary_profile_constant(alpha: float) -> float:
 def operator_oracle_deviation(
     M: int,
     alpha: float,
-    profile: Callable[[float], float] | None = None,
     margin: float = INTERIOR_MARGIN,
 ) -> float:
     """Relative interior max-norm gap between A @ u and the p.v. quadrature.
 
-    Defaults to the boundary-matched profile u(x) = (1-x^2)^alpha.  The
-    comparison window excludes nodes within `margin` of the endpoints and
-    is normalized by the max oracle magnitude on that window.
+    u is the boundary-matched profile (1-x^2)^alpha.  The comparison window
+    excludes nodes within `margin` of the endpoints and is normalized by the
+    max oracle magnitude on that window.
     """
-    if profile is None:
-        profile = lambda y: (1.0 - y * y) ** alpha
+    profile = lambda y: (1.0 - y * y) ** alpha
     grid = GridSpec(M)
     op = assemble_matrix(grid, alpha)
     x = grid.interior_points

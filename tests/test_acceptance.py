@@ -46,7 +46,6 @@ MASTER_SEED = 20240901
 N_R = 2000
 DESK = dict(M=41, N=2000, T=1.0, alpha=0.6, H=0.7, kappa1=0.1, kappa2=0.1, c=0.1)
 TABLE_LAMBDAS = (0.01, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
-THREADS = 4
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -70,20 +69,20 @@ def _until_monotone_gap(stats, increasing=True):
 @pytest.fixture(scope="module")
 def t1_sweep():
     base = ModelParams(gamma=0.0, **DESK)
-    return sweep(base, [("lambda", TABLE_LAMBDAS)], N_R, MASTER_SEED, threads=THREADS)
+    return sweep(base, [("lambda", TABLE_LAMBDAS)], N_R, MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
 def t2_sweep():
     base = ModelParams(gamma=0.1, **DESK)
-    return sweep(base, [("lambda", TABLE_LAMBDAS)], N_R, MASTER_SEED, threads=THREADS)
+    return sweep(base, [("lambda", TABLE_LAMBDAS)], N_R, MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
 def t3_sweep():
     base = ModelParams(lam=0.4, gamma=0.0, **DESK)
     kappa2s = (0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
-    return sweep(base, [("kappa2", kappa2s)], N_R, MASTER_SEED, threads=THREADS)
+    return sweep(base, [("kappa2", kappa2s)], N_R, MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +205,7 @@ class TestCriterion4Figure2:
             M=41, N=2000, T=1.0, c=0.1,
         )
         grid = sweep(
-            base, [("alpha", (0.2, 0.5, 0.8)), ("H", (0.55, 0.7, 0.9))], 1000, MASTER_SEED,
-            threads=THREADS,
+            base, [("alpha", (0.2, 0.5, 0.8)), ("H", (0.55, 0.7, 0.9))], 1000, MASTER_SEED
         )
         elapsed = time.time() - t0
         rows = {}

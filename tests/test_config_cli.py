@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,20 @@ class TestParseConfig:
         first = parse_config(text)
         second = parse_config(emit_config(first))
         assert first == second
+        legal = RunConfig(out_dir=Path("a=b"))
+        assert parse_config(emit_config(legal)) == legal
+        # '#' starts a comment and the format is one line per key, so these
+        # paths would parse back as a different config
+        for out in ("runs#1", " pad ", "pad ", "two\nlines"):
+            with pytest.raises(ConfigError, match="cannot be written"):
+                emit_config(RunConfig(out_dir=Path(out)))
+
+    def test_booleans_accept_both_spellings(self):
+        for raw, value in (("true", True), ("YES", True), ("1", True),
+                           ("false", False), ("No", False), ("0", False)):
+            assert parse_config(f"full_scale = {raw}\n").full_scale is value
+        assert parse_config(json.dumps({"full_scale": True})).full_scale is True
+        assert parse_config(json.dumps({"full_scale": False})).full_scale is False
 
     def test_emitted_defaults_round_trip(self):
         config = RunConfig()
@@ -221,6 +236,11 @@ class TestCli:
             bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
             for command in ("simulate", "bounds"):
                 assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2
+        # a boolean outside 1/true/yes and 0/false/no used to read as false
+        for text in ("M = 9\nN = 20\nfull_scale = ture\n", "M = 9\nN = 20\nfull_scale = 2\n",
+                     json.dumps({"M": 9, "N": 20, "full_scale": 2})):
+            bad_bool = self._cfg(tmp_path, text)
+            assert self._run("simulate", "--config", str(bad_bool), "--out", str(tmp_path)) == 2
 
     def test_missing_config_file_exit_code(self):
         assert self._run("simulate", "--config", "/nonexistent/path.cfg") == 2

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestEstimate:
         serial = estimate(params, 300, master_seed=4, threads=1)
         threaded = estimate(params, 300, master_seed=4, threads=4)
         assert serial == threaded
+
+    def test_stepping_starts_no_thread(self, monkeypatch):
+        # three chunks at threads=4: stepping stays on the calling thread
+        params = ModelParams(lam=0.45, **FAST)
+        serial = estimate(params, 600, master_seed=4, threads=1)
+
+        def refuse(self):
+            raise AssertionError("estimate started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert estimate(params, 600, master_seed=4, threads=4) == serial
 
     def test_split_and_pool_reproduces_counts(self):
         params = ModelParams(lam=0.45, **FAST)
