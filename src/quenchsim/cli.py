@@ -54,8 +54,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         config = replace(config, n_realizations=args.realizations)
     if args.out is not None:
         config = replace(config, out_dir=Path(args.out))
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
+    # --threads is accepted for compatibility and has no effect
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     if getattr(args, "full", False):
         config = replace(config, full_scale=True)
     _validate_run(config)

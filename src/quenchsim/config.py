@@ -51,7 +51,6 @@ class RunConfig:
     n_realizations: int = DESK_REALIZATIONS
     master_seed: int = 0
     out_dir: Path = Path(".")
-    threads: int = 1
     full_scale: bool = False
     # analytic-bound overrides
     eta1: float = 1.0
@@ -84,7 +83,6 @@ _RUN_KEYS = {
     "realizations": ("n_realizations", int, "ensemble size >= 1"),
     "seed": ("master_seed", int, "master seed (any integer)"),
     "out": ("out_dir", Path, "output directory"),
-    "threads": ("threads", int, "worker thread count >= 1"),
     "full_scale": ("full_scale", _parse_bool, "true/false"),
     "eta1": ("eta1", float, "lower growth-envelope constant"),
     "eta2": ("eta2", float, "upper growth-envelope constant"),
@@ -164,8 +162,6 @@ def _validate_run(config: RunConfig) -> None:
             raise ConfigError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
     if config.n_realizations < 1:
         raise ConfigError("realizations must be >= 1")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if config.eta1 > config.eta2:
         raise ConfigError("eta1 must not exceed eta2")
     if config.zeta_m > config.zeta_M:

@@ -103,7 +103,10 @@ def operator_oracle_deviation(
     excludes nodes within `margin` of the endpoints and is normalized by the
     max oracle magnitude on that window.
     """
-    profile = lambda y: (1.0 - y * y) ** alpha
+
+    def profile(y):
+        return (1.0 - y * y) ** alpha
+
     grid = GridSpec(M)
     op = assemble_matrix(grid, alpha)
     x = grid.interior_points

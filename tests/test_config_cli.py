@@ -66,7 +66,7 @@ class TestParseConfig:
         assert config.master_seed == 9
 
     def test_round_trip_identity(self):
-        text = "lambda = 0.4\nM = 21\nseed = 123\nthreads = 2\n"
+        text = "lambda = 0.4\nM = 21\nseed = 123\n"
         first = parse_config(text)
         second = parse_config(emit_config(first))
         assert first == second

@@ -34,22 +34,18 @@ class TestEstimate:
         )
         assert stats.n_quenched == round(p * (stats.n_realizations - stats.failures))
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # `threads` is unused: stepping stays on the calling thread, so
+        # starting a thread fails the test; 600 realizations is three chunks
         params = ModelParams(lam=0.45, **FAST)
-        serial = estimate(params, 300, master_seed=4, threads=1)
-        threaded = estimate(params, 300, master_seed=4, threads=4)
-        assert serial == threaded
-
-    def test_stepping_starts_no_thread(self, monkeypatch):
-        # three chunks at threads=4: stepping stays on the calling thread
-        params = ModelParams(lam=0.45, **FAST)
-        serial = estimate(params, 600, master_seed=4, threads=1)
+        serial = {n: estimate(params, n, master_seed=4, threads=1) for n in (300, 600)}
 
         def refuse(self):
             raise AssertionError("estimate started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert estimate(params, 600, master_seed=4, threads=4) == serial
+        for n, stats in serial.items():
+            assert estimate(params, n, master_seed=4, threads=4) == stats
 
     def test_split_and_pool_reproduces_counts(self):
         params = ModelParams(lam=0.45, **FAST)
