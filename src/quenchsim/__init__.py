@@ -8,6 +8,7 @@ from .bounds import (
     M_of,
     bound_monte_carlo,
     bound_params_from_model,
+    bound_report,
     chebyshev_bounds,
     eigen_mu,
     gamma_lower_bound,
@@ -41,6 +42,7 @@ __all__ = [
     "bm_increments",
     "bound_monte_carlo",
     "bound_params_from_model",
+    "bound_report",
     "chebyshev_bounds",
     "derive_seed",
     "eigen_mu",

@@ -9,7 +9,8 @@ can be checked against the theory.  The Monte Carlo loop
 tau_*: it forms the path-independent exponents once per call and
 accumulates each path's exponential functional through a running
 log-sum-exp, which stays finite even when the raw integrand overflows and
-stops at its threshold.
+stops at its threshold.  `bound_report` runs the whole pipeline from a run
+configuration; the `bounds` command and the `validate` check both call it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from .config import RunConfig
 from .noise import NoisePath, mixed_path
+from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
+from .spectral import inner_product_v0_psi1, principal_eigenpair
 
 INFINITE_TIME = math.inf
 
@@ -32,11 +36,10 @@ INFINITE_TIME = math.inf
 class BoundParams:
     """Constants entering the bound formulas.
 
-    eta1/eta2 are the lower/upper growth-envelope constants of the
-    nonlinearity, zeta_m/zeta_M the envelope extrema; they default to the
-    unit-envelope case matching the simulated source.  a_fn, b_fn and k_fn
-    are the constant coefficients a, b and k.  psi1 and dx are optional but
-    required by the eigenfunction-initial-data helpers.
+    The source is the simulated one, so the growth envelope of the
+    nonlinearity is the unit envelope and its constants drop out.  a_fn,
+    b_fn and k_fn are the constant coefficients a, b and k.  psi1 and dx are
+    optional but required by the eigenfunction-initial-data helpers.
     """
 
     mu1: float
@@ -44,10 +47,6 @@ class BoundParams:
     lam: float
     gamma: float = 0.0
     H: float = 0.7
-    eta1: float = 1.0
-    eta2: float = 1.0
-    zeta_m: float = 1.0
-    zeta_M: float = 1.0
     a_fn: float = 1.0
     b_fn: float = 1.0
     k_fn: float = 2.0
@@ -57,10 +56,6 @@ class BoundParams:
     def __post_init__(self) -> None:
         if self.mu1 <= 0:
             raise ValueError(f"principal eigenvalue must be positive, got {self.mu1}")
-        if self.eta1 > self.eta2:
-            raise ValueError("growth-envelope constants must satisfy eta1 <= eta2")
-        if self.zeta_m > self.zeta_M:
-            raise ValueError("envelope extrema must satisfy zeta_m <= zeta_M")
         if self.psi1 is not None:
             if np.any(self.psi1 <= 0):
                 raise ValueError("psi1 must be componentwise positive")
@@ -76,29 +71,21 @@ class BoundParams:
         return float(np.min(self.psi1))
 
     def tau_star_threshold(self) -> float:
-        """w = <v0, psi1>^3 / (3 lambda eta1 zeta_m); infinite when undefined."""
-        denom = 3.0 * self.lam * self.eta1 * self.zeta_m
+        """w = <v0, psi1>^3 / (3 lambda); infinite when undefined."""
+        denom = 3.0 * self.lam
         if denom <= 0.0:
             return INFINITE_TIME
         return self.v0_psi1**3 / denom
 
     def tau_lower_threshold(self) -> float:
-        """1 / (4 lambda eta2 zeta_M); infinite when undefined."""
-        denom = 4.0 * self.lam * self.eta2 * self.zeta_M
+        """1 / (4 lambda); infinite when undefined."""
+        denom = 4.0 * self.lam
         if denom <= 0.0:
             return INFINITE_TIME
         return 1.0 / denom
 
 
-def bound_params_from_model(
-    params: ModelParams,
-    pair,
-    v0_psi1: float,
-    eta1: float = 1.0,
-    eta2: float = 1.0,
-    zeta_m: float = 1.0,
-    zeta_M: float = 1.0,
-) -> BoundParams:
+def bound_params_from_model(params: ModelParams, pair, v0_psi1: float) -> BoundParams:
     """Assemble BoundParams from a model configuration and its eigenpair."""
     return BoundParams(
         mu1=pair.mu1,
@@ -106,10 +93,6 @@ def bound_params_from_model(
         lam=params.lam,
         gamma=params.gamma,
         H=params.H,
-        eta1=eta1,
-        eta2=eta2,
-        zeta_m=zeta_m,
-        zeta_M=zeta_M,
         a_fn=params.a_fn,
         b_fn=params.b_fn,
         k_fn=params.k_fn,
@@ -137,10 +120,10 @@ def A_of(t: float, a_fn: float) -> float:
     return _half_square(t, a_fn)
 
 
-def _drift(tk: np.ndarray, bp: BoundParams, eta: float) -> np.ndarray:
-    """gamma eta t - mu1 K(t) - A(t); the path exponents carry it as -3 times this."""
+def _drift(tk: np.ndarray, bp: BoundParams) -> np.ndarray:
+    """gamma t - mu1 K(t) - A(t); the path exponents carry it as -3 times this."""
     return (
-        bp.gamma * eta * tk
+        bp.gamma * tk
         - bp.mu1 * _half_square(tk, bp.k_fn)
         - _half_square(tk, bp.a_fn)
     )
@@ -158,7 +141,7 @@ def M_of(T: float, bp: BoundParams) -> float:
 def nu_of(T: float, bp: BoundParams) -> float:
     """Mean accumulated exponential functional nu(T) = Int_0^T E[e^(X_t)] dt.
 
-    X_t = -3 (gamma eta1 t - mu1 K(t) - A(t)) + 3 N_t, so the integrand is
+    X_t = -3 (gamma t - mu1 K(t) - A(t)) + 3 N_t, so the integrand is
     the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t), with
     Var N_t = a^2 t + b^2 t^(2H) for the independent drivers.
     """
@@ -167,7 +150,7 @@ def nu_of(T: float, bp: BoundParams) -> float:
 
     def integrand(t: float) -> float:
         drift = -3.0 * (
-            bp.gamma * bp.eta1 * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
+            bp.gamma * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
         )
         var = 2.0 * A_of(t, bp.a_fn) + bp.b_fn**2 * t ** (2.0 * bp.H)
         return math.exp(drift + 4.5 * var)
@@ -212,7 +195,7 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
         def integrand(t: float) -> float:
             e = 3.0 * (
                 bp.mu1 * K_of(t, bp.k_fn)
-                - bp.gamma * bp.eta1 * t
+                - bp.gamma * t
                 + 4.0 * A_of(t, bp.a_fn)
                 + 3.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
             )
@@ -222,7 +205,7 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
     else:
         def first(t: float) -> float:
             return math.exp(
-                6.0 * (bp.mu1 * K_of(t, bp.k_fn) + A_of(t, bp.a_fn) - bp.gamma * bp.eta1 * t)
+                6.0 * (bp.mu1 * K_of(t, bp.k_fn) + A_of(t, bp.a_fn) - bp.gamma * t)
             )
 
         def second(t: float) -> float:
@@ -245,13 +228,13 @@ class GammaBoundResult:
 def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     """Lower bound on the quenching probability from the perpetual functional.
 
-    With nu = (1 + mu1 - gamma eta1) / 3 < 0 the reciprocal of the perpetual
+    With nu = (1 + mu1 - gamma) / 3 < 0 the reciprocal of the perpetual
     exponential functional is Gamma(-nu) distributed, giving the regularized
     lower incomplete gamma P(-nu, 2 Lambda / (9 w)) as a lower bound on
     P[quench in finite time].  nu >= 0 is the almost-sure case: the bound is
     returned as 1 with the flag set.
     """
-    nu = (1.0 + bp.mu1 - bp.gamma * bp.eta1) / 3.0
+    nu = (1.0 + bp.mu1 - bp.gamma) / 3.0
     if nu >= 0.0:
         return GammaBoundResult(value=1.0, almost_sure=True)
     w = bp.tau_star_threshold()
@@ -302,35 +285,92 @@ def eigen_mu(bp: BoundParams, W1: float):
     psi_m = bp.psi_min
 
     def mu(t):
-        return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp, bp.eta2))
+        return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp))
 
     return mu
 
 
 def bound_monte_carlo(
-    params: ModelParams, bp: BoundParams, mu_fn, n_paths: int, master_seed: int
-) -> tuple[float, bool]:
-    """Empirical P[tau* <= T] over sampled paths, and the per-path ordering.
+    params: ModelParams, bp: BoundParams, W1: float, n_paths: int, master_seed: int
+) -> tuple[float, bool, int]:
+    """Empirical P[tau* <= T] over sampled paths, the per-path ordering, and clipping.
 
     Path i is `mixed_path(params, derive_seed(master_seed, i))`, the seeding
     policy of the ensembles, so distinct master seeds draw disjoint paths.
-    The flag is True when tau_* <= tau* held on every path.  Only the
-    first-crossing times are evaluated: the drift and mu(t) exponents are
-    formed once per call, and each path's log-sum-exp stops at its threshold.
+    tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
+    (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path;
+    the count is the number of paths whose fGN embedding clipped negative
+    eigenvalues.  Only the first-crossing times are evaluated: the drift and
+    mu(t) exponents are formed once per call, and each path's log-sum-exp
+    stops at its threshold.
     """
     tk = params.dt * np.arange(params.N)
-    star_base = -3.0 * _drift(tk, bp, bp.eta1)
-    mu_vals = np.asarray(mu_fn(tk), dtype=float)
+    star_base = -3.0 * _drift(tk, bp)
+    mu_vals = eigen_mu(bp, W1)(tk)
     if np.any(mu_vals <= 0):
+        # exp underflow: a large k or a drives mu(t) to zero within the horizon
         raise ValueError("mu(t) must be positive on the path horizon")
     lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     crossings = 0
     ordered = True
+    clipped = 0
     for i in range(n_paths):
         path = mixed_path(params, derive_seed(master_seed, i))
         star = _first_crossing(_log_terms(star_base, path), w, path.dt)
         low = _first_crossing(_log_terms(lower_base, path), lower_threshold, path.dt)
         crossings += star <= params.T
         ordered = ordered and low <= star
-    return crossings / n_paths, ordered
+        clipped += path.embedding_warning
+    return crossings / n_paths, ordered, clipped
+
+
+def bound_report(config: RunConfig) -> dict:
+    """Every bound for eigenfunction initial data v0 = W1 psi1, with its Monte Carlo check.
+
+    Assembles the operator, solves the principal eigenpair and evaluates the
+    thresholds, nu(T), M(T), the tail and Chebyshev upper bounds, the gamma
+    lower bound (when lambda > 0) and `bound_monte_carlo`.  The keys and
+    their order are the `bounds_report.json` format.
+    """
+    params = config.params
+    pair = principal_eigenpair(assemble_matrix(params.grid, params.alpha))
+    v0_psi1 = inner_product_v0_psi1(config.W1 * pair.psi1, pair)
+    bp = bound_params_from_model(params, pair, v0_psi1)
+    T = params.T
+    w = bp.tau_star_threshold()
+    nu_T = nu_of(T, bp)
+    report: dict = {
+        "inputs": {
+            "mu1": pair.mu1,
+            "v0_psi1": v0_psi1,
+            "lambda": params.lam,
+            "gamma": params.gamma,
+            "H": params.H,
+            "W1": config.W1,
+            "T": T,
+        },
+        "threshold_w": w,
+        "nu_T": nu_T,
+        "M_T": M_of(T, bp),
+        "tail_bound": tail_upper_bound(T, w, bp, nu_T) if w > nu_T else None,
+        "tail_bound_valid": bool(w > nu_T),
+        "chebyshev_independent": chebyshev_bounds(T, bp, independent=True),
+        "chebyshev_volterra": chebyshev_bounds(T, bp, independent=False),
+    }
+    if params.lam > 0:
+        gamma_result = gamma_lower_bound(bp, config.lambda_cap)
+        report["gamma_lower_bound"] = {
+            "value": gamma_result.value,
+            "almost_sure": gamma_result.almost_sure,
+        }
+    empirical, ordered, clipped = bound_monte_carlo(
+        params, bp, config.W1, config.bound_paths, config.master_seed
+    )
+    report["monte_carlo"] = {
+        "paths": config.bound_paths,
+        "empirical_P_tau_star_le_T": empirical,
+        "per_path_ordering_ok": ordered,
+        "embedding_warnings": clipped,
+    }
+    return report

@@ -26,7 +26,7 @@ from .ensemble import sweep
 from .errors import ConfigError, NumericalError
 from .operator import assemble_matrix
 from .solver import ModelParams, run_realization
-from .spectral import inner_product_v0_psi1, principal_eigenpair
+from .spectral import principal_eigenpair
 from .validation import run_validation_suite
 
 TABLE_LAMBDAS = (0.01, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
@@ -137,63 +137,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    params = config.params
-    op = assemble_matrix(params.grid, params.alpha)
-    pair = principal_eigenpair(op)
-    v0 = config.W1 * pair.psi1
-    v0_psi1 = inner_product_v0_psi1(v0, pair, params.grid)
-    bp = bounds_mod.bound_params_from_model(
-        params,
-        pair,
-        v0_psi1,
-        eta1=config.eta1,
-        eta2=config.eta2,
-        zeta_m=config.zeta_m,
-        zeta_M=config.zeta_M,
-    )
-    T = params.T
-    w = bp.tau_star_threshold()
-    nu_T = bounds_mod.nu_of(T, bp)
-    report: dict = {
-        "inputs": {
-            "mu1": pair.mu1,
-            "v0_psi1": v0_psi1,
-            "lambda": params.lam,
-            "gamma": params.gamma,
-            "H": params.H,
-            "eta1": config.eta1,
-            "eta2": config.eta2,
-            "zeta_m": config.zeta_m,
-            "zeta_M": config.zeta_M,
-            "W1": config.W1,
-            "T": T,
-        },
-        "threshold_w": w,
-        "nu_T": nu_T,
-        "M_T": bounds_mod.M_of(T, bp),
-        "tail_bound": None,
-        "tail_bound_valid": bool(w > nu_T),
-        "chebyshev_independent": bounds_mod.chebyshev_bounds(T, bp, independent=True),
-        "chebyshev_volterra": bounds_mod.chebyshev_bounds(T, bp, independent=False),
-    }
-    if report["tail_bound_valid"]:
-        report["tail_bound"] = bounds_mod.tail_upper_bound(T, w, bp, nu_T)
-    gamma_result = bounds_mod.gamma_lower_bound(bp, config.lambda_cap) if params.lam > 0 else None
-    if gamma_result is not None:
-        report["gamma_lower_bound"] = {
-            "value": gamma_result.value,
-            "almost_sure": gamma_result.almost_sure,
-        }
-
-    mu_fn = bounds_mod.eigen_mu(bp, config.W1)
-    empirical, ordering_ok = bounds_mod.bound_monte_carlo(
-        params, bp, mu_fn, config.bound_paths, config.master_seed
-    )
-    report["monte_carlo"] = {
-        "paths": config.bound_paths,
-        "empirical_P_tau_star_le_T": empirical,
-        "per_path_ordering_ok": ordering_ok,
-    }
+    report = bounds_mod.bound_report(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / "bounds_report.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n")

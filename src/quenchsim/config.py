@@ -52,11 +52,7 @@ class RunConfig:
     master_seed: int = 0
     out_dir: Path = Path(".")
     full_scale: bool = False
-    # analytic-bound overrides
-    eta1: float = 1.0
-    eta2: float = 1.0
-    zeta_m: float = 1.0
-    zeta_M: float = 1.0
+    # analytic-bound inputs
     W1: float = 0.5
     lambda_cap: float = 1.0
     bound_paths: int = 2000
@@ -84,10 +80,6 @@ _RUN_KEYS = {
     "seed": ("master_seed", int, "master seed (any integer)"),
     "out": ("out_dir", Path, "output directory"),
     "full_scale": ("full_scale", _parse_bool, "true/false"),
-    "eta1": ("eta1", float, "lower growth-envelope constant"),
-    "eta2": ("eta2", float, "upper growth-envelope constant"),
-    "zeta_m": ("zeta_m", float, "envelope minimum"),
-    "zeta_M": ("zeta_M", float, "envelope maximum"),
     "W1": ("W1", float, "eigenfunction initial-data amplitude > 0"),
     "lambda_cap": ("lambda_cap", float, "constant-coefficient cap Lambda >= 0"),
     "bound_paths": ("bound_paths", int, "paths for bound Monte Carlo >= 1"),
@@ -111,27 +103,36 @@ def _coerce(key: str, raw, kind) -> object:
     return value
 
 
+def _unique_keys(items) -> dict[str, object]:
+    """Collect (key, value) pairs; a repeated key is an error, not an overwrite."""
+    pairs: dict[str, object] = {}
+    for key, raw in items:
+        if key in pairs:
+            raise ConfigError(f"config key '{key}' is set more than once")
+        pairs[key] = raw
+    return pairs
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a key-value document (or JSON object) into a validated RunConfig."""
     stripped = text.lstrip()
-    pairs: dict[str, object] = {}
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            pairs = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(doc, dict):
+        if not isinstance(pairs, dict):
             raise ConfigError("JSON config must be an object")
-        pairs.update(doc)
     else:
+        items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
             if "=" not in body:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in body.split("=", 1))
-            pairs[key] = raw
+            items.append([part.strip() for part in body.split("=", 1)])
+        pairs = _unique_keys(items)
 
     model_kwargs: dict[str, object] = {}
     run_kwargs: dict[str, object] = {}
@@ -162,10 +163,6 @@ def _validate_run(config: RunConfig) -> None:
             raise ConfigError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
     if config.n_realizations < 1:
         raise ConfigError("realizations must be >= 1")
-    if config.eta1 > config.eta2:
-        raise ConfigError("eta1 must not exceed eta2")
-    if config.zeta_m > config.zeta_M:
-        raise ConfigError("zeta_m must not exceed zeta_M")
     if config.W1 <= 0:
         raise ConfigError("W1 must be positive")
     if config.lambda_cap < 0:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .operator import GridSpec, OperatorMatrix
+from .operator import OperatorMatrix
 
 _RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 1000
@@ -88,11 +88,11 @@ def rayleigh_min_check(
     return True
 
 
-def inner_product_v0_psi1(v0: np.ndarray, pair: EigenPair, grid: GridSpec) -> float:
+def inner_product_v0_psi1(v0: np.ndarray, pair: EigenPair) -> float:
     """Trapezoidal approximation of Int v0 * psi1 dx over the domain."""
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != pair.psi1.shape:
         raise ValueError(
             f"shape mismatch: v0 has {v0.shape}, eigenvector has {pair.psi1.shape}"
         )
-    return trapezoid_integral(v0 * pair.psi1, grid.dx)
+    return trapezoid_integral(v0 * pair.psi1, pair.dx)

@@ -1,9 +1,8 @@
 """Per-path stopping times of the bound report, for cross-checks.
 
 tau* is the first step time at which the integral of
-exp(-3 (gamma eta1 s - mu1 K(s) - A(s)) + 3 N_s) reaches w, and tau_* the
-first at which the integral of e^(3 N_r) mu(r)^-3 reaches
-1 / (4 lambda eta2 zeta_M).  Each left-endpoint sum is one running
+exp(-3 (gamma s - mu1 K(s) - A(s)) + 3 N_s) reaches w, and tau_* the
+first at which the integral of e^(3 N_r) mu(r)^-3 reaches 1 / (4 lambda).  Each left-endpoint sum is one running
 log-sum-exp over the whole horizon, read by `full_crossing`, not by the
 bounds module's prefix-doubling search.  The exponents keep the bounds
 module's operation order, so the times agree bit for bit.
@@ -25,7 +24,7 @@ def full_crossing(log_terms, threshold, dt):
 def tau_star(path, bp):
     """tau* along one path, with K(t) = k^2 t / 2 and A(t) = a^2 t / 2."""
     tk = path.dt * np.arange(path.n_steps)
-    drift = bp.gamma * bp.eta1 * tk - bp.mu1 * (0.5 * bp.k_fn**2 * tk) - 0.5 * bp.a_fn**2 * tk
+    drift = bp.gamma * tk - bp.mu1 * (0.5 * bp.k_fn**2 * tk) - 0.5 * bp.a_fn**2 * tk
     log_terms = -3.0 * drift + 3.0 * path.N[:-1] + math.log(path.dt)
     return full_crossing(log_terms, bp.tau_star_threshold(), path.dt)
 

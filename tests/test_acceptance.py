@@ -25,7 +25,6 @@ from quenchsim import (
     bound_monte_carlo,
     bound_params_from_model,
     chebyshev_bounds,
-    eigen_mu,
     fgn_autocovariance,
     fgn_circulant,
     gamma_lower_bound,
@@ -331,8 +330,8 @@ class TestCriterion8BoundInequalities:
         tail = tail_upper_bound(params.T, w, bp, nu1)
         cheb_ind = chebyshev_bounds(params.T, bp, independent=True)
         cheb_dep = chebyshev_bounds(params.T, bp, independent=False)
-        empirical, ordering = bound_monte_carlo(params, bp, eigen_mu(bp, w1), 2000, MASTER_SEED)
-        gamma_bp = replace(bp, gamma=(4.0 + bp.mu1) / bp.eta1)  # nu = -1
+        empirical, ordering, _ = bound_monte_carlo(params, bp, w1, 2000, MASTER_SEED)
+        gamma_bp = replace(bp, gamma=4.0 + bp.mu1)  # nu = -1
         cap = 9.0 * gamma_bp.tau_star_threshold() / 2.0  # scaled cap exactly 1
         gamma_value = gamma_lower_bound(gamma_bp, cap).value
         gamma_exact = abs(gamma_value - (1.0 - math.exp(-1.0))) <= 1e-10

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +17,18 @@ from quenchsim import (
     NoisePath,
     bound_monte_carlo,
     bound_params_from_model,
+    bound_report,
     chebyshev_bounds,
     derive_seed,
     eigen_mu,
     gamma_lower_bound,
     mixed_path,
     nu_of,
+    parse_config,
     tail_upper_bound,
 )
-from quenchsim import bounds
+from quenchsim import bounds, validation
+from quenchsim.cli import main
 from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
@@ -138,7 +143,7 @@ class TestChebyshevBounds:
 
 class TestGammaLowerBound:
     def test_full_mass_limit(self):
-        bp = make_bp(mu1=1.0, gamma=5.0, eta1=1.0, lam=0.01, v0_psi1=0.3)
+        bp = make_bp(mu1=1.0, gamma=5.0, lam=0.01, v0_psi1=0.3)
         # nu = (1 + 1 - 5)/3 = -1 < 0
         result = gamma_lower_bound(bp, Lambda_cap=1e12)
         assert result.value == pytest.approx(1.0, abs=1e-8)
@@ -154,15 +159,15 @@ class TestGammaLowerBound:
             gamma_lower_bound(bp, Lambda_cap=-1.0)
 
     def test_exponential_closed_form(self):
-        # gamma * eta1 = 3 + mu1 makes nu = -1; scaled cap 1: P(1,1) = 1 - 1/e
-        bp = make_bp(mu1=1.0, gamma=5.0, eta1=1.0)
+        # gamma = 3 + mu1 makes nu = -1; scaled cap 1: P(1,1) = 1 - 1/e
+        bp = make_bp(mu1=1.0, gamma=5.0)
         w = bp.tau_star_threshold()
         cap = 9.0 * w / 2.0  # makes the scaled cap exactly 1
         result = gamma_lower_bound(bp, Lambda_cap=cap)
         assert result.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
 
     def test_closed_form_cross_checked_by_quadrature(self):
-        bp = make_bp(mu1=1.2, gamma=4.0, eta1=1.0)  # nu = (2.2 - 4)/3 = -0.6
+        bp = make_bp(mu1=1.2, gamma=4.0)  # nu = (2.2 - 4)/3 = -0.6
         w = bp.tau_star_threshold()
         cap = 9.0 * w / 4.0  # scaled cap 0.5
         result = gamma_lower_bound(bp, Lambda_cap=cap)
@@ -216,7 +221,7 @@ class TestTauStarSample:
         for m in range(path.n_steps):
             t = m * path.dt
             exponent = (
-                -3.0 * (bp.gamma * bp.eta1 * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
+                -3.0 * (bp.gamma * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
                 + 3.0 * path.N[m]
             )
             total += math.exp(exponent) * path.dt
@@ -229,19 +234,20 @@ class TestTauStarSample:
 
 class TestTauLowerSample:
     def test_flat_path_unit_mu_crossing(self):
-        bp = make_bp(lam=1.0, eta2=1.0, zeta_M=1.0)
+        bp = make_bp(lam=1.0)
         threshold = bp.tau_lower_threshold()
         assert threshold == pytest.approx(0.25)
         path = flat_path(n=1000, dt=1e-3)
         time = tau_lower(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
         assert time == pytest.approx(0.25, abs=2e-3)
 
-    def test_nonpositive_mu_rejected(self):
-        params = ModelParams(N=64)
+    def test_nonpositive_mu_rejected(self, pair41):
+        # mu(t) = W1 psi_min exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100
+        params = ModelParams(N=64, k_fn=100.0)
+        bp = make_bp(k_fn=100.0, psi1=pair41.psi1, dx=pair41.dx)
+        assert eigen_mu(bp, 0.5)(params.T) == 0.0
         with pytest.raises(ValueError, match="positive"):
-            bound_monte_carlo(
-                params, make_bp(), lambda t: np.zeros_like(np.asarray(t, float)), 1, 0
-            )
+            bound_monte_carlo(params, bp, 0.5, 1, 0)
 
 
 class TestPathOrdering:
@@ -250,7 +256,7 @@ class TestPathOrdering:
         params = ModelParams(lam=1e-5, N=512, a_fn=0.1, b_fn=0.1)
         v0_psi1 = w1 * trapezoid_integral(pair41.psi1**2, pair41.dx)
         bp = bound_params_from_model(params, pair41, v0_psi1)
-        _, ordered = bound_monte_carlo(params, bp, eigen_mu(bp, w1), 50, master_seed=0)
+        _, ordered, _ = bound_monte_carlo(params, bp, w1, 50, master_seed=0)
         assert ordered
 
 
@@ -269,10 +275,48 @@ class TestBoundMonteCarlo:
         seeds = []
         for master in (0, 1):
             drawn.clear()
-            bound_monte_carlo(params, bp, eigen_mu(bp, 0.5), 2000, master)
+            bound_monte_carlo(params, bp, 0.5, 2000, master)
             seeds.append(set(drawn))
         assert len(seeds[0]) == len(seeds[1]) == 2000
         assert seeds[0].isdisjoint(seeds[1])
+
+
+class TestBoundReport:
+    TOY = "M = 11\nN = 128\nlambda = 1e-05\na = 0.1\nb = 0.1\nbound_paths = 20\n"
+
+    def test_bounds_and_validate_share_the_pipeline(self, monkeypatch, tmp_path):
+        calls = []
+
+        def recording_report(config):
+            calls.append(config)
+            return bound_report(config)
+
+        monkeypatch.setattr(bounds, "bound_report", recording_report)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(self.TOY)
+        assert main(["bounds", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]) == 0
+        config = replace(parse_config(self.TOY), master_seed=3)
+        assert calls == [replace(config, out_dir=tmp_path)]
+        written = (tmp_path / "bounds_report.json").read_text()
+        assert written == json.dumps(bound_report(config), indent=2) + "\n"
+        assert validation._check_bound_inequalities().passed
+        assert len(calls) == 2
+
+    def test_embedding_warnings_counted(self, monkeypatch):
+        import quenchsim.noise as noise_mod
+
+        config = replace(parse_config(self.TOY), bound_paths=5)
+        assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 0
+
+        def hostile_autocov(k, H, dt=1.0):
+            # rho = 0.9 at lag 1 only is not nonnegative definite
+            k = np.abs(np.asarray(k, dtype=float))
+            return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
+
+        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
+        # bypass the spectrum cache, which would hide the hostile covariance
+        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+        assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 5
 
 
 class TestFirstCrossing:
@@ -345,18 +389,19 @@ class TestBoundMonteCarloOracle:
     """bound_monte_carlo against the full-accumulate oracle on the same paths."""
 
     @staticmethod
-    def oracle(params, bp, mu_fn, n_paths, master):
-        stars, lows = [], []
+    def oracle(params, bp, W1, n_paths, master):
+        stars, lows, clipped = [], [], 0
         for i in range(n_paths):
             path = mixed_path(params, derive_seed(master, i))
             stars.append(tau_star(path, bp))
-            lows.append(tau_lower(path, bp, mu_fn))
+            lows.append(tau_lower(path, bp, eigen_mu(bp, W1)))
+            clipped += path.embedding_warning
         stars, lows = np.array(stars), np.array(lows)
         empirical = int(np.sum(stars <= params.T)) / n_paths
-        return empirical, bool(np.all(lows <= stars)), stars, lows
+        return (empirical, bool(np.all(lows <= stars)), clipped), stars, lows
 
-    def check(self, monkeypatch, params, bp, mu_fn, n_paths, master):
-        empirical, ordered, stars, lows = self.oracle(params, bp, mu_fn, n_paths, master)
+    def check(self, monkeypatch, params, bp, W1, n_paths, master):
+        expected, stars, lows = self.oracle(params, bp, W1, n_paths, master)
         times = []
 
         def recording_crossing(log_terms, threshold, dt):
@@ -366,8 +411,8 @@ class TestBoundMonteCarloOracle:
         first_crossing = bounds._first_crossing
         with monkeypatch.context() as patch:
             patch.setattr(bounds, "_first_crossing", recording_crossing)
-            result = bound_monte_carlo(params, bp, mu_fn, n_paths, master)
-        assert result == (empirical, ordered)
+            result = bound_monte_carlo(params, bp, W1, n_paths, master)
+        assert result == expected
         # the loop evaluates tau* then tau_* on each path, in path order
         assert np.array_equal(times[0::2], stars)
         assert np.array_equal(times[1::2], lows)
@@ -379,28 +424,28 @@ class TestBoundMonteCarloOracle:
                              a_fn=0.1, b_fn=0.1, k_fn=2.0)
         v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
         bp = bound_params_from_model(params, pair41, v0_psi1)
-        _, lows = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 5_000)
+        _, lows = self.check(monkeypatch, params, bp, 0.5, 100, 5_000)
         assert np.all(lows[np.isfinite(lows)] > bounds.CROSSING_PREFIX)
 
-    def test_default_bounds_config_reduced_n(self, monkeypatch, grid41, pair41):
+    def test_default_bounds_config_reduced_n(self, monkeypatch, pair41):
         params = ModelParams(N=1000)
-        v0_psi1 = inner_product_v0_psi1(0.5 * pair41.psi1, pair41, grid41)
+        v0_psi1 = inner_product_v0_psi1(0.5 * pair41.psi1, pair41)
         bp = bound_params_from_model(params, pair41, v0_psi1)
-        stars, _ = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 7)
+        stars, _ = self.check(monkeypatch, params, bp, 0.5, 100, 7)
         assert np.all(np.isfinite(stars))
 
     def test_crossings_on_both_sides_of_the_prefix(self, monkeypatch, pair41):
         params = ModelParams(lam=0.01, N=1024, a_fn=0.1, b_fn=0.1)
         v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
         bp = bound_params_from_model(params, pair41, v0_psi1)
-        stars, _ = self.check(monkeypatch, params, bp, eigen_mu(bp, 0.5), 100, 11)
+        stars, _ = self.check(monkeypatch, params, bp, 0.5, 100, 11)
         assert np.any(stars <= bounds.CROSSING_PREFIX)
         assert np.any(np.isfinite(stars) & (stars > bounds.CROSSING_PREFIX))
 
 
 class TestMuHelpers:
     def test_semigroup_matches_eigen_closed_form(self, op41, pair41):
-        # for v0 = W1 psi1, mu(t) = exp(gamma eta2 t - A(t)) inf_x exp(-K(t) A) v0
+        # for v0 = W1 psi1, mu(t) = exp(gamma t - A(t)) inf_x exp(-K(t) A) v0
         w1 = 0.4
         params = ModelParams(lam=1e-4, a_fn=0.1, b_fn=0.1)
         v0_psi1 = w1 * trapezoid_integral(pair41.psi1**2, pair41.dx)
@@ -409,19 +454,13 @@ class TestMuHelpers:
         infima = np.array(
             [np.min(expm(-K_of(t, bp.k_fn) * op41.entries) @ (w1 * pair41.psi1)) for t in ts]
         )
-        envelope = np.exp(bp.gamma * bp.eta2 * ts - np.array([A_of(t, bp.a_fn) for t in ts]))
+        envelope = np.exp(bp.gamma * ts - np.array([A_of(t, bp.a_fn) for t in ts]))
         got = envelope * infima
         want = eigen_mu(bp, w1)(ts)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 
 
 class TestBoundParamsValidation:
-    def test_envelope_ordering_enforced(self):
-        with pytest.raises(ValueError, match="eta1"):
-            make_bp(eta1=2.0, eta2=1.0)
-        with pytest.raises(ValueError, match="zeta"):
-            make_bp(zeta_m=2.0, zeta_M=1.0)
-
     def test_positive_eigenvalue_required(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             make_bp(mu1=0.0)

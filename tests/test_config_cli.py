@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="c < 1"):
             parse_config("c = 1.5\n")
 
+    def test_repeated_key_rejected(self):
+        # the later value used to win without a word
+        with pytest.raises(ConfigError, match="'lambda' is set more than once"):
+            parse_config("lambda = 0.4\nlambda = 0.8\n")
+
+    def test_repeated_json_key_rejected(self):
+        with pytest.raises(ConfigError, match="'lambda' is set more than once"):
+            parse_config('{"lambda": 0.4, "lambda": 0.8}')
+
     def test_json_alternative(self):
         config = parse_config(json.dumps({"lambda": 0.6, "M": 21, "seed": 9}))
         assert config.params.lam == 0.6
@@ -77,6 +87,19 @@ class TestParseConfig:
         for out in ("runs#1", " pad ", "pad ", "two\nlines"):
             with pytest.raises(ConfigError, match="cannot be written"):
                 emit_config(RunConfig(out_dir=Path(out)))
+        # every key set away from its default: each field still has a key
+        full = parse_config(
+            "lambda = 0.3\ngamma = 0.2\nalpha = 0.5\nH = 0.8\nkappa1 = 0.2\n"
+            "kappa2 = 0.3\nc = 0.2\nT = 2.0\nN = 500\nM = 21\na = 0.5\nb = 0.4\n"
+            "k = 1.5\nepsilon = 1e-12\nrealizations = 7\nseed = 99\nout = runs/x\n"
+            "full_scale = true\nW1 = 0.7\nlambda_cap = 2.0\nbound_paths = 9\n"
+        )
+        default = RunConfig()
+        for obj, base in ((full, default), (full.params, default.params)):
+            for f in fields(obj):
+                if f.name != "params":
+                    assert getattr(obj, f.name) != getattr(base, f.name), f.name
+        assert parse_config(emit_config(full)) == full
 
     def test_booleans_accept_both_spellings(self):
         for raw, value in (("true", True), ("YES", True), ("1", True),
@@ -230,9 +253,11 @@ class TestCli:
             )
             assert code == 2
         # non-finite model values; epsilon = nan used to report p = 1 at
-        # lambda = 0.01, and kappa1 = inf used to simulate and exit 3
+        # lambda = 0.01, and kappa1 = inf used to simulate and exit 3.  A
+        # repeated key (N) used to keep its last value, and the growth-envelope
+        # constants (eta1) are no longer keys.
         for line in ("T = nan", "kappa1 = inf", "epsilon = nan", "a = inf", "k = nan",
-                     "W1 = nan", "eta1 = nan", "zeta_M = inf", "lambda_cap = nan"):
+                     "W1 = nan", "lambda_cap = nan", "N = 30", "eta1 = 1"):
             bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
             for command in ("simulate", "bounds"):
                 assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2

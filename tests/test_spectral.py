@@ -80,14 +80,14 @@ def test_rayleigh_orthogonal_complement_dominated_by_second_eigenvalue():
 
 def test_inner_product_basics(grid41, pair41):
     zeros = np.zeros(grid41.n_interior)
-    assert inner_product_v0_psi1(zeros, pair41, grid41) == 0.0
-    self_product = inner_product_v0_psi1(pair41.psi1, pair41, grid41)
+    assert inner_product_v0_psi1(zeros, pair41) == 0.0
+    self_product = inner_product_v0_psi1(pair41.psi1, pair41)
     assert self_product == pytest.approx(
         trapezoid_integral(pair41.psi1**2, grid41.dx)
     )
     assert self_product > 0.0
     with pytest.raises(ValueError, match="shape"):
-        inner_product_v0_psi1(np.zeros(3), pair41, grid41)
+        inner_product_v0_psi1(np.zeros(3), pair41)
 
 
 def test_inner_product_refinement_oracle(grid41, pair41):
@@ -95,12 +95,10 @@ def test_inner_product_refinement_oracle(grid41, pair41):
     # compare against a 10x refined grid (frozen bound: 2 * dx^2 covers the
     # measured gap with margin)
     v0 = initial_condition(grid41, 0.1)
-    coarse = inner_product_v0_psi1(v0, pair41, grid41)
+    coarse = inner_product_v0_psi1(v0, pair41)
     fine_grid = GridSpec(410)
     fine_pair = principal_eigenpair(assemble_matrix(fine_grid, 0.6))
-    fine = inner_product_v0_psi1(
-        initial_condition(fine_grid, 0.1), fine_pair, fine_grid
-    )
+    fine = inner_product_v0_psi1(initial_condition(fine_grid, 0.1), fine_pair)
     assert abs(coarse - fine) <= 2.0 * grid41.dx**2
 
 
