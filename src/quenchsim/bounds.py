@@ -23,6 +23,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from .config import RunConfig
+from .errors import NumericalError
 from .noise import NoisePath, mixed_path
 from .operator import assemble_matrix
 from .seeding import derive_seed
@@ -129,6 +130,14 @@ def _drift(tk: np.ndarray, bp: BoundParams) -> np.ndarray:
     )
 
 
+def _exp(x: float) -> float:
+    """math.exp for the bound integrands; overflow is a NumericalError."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise NumericalError(f"bound integrand exp({x:.6g}) overflows a float") from exc
+
+
 def M_of(T: float, bp: BoundParams) -> float:
     """Malliavin-derivative envelope M(T) = 18 Int a^2 + 36 H T^(2H-1) Int b^2."""
     if T <= 0:
@@ -153,7 +162,7 @@ def nu_of(T: float, bp: BoundParams) -> float:
             bp.gamma * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
         )
         var = 2.0 * A_of(t, bp.a_fn) + bp.b_fn**2 * t ** (2.0 * bp.H)
-        return math.exp(drift + 4.5 * var)
+        return _exp(drift + 4.5 * var)
 
     return quad(integrand, 0.0, T, limit=200)[0]
 
@@ -199,17 +208,17 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
                 + 4.0 * A_of(t, bp.a_fn)
                 + 3.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
             )
-            return math.exp(e)
+            return _exp(e)
 
         value = quad(integrand, 0.0, T, limit=200)[0] / w
     else:
         def first(t: float) -> float:
-            return math.exp(
+            return _exp(
                 6.0 * (bp.mu1 * K_of(t, bp.k_fn) + A_of(t, bp.a_fn) - bp.gamma * t)
             )
 
         def second(t: float) -> float:
-            return math.exp(
+            return _exp(
                 6.0 * A_of(t, bp.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
             )
 

@@ -8,6 +8,15 @@ noise kick are explicit.  A realization quenches when max_j u_j exceeds
 1 - epsilon; the quench time is reported as the last compliant step time.
 Running realizations are kept packed in the leading columns of the state,
 and the pack is compacted only on a step where one of them stops.
+
+The kernel steps half the nodes.  It relies on two preconditions: the
+initial data is even in x, and the noise is spatially uniform (one scalar
+kappa1 dB + kappa2 dB^H per step, the same at every node).  A is a
+symmetric Toeplitz matrix, so it commutes with the reflection x -> -x, and
+the source and the kick are pointwise; under both preconditions every state
+is even.  Only the first h = ceil((M-1)/2) nodes are stepped, through the
+folded inverse (see `factorize`), and the full state is unfolded for the
+observer.
 """
 
 from __future__ import annotations
@@ -111,13 +120,21 @@ BLOCK = 64
 
 @dataclass(frozen=True)
 class Factorization:
-    """The inverse of the stepping matrix I + dt*A."""
+    """The inverse of the stepping matrix I + dt*A, folded onto half the nodes.
+
+    `_inverse` is the h x h matrix (R E)[:h], where R = (I + dt*A)^-1 on the
+    n = M-1 interior nodes, h = ceil(n/2), and E (n x h) copies half-node j
+    onto node j and its mirror node n-1-j (once when they coincide).
+    """
 
     _inverse: np.ndarray = field(repr=False)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(I + dt*A)^-1 rhs for a vector or an (n, k) block of columns.
+        """(I + dt*A)^-1 rhs for mirror-symmetric rhs, on the first h nodes.
 
+        `rhs` is a vector or an (h, k) block of columns holding the first h
+        entries of each mirror-symmetric right-hand side; the result holds
+        the first h entries of each solution, which is mirror-symmetric too.
         The columns are multiplied BLOCK at a time, the last block
         zero-padded to full width; `out`, when given, receives the result.
         """
@@ -146,19 +163,21 @@ def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
-    """Invert I + dt*A once through its Cholesky factor.
+    """Form the folded inverse of I + dt*A through its Cholesky factor.
 
     The matrix is SPD by construction, so the factorization always succeeds;
     a failure raises NumericalError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    identity = np.eye(op.n)
+    n, h = op.n, (op.n + 1) // 2
     try:
-        factor = cho_factor(identity + dt * op.entries)
+        factor = cho_factor(np.eye(n) + dt * op.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericalError(f"stepping matrix is not positive definite: {exc}") from exc
-    return Factorization(_inverse=cho_solve(factor, identity))
+    mirror = np.eye(n, h)
+    mirror = np.maximum(mirror, mirror[::-1])
+    return Factorization(_inverse=np.ascontiguousarray(cho_solve(factor, mirror)[:h]))
 
 
 def simulate_batch(
@@ -180,12 +199,17 @@ def simulate_batch(
     The running columns are kept packed and in batch order, and the pack is
     compacted only on a step where some column stops.
 
+    Precondition: the initial data is even in x and the noise is spatially
+    uniform, so every state is even.  The kernel steps, detects and packs
+    only the first h = ceil((M-1)/2) nodes of each column, whose max is the
+    max of the full state.
+
     `observer(n, u, active)`, when given, is called at the start of every
-    step n = 0..N before quench detection, with the state u (interior nodes
-    by batch column) and the mask of columns still running.  The running
-    columns are written back into u before each call; a stopped column keeps
-    the state it stopped in.  Both arrays are live: an observer that keeps
-    them must copy.
+    step n = 0..N before quench detection, with the full state u (all M-1
+    interior nodes by batch column, unfolded from the half state) and the
+    mask of columns still running.  The running columns are written back
+    into u before each call; a stopped column keeps the state it stopped
+    in.  Both arrays are live: an observer that keeps them must copy.
     """
     n_batch = len(seeds)
     dt, n_steps = params.dt, params.N
@@ -197,12 +221,15 @@ def simulate_batch(
     for j, seed in enumerate(seeds):
         drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2)
 
-    # state[:, :k] holds the k running columns; order[:k] their batch indices
-    state = np.tile(initial_condition(params.grid, params.c)[:, None], (1, n_batch))
+    # state[:, :k] holds the half state of the k running columns; order[:k]
+    # their batch indices
+    n_nodes = params.M - 1
+    half = (n_nodes + 1) // 2
+    state = np.tile(initial_condition(params.grid, params.c)[:half, None], (1, n_batch))
     gap, source, rhs = np.empty_like(state), np.empty_like(state), np.empty_like(state)
     order = np.arange(n_batch)
     k = n_batch
-    u = state.copy() if observer is not None else None
+    u = np.empty((n_nodes, n_batch)) if observer is not None else None
     active = np.ones(n_batch, dtype=bool)
     quench_time = np.full(n_batch, np.nan)
     failed = np.zeros(n_batch, dtype=bool)
@@ -211,7 +238,8 @@ def simulate_batch(
     for n in range(n_steps + 1):
         x = state[:, :k]
         if observer is not None:
-            u[:, order[:k]] = x
+            u[:half, order[:k]] = x
+            u[n_nodes - half :, order[:k]] = x[::-1]
             observer(n, u, active)
         col_max = x.max(axis=0)
         running = np.isfinite(col_max) & (col_max <= threshold)

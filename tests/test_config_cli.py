@@ -267,6 +267,13 @@ class TestCli:
             bad_bool = self._cfg(tmp_path, text)
             assert self._run("simulate", "--config", str(bad_bool), "--out", str(tmp_path)) == 2
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # exp in the nu(T) integrand overflows at k = 100; it used to escape
+        # as an OverflowError traceback (exit 1)
+        big_k = self._cfg(tmp_path, "M = 9\nN = 20\nk = 100\nbound_paths = 2\n")
+        assert self._run("bounds", "--config", str(big_k), "--out", str(tmp_path)) == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self):
         assert self._run("simulate", "--config", "/nonexistent/path.cfg") == 2
 

@@ -37,34 +37,49 @@ class TestInitialCondition:
             initial_condition(grid41, 1.0)
 
 
+def mirror_symmetric(rng, n):
+    """A random vector equal to its own reflection, exactly."""
+    w = rng.standard_normal(n)
+    return w + w[::-1]
+
+
 class TestFactorization:
+    # solve takes and returns the first h = ceil(n/2) entries of a
+    # mirror-symmetric vector: the kernel steps only that half.
     def test_round_trip(self, op41, rng):
         dt = 1e-3
         f = factorize(op41, dt)
+        h = (op41.n + 1) // 2
         stepping = np.eye(op41.n) + dt * op41.entries
         for _ in range(5):
-            w = rng.standard_normal(op41.n)
-            assert np.max(np.abs(f.solve(stepping @ w) - w)) <= 1e-12
+            w = mirror_symmetric(rng, op41.n)
+            assert np.max(np.abs(f.solve((stepping @ w)[:h]) - w[:h])) <= 1e-12
 
     def test_small_dt_is_identity_like(self, op41, rng):
         f = factorize(op41, 1e-14)
-        w = rng.standard_normal(op41.n)
-        assert np.max(np.abs(f.solve(w) - w)) <= 1e-9
+        h = (op41.n + 1) // 2
+        w = mirror_symmetric(rng, op41.n)
+        assert np.max(np.abs(f.solve(w[:h]) - w[:h])) <= 1e-9
 
     def test_matches_gaussian_elimination(self):
-        op = assemble_matrix(GridSpec(5), 0.6)
         dt = 0.1
-        f = factorize(op, dt)
-        stepping = np.eye(4) + dt * op.entries
-        rhs = np.array([0.3, -0.1, 0.7, 0.2])
-        naive = np.array(gaussian_solve(stepping.tolist(), rhs.tolist()))
-        assert np.max(np.abs(f.solve(rhs) - naive)) <= 1e-12
+        for M in (5, 6):  # n = M - 1 even, then odd with a centre node
+            op = assemble_matrix(GridSpec(M), 0.6)
+            f = factorize(op, dt)
+            n, h = op.n, (op.n + 1) // 2
+            stepping = np.eye(n) + dt * op.entries
+            half = np.array([0.3, -0.1, 0.7])[:h]
+            rhs = np.concatenate([half, half[: n - h][::-1]])
+            assert np.array_equal(rhs, rhs[::-1])
+            naive = np.array(gaussian_solve(stepping.tolist(), rhs.tolist()))
+            assert np.max(np.abs(f.solve(half) - naive[:h])) <= 1e-12
 
     def test_block_columns_match_single_solves(self, op41, rng):
         f = factorize(op41, 1e-3)
+        h = (op41.n + 1) // 2
         for k in (BLOCK - 1, BLOCK, 2 * BLOCK + 3):
-            rhs = rng.standard_normal((op41.n, k))
-            wide = np.full((op41.n, k + 5), np.nan)
+            rhs = rng.standard_normal((h, k))
+            wide = np.full((h, k + 5), np.nan)
             f.solve(rhs, out=wide[:, :k])  # a strided view, as the kernel passes
             assert np.array_equal(wide[:, :k], f.solve(rhs))
             for j in (0, k // 2, k - 1):
@@ -181,3 +196,38 @@ class TestBatchWidthInvariance:
                 if j < width:
                     assert results[j] == alone
                     assert np.array_equal(np.array(states[j]), np.array(solo[0]))
+
+
+class TestFold:
+    # The kernel steps the first ceil((M-1)/2) nodes and unfolds the rest for
+    # the observer.  M = 11 has an even node count, M = 12 an odd one whose
+    # centre node is its own mirror.
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_observed_state_is_mirror_symmetric(self, M):
+        params = ModelParams(M=M, N=300, lam=1.2, gamma=0.1, kappa1=0.5, kappa2=0.5)
+        results, states = record_states(params, [derive_seed(3, i) for i in range(5)])
+        assert any(r.quenched for r in results)
+        for column in states.values():
+            for u in column:
+                assert u.shape == (M - 1,)
+                assert np.array_equal(u, u[::-1])
+
+    @pytest.mark.parametrize("M", [11, 12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_oracle(self, M, seed):
+        params = ModelParams(M=M, N=40, T=1.0, lam=0.5, gamma=0.1, kappa1=0.3, kappa2=0.3, c=0.2)
+        assert oracle_deviation(params, seed) <= 1e-12
+
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_quench_times_independent_of_width(self, M):
+        params = ModelParams(M=M, N=400, lam=0.4)
+        op = assemble_matrix(params.grid, params.alpha)
+        f = factorize(op, params.dt)
+        seeds = [derive_seed(20241018, i) for i in range(256)]
+        wide, _ = record_states(params, seeds, [], op, f)
+        assert 0 < sum(r.quenched for r in wide) < 256
+        mid, _ = record_states(params, seeds[:37], [], op, f)
+        assert mid == wide[:37]
+        for j in (0, 18, 36, 200, 255):
+            (alone,), _ = record_states(params, [seeds[j]], [], op, f)
+            assert alone == wide[j]
