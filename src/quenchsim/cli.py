@@ -39,15 +39,16 @@ FIG2_KAPPA_CAPTION = 0.5
 FIG2_KAPPA_TEXT = 0.1
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace, defaults: ModelParams = ModelParams()) -> RunConfig:
+    """The run config of `args`; model keys left unset take `defaults`."""
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        config = parse_config(text)
+        config = parse_config(text, defaults)
     else:
-        config = RunConfig()
+        config = RunConfig(params=defaults)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.realizations is not None:
@@ -87,16 +88,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _preset_params(config: RunConfig) -> ModelParams:
-    params = config.params
-    if not config.full_scale and params.N == ModelParams().N:
-        params = replace(params, N=DESK_TIME_STEPS)
-    return params
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = apply_scale(_load_config(args))
-    params = _preset_params(config)
+    # a desk sweep runs DESK_TIME_STEPS steps unless the config sets N;
+    # apply_scale sets the full-scale N
+    config = apply_scale(_load_config(args, ModelParams(N=DESK_TIME_STEPS)))
+    params = config.params
     n_r, seed = config.n_realizations, config.master_seed
     preset = args.preset
     if preset in ("t1", "t2"):

@@ -113,8 +113,11 @@ def _unique_keys(items) -> dict[str, object]:
     return pairs
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a key-value document (or JSON object) into a validated RunConfig."""
+def parse_config(text: str, defaults: ModelParams = ModelParams()) -> RunConfig:
+    """Parse a key-value document (or JSON object) into a validated RunConfig.
+
+    Model keys the document leaves out take their values from `defaults`.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -149,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
             )
 
     try:
-        params = ModelParams(**model_kwargs)
+        params = replace(defaults, **model_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     config = RunConfig(params=params, **run_kwargs)

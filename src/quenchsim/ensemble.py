@@ -2,8 +2,9 @@
 
 Realization i always draws its noise from the stream derived from
 (master_seed, i), so ensembles are reproducible and independent of chunking;
-estimates over disjoint index ranges pool exactly.  Stepping runs on the
-calling thread; the solve's BLAS is what uses the cores.
+estimates over disjoint index ranges pool exactly.  A sweep steps all its
+grid points chunk by chunk, drawing each chunk's noise once per noise key.
+Stepping runs on the calling thread; the solve's BLAS is what uses the cores.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import NumericalError
 from .operator import assemble_matrix
 from .seeding import derive_seed
-from .solver import Factorization, ModelParams, OperatorMatrix, factorize, simulate_batch
+from .noise import batch_drive
+from .solver import Factorization, ModelParams, factorize, simulate_batch
 
 CHUNK_SIZE = 256
 
@@ -86,30 +88,53 @@ def estimate(
     master_seed: int,
     threads: int = 1,
     index_offset: int = 0,
-    op: OperatorMatrix | None = None,
     factor: Factorization | None = None,
 ) -> EnsembleStats:
     """Run an ensemble on seeds derived from (master_seed, index).
 
-    Realizations are stepped on the calling thread in fixed chunks of
-    CHUNK_SIZE, which bounds the noise drive held at once to (N, CHUNK_SIZE).
     `index_offset` shifts the realization indices, letting disjoint ranges
     of one logical ensemble be computed separately and pooled.  `threads` is
     unused: it is kept so existing callers, and the benchmark tracer in
     perfbench/spans.py that reads it by name, keep working.
     """
+    if factor is None:
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+    return _run_chunks([(params, factor)], n_realizations, master_seed, index_offset)[0]
+
+
+def _noise_key(params: ModelParams) -> tuple:
+    """What the solver drive of a seed depends on (see `noise.batch_drive`)."""
+    return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
+
+
+def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int = 0):
+    """Statistics of each (params, factorization) point over one set of realizations.
+
+    Chunks of CHUNK_SIZE seeds are the outer loop and points the inner one.
+    Each chunk's drive is drawn once per noise key, into one (N, CHUNK_SIZE)
+    buffer that is refilled in place, and every point with that key steps
+    on it.  A point's results are those of its own ensemble, in index order.
+    """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    if op is None:
-        op = assemble_matrix(params.grid, params.alpha)
-    if factor is None:
-        factor = factorize(op, params.dt)
-    results = []
+    groups: dict[tuple, list[int]] = {}
+    for i, (params, _) in enumerate(points):
+        groups.setdefault(_noise_key(params), []).append(i)
+    results = [[] for _ in points]
+    buffer = None
     for start in range(0, n_realizations, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n_realizations))
         seeds = [derive_seed(master_seed, index_offset + i) for i in chunk]
-        results.extend(simulate_batch(op, factor, params, seeds))
-    return EnsembleStats.from_results(results)
+        for members in groups.values():
+            shared = points[members[0]][0]
+            if buffer is None or buffer.shape[0] != shared.N:
+                buffer = None  # release the old buffer before allocating the new one
+                buffer = np.empty((shared.N, min(CHUNK_SIZE, n_realizations)))
+            drive = batch_drive(shared, seeds, out=buffer)
+            for i in members:
+                params, factor = points[i]
+                results[i].extend(simulate_batch(factor, params, seeds, drive=drive))
+    return [EnsembleStats.from_results(r) for r in results]
 
 
 # Sweep axes are named by config key; only lambda differs from its ModelParams field.
@@ -126,22 +151,21 @@ def sweep(
 
     `axes` is an ordered list of (config key, values) pairs, for example
     [("alpha", alphas), ("H", hurst_indices)]; the last axis varies fastest.
-    Every other parameter comes from `base`.  The operator and its
-    factorization are built once per distinct (alpha, dt) and shared by the
-    ensembles that use them.
+    Every other parameter comes from `base`.  The factorization is built
+    once per distinct (alpha, dt), and each chunk's noise once per
+    distinct noise key; every point's ensemble equals its own `estimate`.
     """
     names = tuple(key for key, _ in axes)
     values = tuple(tuple(float(v) for v in vals) for _, vals in axes)
     factored = {}
-    stats = []
+    points = []
     for point in itertools.product(*values):
         params = replace(base, **{_PARAM_FIELD.get(k, k): v for k, v in zip(names, point)})
         key = (params.alpha, params.dt)
         if key not in factored:
-            op = assemble_matrix(params.grid, params.alpha)
-            factored[key] = (op, factorize(op, params.dt))
-        op, factor = factored[key]
-        stats.append(estimate(params, n_realizations, master_seed, op=op, factor=factor))
+            factored[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        points.append((params, factored[key]))
+    stats = _run_chunks(points, n_realizations, master_seed)
     return SweepResult(
         axis_names=names,
         axis_values=values,

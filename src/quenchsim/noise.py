@@ -87,8 +87,8 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     return FgnSample(np.fft.fft(y, out=y).real[:n_steps], clipped)
 
 
-# One entry: every batch, sweep point and bound report samples all its paths
-# on one (n_steps, dt, H), and more entries would only hold memory.
+# One entry: every chunk drive and bound report samples all its paths on one
+# (n_steps, dt, H), and more entries would only hold memory.
 @functools.lru_cache(maxsize=1)
 def _circulant_scale(n_steps: int, dt: float, H: float):
     """Scales sqrt(lambda / m) of the circulant embedding's spectral draws.
@@ -116,12 +116,31 @@ def _drive(params, seed: int, c1: float, c2: float) -> tuple[np.ndarray, bool]:
     """c1 dB + c2 dB^H on the step grid of `params`, and the embedding flag.
 
     The Brownian and fractional increments are the seed's derived streams 1
-    and 2.  `simulate_batch` and `mixed_path` both draw through here, so
-    that rule has one owner.
+    and 2.  `batch_drive` and `mixed_path` both draw through here, so that
+    rule has one owner.
     """
     db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
     fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2))
     return c1 * db + c2 * fgn.increments, fgn.eigenvalue_clipped
+
+
+def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The solver drive kappa1 dB + kappa2 dB^H of each seed, one column each.
+
+    Returns the (N, len(seeds)) drive and the per-column embedding flags.
+    The drive depends on `params` only through (N, dt, H, kappa1, kappa2),
+    so every parameter set sharing that key can step on it.  `out`, when
+    given, is an (N, width) buffer with width >= len(seeds); its leading
+    columns are filled in place and returned as a view, so a caller can
+    reuse one buffer across batches.
+    """
+    if out is None:
+        out = np.empty((params.N, len(seeds)))
+    drive = out[:, : len(seeds)]
+    warn = np.zeros(len(seeds), dtype=bool)
+    for j, seed in enumerate(seeds):
+        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2)
+    return drive, warn
 
 
 def mixed_path(params, seed: int) -> NoisePath:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .noise import _drive
+from .noise import batch_drive
 from .operator import GridSpec, OperatorMatrix, assemble_matrix
 
 MACHINE_EPSILON = 2.2204e-16
@@ -181,11 +181,11 @@ def factorize(op: OperatorMatrix, dt: float) -> Factorization:
 
 
 def simulate_batch(
-    op: OperatorMatrix,
     factor: Factorization,
     params: ModelParams,
     seeds: Sequence[int],
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    drive: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
 
@@ -210,16 +210,16 @@ def simulate_batch(
     mask of columns still running.  The running columns are written back
     into u before each call; a stopped column keeps the state it stopped
     in.  Both arrays are live: an observer that keeps them must copy.
+
+    `drive`, when given, is `batch_drive(params, seeds)` drawn beforehand
+    (the (N, len(seeds)) drive and its embedding flags), which lets
+    parameter sets that share a noise key step on one draw; it is only read.
     """
     n_batch = len(seeds)
     dt, n_steps = params.dt, params.N
     lam, gamma = params.lam, params.gamma
     threshold = 1.0 - params.epsilon
-
-    drive = np.empty((n_steps, n_batch))
-    warn = np.zeros(n_batch, dtype=bool)
-    for j, seed in enumerate(seeds):
-        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2)
+    drive, warn = batch_drive(params, seeds) if drive is None else drive
 
     # state[:, :k] holds the half state of the k running columns; order[:k]
     # their batch indices
@@ -294,13 +294,12 @@ def run_realization(params: ModelParams, seed: int) -> RealizationResult:
     and including the one that quenched.  Deterministic: identical
     (params, seed) reproduce the result bitwise.
     """
-    op = assemble_matrix(params.grid, params.alpha)
-    factor = factorize(op, params.dt)
+    factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
     series: list[float] = []
 
     def record(n: int, u: np.ndarray, active: np.ndarray) -> None:
         if active[0]:
             series.append(float(np.max(np.abs(u[:, 0]))))
 
-    result = simulate_batch(op, factor, params, [seed], observer=record)[0]
+    result = simulate_batch(factor, params, [seed], observer=record)[0]
     return replace(result, sup_norm_series=np.asarray(series))

@@ -15,17 +15,15 @@ from naive_reference import naive_quench_time, naive_trajectory
 ORACLE_PARAMS = ModelParams(M=5, N=10, T=1.0, lam=0.5, kappa1=0.3, kappa2=0.3, c=0.2)
 
 
-def record_states(params, seeds, columns=None, op=None, factor=None):
+def record_states(params, seeds, columns=None, factor=None):
     """Run `seeds` as one batch; return (results, states).
 
     states[j] lists copies of column j's state at every step it was still
     running, from the initial condition through the state that quenched.
     Only the batch positions in `columns` are recorded (default: all).
     """
-    if op is None:
-        op = assemble_matrix(params.grid, params.alpha)
     if factor is None:
-        factor = factorize(op, params.dt)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
     if columns is None:
         columns = range(len(seeds))
     states = {j: [] for j in columns}
@@ -35,7 +33,7 @@ def record_states(params, seeds, columns=None, op=None, factor=None):
             if active[j]:
                 kept.append(u[:, j].copy())
 
-    results = simulate_batch(op, factor, params, seeds, observer=observe)
+    results = simulate_batch(factor, params, seeds, observer=observe)
     return results, states
 
 

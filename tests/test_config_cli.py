@@ -355,6 +355,24 @@ class TestScaleResolution:
         desk = apply_scale(parse_config(""))
         assert desk.n_realizations == 2000
 
+    @pytest.mark.parametrize("text,steps", [("M = 9\nN = 10000\n", 10_000), ("M = 9\n", 2000)])
+    def test_desk_preset_honours_explicit_n(self, tmp_path, monkeypatch, text, steps):
+        # a desk sweep swaps in its step count only where the config leaves N
+        # unset, even when the config sets N to the ModelParams default
+        from quenchsim import cli
+
+        seen = []
+
+        def record(base, axes, n_realizations, master_seed):
+            seen.append(base.N)
+            return sweep(base, [("lambda", [])], n_realizations, master_seed)
+
+        monkeypatch.setattr(cli, "sweep", record)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert seen == [steps]
+
     def test_non_constant_coefficients_rejected(self):
         # coefficients are constants: a callable or a table fails at construction
         for bad in (lambda t: t, ([0.0, 1.0], [1.0, 2.0])):

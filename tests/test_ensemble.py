@@ -1,9 +1,14 @@
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
-from quenchsim import ModelParams, estimate, sweep
+from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
+from quenchsim import noise
+from quenchsim.ensemble import _run_chunks
+from quenchsim.noise import batch_drive
+from quenchsim.solver import simulate_batch
 
 FAST = dict(N=200, M=21)
 
@@ -81,8 +86,6 @@ class TestSweeps:
     def test_regularizer_lowers_probability_pointwise(self):
         # common random numbers: identical seeds per realization index
         base = ModelParams(lam=0.5, **FAST)
-        from dataclasses import replace
-
         plain = estimate(base, 300, master_seed=7)
         damped = estimate(replace(base, gamma=0.1), 300, master_seed=7)
         assert damped.n_quenched <= plain.n_quenched
@@ -113,6 +116,64 @@ class TestSweeps:
         result = sweep(params, [("alpha", [0.3, 0.6]), ("H", [0.6, 0.8])], 20, master_seed=10)
         coords = [c for c, _ in result.grid_points()]
         assert coords == [(0.3, 0.6), (0.3, 0.8), (0.6, 0.6), (0.6, 0.8)]
+
+
+class TestSharedNoise:
+    # A sweep steps its grid points chunk by chunk on one drive per noise key
+    # (N, dt, H, kappa1, kappa2); each point must still equal its own
+    # ensemble.  300 realizations is two chunks, the last one partial.
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            [("kappa2", [0.05, 0.5, 2.0])],
+            [("alpha", [0.3, 0.6]), ("H", [0.55, 0.9])],
+            [("lambda", [0.2, 0.45, 1.0])],
+        ],
+        ids=["kappa2", "alpha-H", "lambda"],
+    )
+    def test_sweep_equals_per_point_estimate(self, axes):
+        base = ModelParams(lam=0.45, **FAST)
+        result = sweep(base, axes, 300, master_seed=11)
+        fields = {"lambda": "lam"}
+        direct = [
+            estimate(replace(base, **{fields.get(k, k): v for (k, _), v in zip(axes, point)}),
+                     300, master_seed=11)
+            for point, _ in result.grid_points()
+        ]
+        assert list(result.stats) == direct
+        assert 0 < sum(s.n_quenched for s in direct) < 300 * len(direct)
+
+    def test_points_with_different_step_counts(self):
+        points = []
+        for n_steps in (200, 100, 200):
+            params = ModelParams(lam=0.45, M=21, N=n_steps)
+            points.append((params, factorize(assemble_matrix(params.grid, params.alpha), params.dt)))
+        stats = _run_chunks(points, 300, master_seed=12)
+        assert stats == [estimate(params, 300, master_seed=12) for params, _ in points]
+
+    @pytest.mark.parametrize(
+        "axes,draws_per_realization",
+        [([("lambda", [0.2, 0.45, 1.0])], 1), ([("H", [0.6, 0.8])], 2)],
+    )
+    def test_noise_drawn_once_per_noise_key(self, monkeypatch, axes, draws_per_realization):
+        calls = []
+        original = noise.fgn_circulant
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(noise, "fgn_circulant", counted)
+        sweep(ModelParams(**FAST), axes, 300, master_seed=13)
+        assert len(calls) == 300 * draws_per_realization
+
+    def test_given_drive_matches_drawn_drive(self):
+        params = ModelParams(lam=0.45, **FAST)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        seeds = [derive_seed(14, i) for i in range(70)]
+        drawn = simulate_batch(factor, params, seeds)
+        assert simulate_batch(factor, params, seeds, drive=batch_drive(params, seeds)) == drawn
+        assert 0 < sum(r.quenched for r in drawn) < 70
 
 
 class TestFailureAccounting:

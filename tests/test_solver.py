@@ -180,18 +180,17 @@ class TestBatchWidthInvariance:
     @pytest.mark.parametrize("M,N", [(41, 2000), (321, 200)])
     def test_column_result_independent_of_batch(self, M, N):
         params = ModelParams(lam=0.4, M=M, N=N)
-        op = assemble_matrix(params.grid, params.alpha)
-        f = factorize(op, params.dt)
+        f = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         seeds = [derive_seed(20240901, i) for i in range(257)]
         probes = (0, BLOCK - 1, BLOCK, 128, 255, 256)
         batches = {
-            width: record_states(params, seeds[:width], [j for j in probes if j < width], op, f)
+            width: record_states(params, seeds[:width], [j for j in probes if j < width], f)
             for width in (BLOCK - 1, BLOCK, BLOCK + 1, 256, 257)
         }
         for width, (results, _) in batches.items():
             assert results == batches[257][0][:width]
         for j in probes:
-            (alone,), solo = record_states(params, [seeds[j]], op=op, factor=f)
+            (alone,), solo = record_states(params, [seeds[j]], factor=f)
             for width, (results, states) in batches.items():
                 if j < width:
                     assert results[j] == alone
@@ -221,13 +220,12 @@ class TestFold:
     @pytest.mark.parametrize("M", [11, 12])
     def test_quench_times_independent_of_width(self, M):
         params = ModelParams(M=M, N=400, lam=0.4)
-        op = assemble_matrix(params.grid, params.alpha)
-        f = factorize(op, params.dt)
+        f = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         seeds = [derive_seed(20241018, i) for i in range(256)]
-        wide, _ = record_states(params, seeds, [], op, f)
+        wide, _ = record_states(params, seeds, [], f)
         assert 0 < sum(r.quenched for r in wide) < 256
-        mid, _ = record_states(params, seeds[:37], [], op, f)
+        mid, _ = record_states(params, seeds[:37], [], f)
         assert mid == wide[:37]
         for j in (0, 18, 36, 200, 255):
-            (alone,), _ = record_states(params, [seeds[j]], [], op, f)
+            (alone,), _ = record_states(params, [seeds[j]], [], f)
             assert alone == wide[j]
