@@ -18,7 +18,14 @@ from .bounds import (
 from .config import emit_config, emit_table, parse_config, read_table
 from .ensemble import EnsembleStats, estimate, sweep
 from .errors import ConfigError, NumericalError
-from .noise import NoisePath, bm_increments, fgn_autocovariance, fgn_circulant, mixed_path
+from .noise import (
+    NoisePath,
+    PathWorkspace,
+    bm_increments,
+    fgn_autocovariance,
+    fgn_circulant,
+    mixed_path,
+)
 from .operator import GridSpec, assemble_matrix, singular_integral_constant
 from .seeding import derive_seed
 from .solver import ModelParams, RealizationResult, factorize, initial_condition, run_realization
@@ -37,6 +44,7 @@ __all__ = [
     "ModelParams",
     "NoisePath",
     "NumericalError",
+    "PathWorkspace",
     "RealizationResult",
     "assemble_matrix",
     "bm_increments",

@@ -24,7 +24,7 @@ from scipy.special import gammainc
 
 from .config import RunConfig
 from .errors import NumericalError
-from .noise import NoisePath, mixed_path
+from .noise import PathWorkspace, mixed_path
 from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
@@ -282,9 +282,13 @@ def _first_crossing(log_terms: np.ndarray, threshold: float, dt: float) -> float
     return INFINITE_TIME
 
 
-def _log_terms(base: np.ndarray, path: NoisePath) -> np.ndarray:
-    """Per-step log integrand base + 3 N plus log dt, for left-endpoint sums."""
-    return base + 3.0 * path.N[:-1] + math.log(path.dt)
+def _log_terms(
+    base: np.ndarray, three_n: np.ndarray, log_dt: float, out: np.ndarray
+) -> np.ndarray:
+    """Per-step log integrand base + 3 N plus log dt into `out`, for left-endpoint sums."""
+    np.add(base, three_n, out=out)
+    out += log_dt
+    return out
 
 
 def eigen_mu(bp: BoundParams, W1: float):
@@ -311,7 +315,9 @@ def bound_monte_carlo(
     the count is the number of paths whose fGN embedding clipped negative
     eigenvalues.  Only the first-crossing times are evaluated: the drift and
     mu(t) exponents are formed once per call, and each path's log-sum-exp
-    stops at its threshold.
+    stops at its threshold.  The paths are drawn into one `PathWorkspace`,
+    and 3 N and the log terms into buffers of their own, all allocated once
+    per call.
     """
     tk = params.dt * np.arange(params.N)
     star_base = -3.0 * _drift(tk, bp)
@@ -321,13 +327,19 @@ def bound_monte_carlo(
         raise ValueError("mu(t) must be positive on the path horizon")
     lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
+    log_dt = math.log(params.dt)
+    workspace = PathWorkspace(params.N)
+    three_n, log_terms = np.empty(params.N), np.empty(params.N)
     crossings = 0
     ordered = True
     clipped = 0
     for i in range(n_paths):
-        path = mixed_path(params, derive_seed(master_seed, i))
-        star = _first_crossing(_log_terms(star_base, path), w, path.dt)
-        low = _first_crossing(_log_terms(lower_base, path), lower_threshold, path.dt)
+        path = mixed_path(params, derive_seed(master_seed, i), workspace)
+        np.multiply(path.N[:-1], 3.0, out=three_n)
+        star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, path.dt)
+        low = _first_crossing(
+            _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, path.dt
+        )
         crossings += star <= params.T
         ordered = ordered and low <= star
         clipped += path.embedding_warning

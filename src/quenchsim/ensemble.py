@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .operator import assemble_matrix
 from .seeding import derive_seed
 from .noise import batch_drive
@@ -139,6 +139,16 @@ def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int
 
 # Sweep axes are named by config key; only lambda differs from its ModelParams field.
 _PARAM_FIELD = {"lambda": "lam"}
+_INT_FIELDS = {f.name for f in fields(ModelParams) if f.type == "int"}
+
+
+def _axis_value(key: str, value):
+    """An axis value as the type of its ModelParams field; N and M take integral values only."""
+    if _PARAM_FIELD.get(key, key) not in _INT_FIELDS:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(f"sweep axis '{key}' takes integers, got {value!r}")
+    return int(value)
 
 
 def sweep(
@@ -152,16 +162,16 @@ def sweep(
     `axes` is an ordered list of (config key, values) pairs, for example
     [("alpha", alphas), ("H", hurst_indices)]; the last axis varies fastest.
     Every other parameter comes from `base`.  The factorization is built
-    once per distinct (alpha, dt), and each chunk's noise once per
+    once per distinct (M, alpha, dt), and each chunk's noise once per
     distinct noise key; every point's ensemble equals its own `estimate`.
     """
     names = tuple(key for key, _ in axes)
-    values = tuple(tuple(float(v) for v in vals) for _, vals in axes)
+    values = tuple(tuple(_axis_value(key, v) for v in vals) for key, vals in axes)
     factored = {}
     points = []
     for point in itertools.product(*values):
         params = replace(base, **{_PARAM_FIELD.get(k, k): v for k, v in zip(names, point)})
-        key = (params.alpha, params.dt)
+        key = (params.M, params.alpha, params.dt)
         if key not in factored:
             factored[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         points.append((params, factored[key]))

@@ -31,14 +31,37 @@ class FgnSample(NamedTuple):
     eigenvalue_clipped: bool
 
 
-def bm_increments(n_steps: int, dt: float, seed: int) -> np.ndarray:
-    """i.i.d. Normal(0, dt) increments, deterministic per seed."""
+class PathWorkspace:
+    """Buffers that `mixed_path` refills in place for every path of one length.
+
+    A loop over many paths passes one workspace to each draw instead of
+    allocating the draws, the spectral vector, the increments and N afresh:
+    at large n_steps those arrays let the heap trim and re-fault their pages
+    on every path.  A path drawn into a workspace is overwritten by the next
+    draw into it.
+    """
+
+    def __init__(self, n_steps: int) -> None:
+        self.db = np.empty(n_steps)  # Brownian increments, then the drive
+        self.draws = np.empty(2 * n_steps)  # the fGN sampler's standard normals
+        self.spectrum = np.empty(2 * n_steps, dtype=complex)
+        self.increments = np.empty(n_steps)  # the scaled fGN increments
+        self.N = np.empty(n_steps + 1)
+
+
+def bm_increments(n_steps: int, dt: float, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """i.i.d. Normal(0, dt) increments, deterministic per seed.
+
+    `out`, when given, is a length-n_steps buffer filled in place and returned.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
     rng = np.random.default_rng(seed)
-    return rng.standard_normal(n_steps) * np.sqrt(dt)
+    x = rng.standard_normal(n_steps, out=out)
+    x *= np.sqrt(dt)
+    return x
 
 
 def fgn_autocovariance(k, H: float, dt: float = 1.0) -> np.ndarray:
@@ -49,7 +72,9 @@ def fgn_autocovariance(k, H: float, dt: float = 1.0) -> np.ndarray:
     )
 
 
-def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
+def fgn_circulant(
+    n_steps: int, dt: float, H: float, seed: int, workspace: PathWorkspace | None = None
+) -> FgnSample:
     """Stationary fractional Gaussian noise via exact circulant embedding.
 
     Returns increments with per-step variance dt^(2H) and autocovariance
@@ -60,7 +85,9 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
 
     Draw order is pinned for reproducibility: one standard-normal block of
     length 2 * n_steps consumed as (real DC term, real Nyquist term,
-    n_steps - 1 real parts, n_steps - 1 imaginary parts).
+    n_steps - 1 real parts, n_steps - 1 imaginary parts).  With a
+    `workspace` the draws and the transform are made in its buffers, and the
+    increments are a view of it.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -69,21 +96,29 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     if not 0.5 <= H < 1.0:
         raise ValueError(f"Hurst index must lie in [1/2, 1), got {H}")
     rng = np.random.default_rng(seed)
-    if H == 0.5:
-        return FgnSample(rng.standard_normal(n_steps) * np.sqrt(dt), False)
-    if n_steps == 1:
-        return FgnSample(rng.standard_normal(1) * dt**H, False)
+    if H == 0.5 or n_steps == 1:
+        out = None if workspace is None else workspace.draws[:n_steps]
+        x = rng.standard_normal(n_steps, out=out)
+        x *= np.sqrt(dt) if H == 0.5 else dt**H
+        return FgnSample(x, False)
 
     ends, inner, clipped = _circulant_scale(n_steps, dt, H)
     m = 2 * n_steps
-    draws = rng.standard_normal(m)
-    y = np.zeros(m, dtype=complex)
-    y[0] = ends[0] * draws[0]
-    y[n_steps] = ends[1] * draws[1]
-    y[1:n_steps] = inner * (draws[2 : n_steps + 1] + 1j * draws[n_steps + 1 : m])
-    y[n_steps + 1 :] = np.conj(y[1:n_steps][::-1])
-    # transform in place: a second 2n complex buffer per path lets the heap
-    # trim and re-fault its pages on every draw at large n
+    if workspace is None:
+        draws, y = rng.standard_normal(m), np.empty(m, dtype=complex)
+    else:
+        draws, y = rng.standard_normal(m, out=workspace.draws), workspace.spectrum
+    # y is Hermitian: y[0] and y[n] are real, y[m - k] = conj(y[k]).  Every
+    # entry is written on every draw, since the transform overwrites y.
+    re, im = y.real, y.imag
+    re[0] = ends[0] * draws[0]
+    re[n_steps] = ends[1] * draws[1]
+    im[0] = im[n_steps] = 0.0
+    np.multiply(inner, draws[2 : n_steps + 1], out=re[1:n_steps])
+    np.multiply(inner, draws[n_steps + 1 :], out=im[1:n_steps])
+    re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
+    np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
+    # transform in place: no second 2n complex buffer, and none at all with a workspace
     return FgnSample(np.fft.fft(y, out=y).real[:n_steps], clipped)
 
 
@@ -112,16 +147,22 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     return ends, inner, clipped
 
 
-def _drive(params, seed: int, c1: float, c2: float) -> tuple[np.ndarray, bool]:
+def _drive(
+    params, seed: int, c1: float, c2: float, workspace: PathWorkspace | None = None
+) -> tuple[np.ndarray, bool]:
     """c1 dB + c2 dB^H on the step grid of `params`, and the embedding flag.
 
     The Brownian and fractional increments are the seed's derived streams 1
     and 2.  `batch_drive` and `mixed_path` both draw through here, so that
-    rule has one owner.
+    rule has one owner.  The sum is formed in the Brownian buffer.
     """
-    db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
-    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2))
-    return c1 * db + c2 * fgn.increments, fgn.eigenvalue_clipped
+    fresh = workspace is None
+    db = bm_increments(params.N, params.dt, derive_seed(seed, 1), None if fresh else workspace.db)
+    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2), workspace)
+    scaled = np.multiply(fgn.increments, c2, out=None if fresh else workspace.increments)
+    db *= c1
+    db += scaled
+    return db, fgn.eigenvalue_clipped
 
 
 def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +184,17 @@ def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarra
     return drive, warn
 
 
-def mixed_path(params, seed: int) -> NoisePath:
+def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> NoisePath:
     """Sample the mixed process N_t = a B_t + b B^H_t on the step grid.
 
     The coefficients a = `params.a_fn` and b = `params.b_fn` are constants,
     and N is accumulated by left-endpoint sums:
-    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.
+    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.  With a `PathWorkspace` of
+    `params.N` steps the path is drawn into its buffers, with the same bits,
+    and its N is the workspace's.
     """
-    increments, clipped = _drive(params, seed, params.a_fn, params.b_fn)
-    N = np.concatenate([[0.0], np.cumsum(increments)])
+    increments, clipped = _drive(params, seed, params.a_fn, params.b_fn, workspace)
+    N = np.empty(params.N + 1) if workspace is None else workspace.N
+    N[0] = 0.0
+    np.cumsum(increments, out=N[1:])
     return NoisePath(dt=params.dt, n_steps=params.N, N=N, embedding_warning=clipped)

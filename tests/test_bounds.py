@@ -264,9 +264,9 @@ class TestBoundMonteCarlo:
     def test_master_seeds_draw_disjoint_paths(self, monkeypatch, pair41):
         drawn = []
 
-        def recording_path(params, seed):
+        def recording_path(params, seed, workspace=None):
             drawn.append(seed)
-            return mixed_path(params, seed)
+            return mixed_path(params, seed, workspace)
 
         monkeypatch.setattr(bounds, "mixed_path", recording_path)
         params = ModelParams(lam=1e-5, N=64, a_fn=0.1, b_fn=0.1)

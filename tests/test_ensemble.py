@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
-from quenchsim import noise
+from quenchsim import ConfigError, noise
 from quenchsim.ensemble import _run_chunks
 from quenchsim.noise import batch_drive
 from quenchsim.solver import simulate_batch
@@ -128,8 +128,10 @@ class TestSharedNoise:
             [("kappa2", [0.05, 0.5, 2.0])],
             [("alpha", [0.3, 0.6]), ("H", [0.55, 0.9])],
             [("lambda", [0.2, 0.45, 1.0])],
+            [("N", [100, 200])],
+            [("M", [11, 21])],
         ],
-        ids=["kappa2", "alpha-H", "lambda"],
+        ids=["kappa2", "alpha-H", "lambda", "N", "M"],
     )
     def test_sweep_equals_per_point_estimate(self, axes):
         base = ModelParams(lam=0.45, **FAST)
@@ -142,6 +144,10 @@ class TestSharedNoise:
         ]
         assert list(result.stats) == direct
         assert 0 < sum(s.n_quenched for s in direct) < 300 * len(direct)
+
+    def test_non_integral_value_of_integer_axis_rejected(self):
+        with pytest.raises(ConfigError, match="'N' takes integers"):
+            sweep(ModelParams(**FAST), [("N", [100, 150.5])], 5, master_seed=0)
 
     def test_points_with_different_step_counts(self):
         points = []

@@ -6,6 +6,11 @@ on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
 shows up here; rounding-level changes of the states that leave them alone
 do not.
+
+The bytes were captured with numpy 2.4.6 and scipy 1.17.1 (Python 3.11,
+OpenBLAS 0.3.31).  numpy guarantees no `Generator` stream across versions
+(NEP 19), and pocketfft and the gemm kernel can move the last bits, so the
+repository's `constraints.txt` pins these versions and CI installs with it.
 """
 
 import pytest

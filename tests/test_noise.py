@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quenchsim import (
     ModelParams,
+    PathWorkspace,
     bm_increments,
     derive_seed,
     fgn_autocovariance,
@@ -192,16 +193,17 @@ class TestMixedPath:
         assert path.dt == dt and path.n_steps == params.N
 
 
+def hostile_autocov(k, H, dt=1.0):
+    k = np.abs(np.asarray(k, dtype=float))
+    out = np.zeros_like(k)
+    out[k == 0] = 1.0
+    out[k == 1] = 0.9  # rho=0.9 at lag 1 only is not nonneg definite
+    return out
+
+
 def test_fgn_negative_eigenvalue_fallback(monkeypatch):
     # force a non-embeddable covariance: the sampler must clip and flag
     import quenchsim.noise as noise_mod
-
-    def hostile_autocov(k, H, dt=1.0):
-        k = np.abs(np.asarray(k, dtype=float))
-        out = np.zeros_like(k)
-        out[k == 0] = 1.0
-        out[k == 1] = 0.9  # rho=0.9 at lag 1 only is not nonneg definite
-        return out
 
     monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
     # bypass the spectrum cache: a cached (64, 1.0, 0.7) entry would hide the
@@ -273,3 +275,59 @@ class TestCirculantScaleCache:
         for _ in range(2):
             for key in keys + keys[::-1]:
                 assert np.array_equal(fgn_circulant(*key, seed=3).increments, first[key])
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestPathWorkspace:
+    # A workspace reused across seeds and keys must reproduce the fresh
+    # allocation bit for bit: a stale buffer entry or a lost signed zero
+    # shows in the uint64 view.  Workspaces start filled with NaN, so an
+    # entry the sampler never writes shows too.
+    @staticmethod
+    def poisoned(n_steps):
+        workspace = PathWorkspace(n_steps)
+        for buffer in vars(workspace).values():
+            buffer.fill(np.nan)
+        return workspace
+
+    @staticmethod
+    def assert_reuse_matches_fresh(params, seed, workspace):
+        n, dt, H = params.N, params.dt, params.H
+        fresh = bm_increments(n, dt, seed)
+        assert np.array_equal(bits(bm_increments(n, dt, seed, workspace.db)), bits(fresh))
+        fresh = fgn_circulant(n, dt, H, seed)
+        reused = fgn_circulant(n, dt, H, seed, workspace)
+        assert np.array_equal(bits(reused.increments), bits(fresh.increments))
+        assert reused.eigenvalue_clipped == fresh.eigenvalue_clipped
+        fresh = mixed_path(params, seed)
+        reused = mixed_path(params, seed, workspace)
+        assert np.array_equal(bits(reused.N), bits(fresh.N))
+        assert reused.embedding_warning == fresh.embedding_warning
+
+    def test_interleaved_seeds_and_keys(self):
+        workspaces = {n: self.poisoned(n) for n in (1, 2, 3, 100, 1024)}
+        keys = [
+            (n, T, H)
+            for T in (1.0, 0.3)
+            for H in (0.5, 0.55, 0.7, 0.9)
+            for n in workspaces
+        ]
+        for seed in (0, derive_seed(4, 9), 17):
+            for n, T, H in keys:
+                params = ModelParams(N=n, T=T, H=H, a_fn=0.3, b_fn=1.7)
+                self.assert_reuse_matches_fresh(params, seed, workspaces[n])
+
+    def test_clipped_embedding(self, monkeypatch):
+        import quenchsim.noise as noise_mod
+
+        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
+        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+        for n in (2, 3, 100):
+            workspace = self.poisoned(n)
+            for seed in range(5):
+                params = ModelParams(N=n, H=0.7, a_fn=0.3, b_fn=1.7)
+                assert fgn_circulant(n, params.dt, 0.7, seed).eigenvalue_clipped
+                self.assert_reuse_matches_fresh(params, seed, workspace)
