@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc
 
 from .config import RunConfig
@@ -29,6 +28,10 @@ from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
+
+# `quad` is imported inside the functions that integrate (here and in
+# validation.py): scipy.integrate loads scipy.optimize and scipy.sparse, and
+# `import quenchsim` runs at the start of every CLI command, sweeps included.
 
 INFINITE_TIME = math.inf
 
@@ -154,6 +157,8 @@ def nu_of(T: float, bp: BoundParams) -> float:
     the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t), with
     Var N_t = a^2 t + b^2 t^(2H) for the independent drivers.
     """
+    from scipy.integrate import quad
+
     if T <= 0:
         raise ValueError("T must be positive")
 
@@ -190,6 +195,8 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
     independent=True evaluates the bound for independent drivers; False the
     Volterra-representation variant.  Both are clamped to [0, 1].
     """
+    from scipy.integrate import quad
+
     if T <= 0:
         raise ValueError("T must be positive")
     w = bp.tau_star_threshold()

@@ -3,7 +3,8 @@
 Realization i always draws its noise from the stream derived from
 (master_seed, i), so ensembles are reproducible and independent of chunking;
 estimates over disjoint index ranges pool exactly.  A sweep steps all its
-grid points chunk by chunk, drawing each chunk's noise once per noise key.
+grid points chunk by chunk, drawing each chunk's noise once per noise key
+and stepping the points that differ only in lambda in one call.
 Stepping runs on the calling thread; the solve's BLAS is what uses the cores.
 """
 
@@ -113,27 +114,34 @@ def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int
     Chunks of CHUNK_SIZE seeds are the outer loop and points the inner one.
     Each chunk's drive is drawn once per noise key, into one (N, CHUNK_SIZE)
     buffer that is refilled in place, and every point with that key steps
-    on it.  A point's results are those of its own ensemble, in index order.
+    on it; points that also share the factorization and differ only in
+    lambda step together in one `simulate_batch` call.  A point's results
+    are those of its own ensemble, in index order.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    groups: dict[tuple, list[int]] = {}
-    for i, (params, _) in enumerate(points):
-        groups.setdefault(_noise_key(params), []).append(i)
+    # noise key -> (params with lambda cleared, factorization) -> point indices
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
+    for i, (params, factor) in enumerate(points):
+        packs = groups.setdefault(_noise_key(params), {})
+        packs.setdefault((replace(params, lam=0.0), id(factor)), []).append(i)
     results = [[] for _ in points]
     buffer = None
     for start in range(0, n_realizations, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n_realizations))
         seeds = [derive_seed(master_seed, index_offset + i) for i in chunk]
-        for members in groups.values():
-            shared = points[members[0]][0]
+        for packs in groups.values():
+            shared = points[next(iter(packs.values()))[0]][0]
             if buffer is None or buffer.shape[0] != shared.N:
                 buffer = None  # release the old buffer before allocating the new one
                 buffer = np.empty((shared.N, min(CHUNK_SIZE, n_realizations)))
             drive = batch_drive(shared, seeds, out=buffer)
-            for i in members:
-                params, factor = points[i]
-                results[i].extend(simulate_batch(factor, params, seeds, drive=drive))
+            for members in packs.values():
+                params, factor = points[members[0]]
+                lams = [points[i][0].lam for i in members]
+                stepped = simulate_batch(factor, params, seeds, drive=drive, lams=lams)
+                for p, i in enumerate(members):
+                    results[i].extend(stepped[p * len(seeds) : (p + 1) * len(seeds)])
     return [EnsembleStats.from_results(r) for r in results]
 
 

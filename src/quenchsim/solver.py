@@ -6,8 +6,9 @@ and applied by matrix product to every step and realization, while the
 singular source lambda / (1-u)^2 - gamma * (1-u) and the multiplicative
 noise kick are explicit.  A realization quenches when max_j u_j exceeds
 1 - epsilon; the quench time is reported as the last compliant step time.
-Running realizations are kept packed in the leading columns of the state,
-and the pack is compacted only on a step where one of them stops.
+Running realizations are kept packed, as a contiguous block of columns, and
+the pack is compacted only on a step where one of them stops.  One call can
+step several lambda values on the same noise, one batch each.
 
 The kernel steps half the nodes.  It relies on two preconditions: the
 initial data is even in x, and the noise is spatially uniform (one scalar
@@ -186,6 +187,7 @@ def simulate_batch(
     seeds: Sequence[int],
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     drive: tuple[np.ndarray, np.ndarray] | None = None,
+    lams: Sequence[float] | None = None,
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
 
@@ -196,8 +198,14 @@ def simulate_batch(
     solve multiplies fixed-width blocks, so results are identical whether
     realizations run alone or batched.  Quench detection runs before the
     source evaluation each step; quenched and failed columns stop at once.
-    The running columns are kept packed and in batch order, and the pack is
-    compacted only on a step where some column stops.
+    The running columns are kept packed, contiguous and in batch order, and
+    the pack is compacted only on a step where some column stops.
+
+    `lams` steps one batch per lambda on the same drive, in place of
+    `params.lam` (the default is `(params.lam,)`): column p*len(seeds) + j
+    runs lambda `lams[p]` on seed j, and the results come in that order.
+    Each column divides by its own lambda, so a column's result is the same
+    as in a call with that lambda alone.
 
     Precondition: the initial data is even in x and the noise is spatially
     uniform, so every state is even.  The kernel steps, detects and packs
@@ -215,20 +223,36 @@ def simulate_batch(
     (the (N, len(seeds)) drive and its embedding flags), which lets
     parameter sets that share a noise key step on one draw; it is only read.
     """
-    n_batch = len(seeds)
+    if lams is None:
+        lams = (params.lam,)
+    for lam in lams:
+        replace(params, lam=lam)  # validates lam as ModelParams does
+    n_seeds = len(seeds)
+    n_batch = len(lams) * n_seeds
     dt, n_steps = params.dt, params.N
-    lam, gamma = params.lam, params.gamma
+    gamma = params.gamma
     threshold = 1.0 - params.epsilon
     drive, warn = batch_drive(params, seeds) if drive is None else drive
+    # column c runs lams[c // n_seeds] on drive column c % n_seeds
+    lam_of = np.repeat(np.asarray(lams, dtype=float), n_seeds)
+    seed_of = np.tile(np.arange(n_seeds), len(lams))
 
-    # state[:, :k] holds the half state of the k running columns; order[:k]
-    # their batch indices
+    # The pack of the k running columns is the leading h*k entries of flat
+    # buffers viewed as (h, k), so every per-step ufunc runs on contiguous
+    # memory; order[:k] holds their batch columns, lam and cols their lambda
+    # and drive column.  The views are rebuilt only when a column stops.
     n_nodes = params.M - 1
     half = (n_nodes + 1) // 2
-    state = np.tile(initial_condition(params.grid, params.c)[:half, None], (1, n_batch))
-    gap, source, rhs = np.empty_like(state), np.empty_like(state), np.empty_like(state)
-    order = np.arange(n_batch)
+    buffers = [np.empty(half * n_batch) for _ in range(4)]
+
+    def pack(k: int) -> list[np.ndarray]:
+        return [buf[: half * k].reshape(half, k) for buf in buffers]
+
     k = n_batch
+    x, w, g, b = pack(k)  # the state, 1 - u, the source and the right-hand side
+    x[...] = initial_condition(params.grid, params.c)[:half, None]
+    order = np.arange(n_batch)
+    lam, cols = lam_of, seed_of
     u = np.empty((n_nodes, n_batch)) if observer is not None else None
     active = np.ones(n_batch, dtype=bool)
     quench_time = np.full(n_batch, np.nan)
@@ -236,7 +260,6 @@ def simulate_batch(
     steps_taken = np.full(n_batch, n_steps)
 
     for n in range(n_steps + 1):
-        x = state[:, :k]
         if observer is not None:
             u[:half, order[:k]] = x
             u[n_nodes - half :, order[:k]] = x[::-1]
@@ -251,14 +274,14 @@ def simulate_batch(
             quench_time[stopped[~bad]] = max(n - 1, 0) * dt
             steps_taken[stopped] = n
             active[stopped] = False
-            k_kept = int(np.count_nonzero(running))
-            order[:k_kept] = order[:k][running]
-            state[:, :k_kept] = x[:, running]
-            k = k_kept
-            x = state[:, :k]
+            kept = x[:, running]
+            order[: kept.shape[1]] = order[:k][running]
+            k = kept.shape[1]
+            x, w, g, b = pack(k)
+            x[...] = kept
+            lam, cols = lam_of[order[:k]], seed_of[order[:k]]
         if n == n_steps or k == 0:
             break
-        w, g, b = gap[:, :k], source[:, :k], rhs[:, :k]
         np.subtract(1.0, x, out=w)
         np.square(w, out=g)
         np.divide(lam, g, out=g)
@@ -268,20 +291,20 @@ def simulate_batch(
         np.add(x, g, out=b)
         # (1-u)^+ is 1-u here: every entry of a running column is at most
         # 1 - epsilon (or -inf), so w > 0 already
-        np.multiply(w, drive[n, order[:k]], out=w)
+        np.multiply(w, drive[n, cols], out=w)
         np.add(b, w, out=b)
         factor.solve(b, out=x)
 
     results = []
-    for j in range(n_batch):
-        quenched = not np.isnan(quench_time[j])
+    for c in range(n_batch):
+        quenched = not np.isnan(quench_time[c])
         results.append(
             RealizationResult(
                 quenched=quenched,
-                T_q=float(quench_time[j]) if quenched else None,
-                steps_taken=int(steps_taken[j]),
-                embedding_warning=bool(warn[j]),
-                failed=bool(failed[j]),
+                T_q=float(quench_time[c]) if quenched else None,
+                steps_taken=int(steps_taken[c]),
+                embedding_warning=bool(warn[seed_of[c]]),
+                failed=bool(failed[c]),
             )
         )
     return results

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as _gamma
 
@@ -42,6 +41,8 @@ def fractional_laplacian_pv(
     finite-difference second-derivative term analytically; the exterior tail
     where both shifted arguments leave the domain is integrated in closed form.
     """
+    from scipy.integrate import quad  # loaded on use, as in bounds.py
+
     if not -1.0 < x < 1.0:
         raise ValueError(f"x={x} must lie inside the domain (-1, 1)")
     c = singular_integral_constant(alpha)

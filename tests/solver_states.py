@@ -15,17 +15,19 @@ from naive_reference import naive_quench_time, naive_trajectory
 ORACLE_PARAMS = ModelParams(M=5, N=10, T=1.0, lam=0.5, kappa1=0.3, kappa2=0.3, c=0.2)
 
 
-def record_states(params, seeds, columns=None, factor=None):
+def record_states(params, seeds, columns=None, factor=None, lams=None):
     """Run `seeds` as one batch; return (results, states).
 
     states[j] lists copies of column j's state at every step it was still
     running, from the initial condition through the state that quenched.
     Only the batch positions in `columns` are recorded (default: all).
+    `lams` is passed to `simulate_batch`: column p*len(seeds) + j runs
+    lams[p] on seed j.
     """
     if factor is None:
         factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
     if columns is None:
-        columns = range(len(seeds))
+        columns = range(len(seeds) * (1 if lams is None else len(lams)))
     states = {j: [] for j in columns}
 
     def observe(n, u, active):
@@ -33,7 +35,7 @@ def record_states(params, seeds, columns=None, factor=None):
             if active[j]:
                 kept.append(u[:, j].copy())
 
-    results = simulate_batch(factor, params, seeds, observer=observe)
+    results = simulate_batch(factor, params, seeds, observer=observe, lams=lams)
     return results, states
 
 
@@ -44,14 +46,22 @@ def oracle_deviation(params, seed):
     quench outcome and time.
     """
     (result,), states = record_states(params, [seed])
-    naive_states = naive_trajectory(params, seed)
-    assert len(states[0]) == len(naive_states)
     quenched, tq = naive_quench_time(params, seed)
     assert result.quenched == quenched
     if quenched:
         assert abs(result.T_q - tq) <= 1e-15
+    return naive_deviation(states[0], params, seed)
+
+
+def naive_deviation(states, params, seed):
+    """Worst magnitude-scaled gap between recorded states and the naive trajectory.
+
+    Also asserts that both hold the same number of states.
+    """
+    naive_states = naive_trajectory(params, seed)
+    assert len(states) == len(naive_states)
     worst = 0.0
-    for mine, naive in zip(states[0], naive_states):
+    for mine, naive in zip(states, naive_states):
         # tolerance scales with magnitude: post-singular states are large
         scale = max(1.0, float(np.max(np.abs(naive))))
         worst = max(worst, float(np.max(np.abs(mine - np.array(naive)))) / scale)

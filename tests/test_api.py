@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quenchsim
@@ -44,3 +47,15 @@ def test_unused_import_detector():
         "x: Sequence[int] = os.path.join(d)\n__all__ = ['c']\n"
     )
     assert unused_imports(source) == [(2, "math"), (4, "Callable")]
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate (and the scipy.optimize and scipy.sparse it loads) is
+    # imported only where a bound or the validate quadrature integrates
+    env = dict(os.environ, PYTHONPATH=str(Path(quenchsim.__file__).parents[1]))
+    code = "import sys, quenchsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse"} & set(loaded)

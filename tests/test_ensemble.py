@@ -5,10 +5,12 @@ from dataclasses import replace
 import pytest
 
 from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
-from quenchsim import ConfigError, noise
+from quenchsim import ConfigError, ensemble, noise
 from quenchsim.ensemble import _run_chunks
 from quenchsim.noise import batch_drive
 from quenchsim.solver import simulate_batch
+
+from test_noise import hostile_autocov
 
 FAST = dict(N=200, M=21)
 
@@ -172,6 +174,52 @@ class TestSharedNoise:
         monkeypatch.setattr(noise, "fgn_circulant", counted)
         sweep(ModelParams(**FAST), axes, 300, master_seed=13)
         assert len(calls) == 300 * draws_per_realization
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        original = ensemble.simulate_batch
+
+        def counted(factor, params, seeds, **kwargs):
+            calls.append(kwargs.get("lams"))
+            return original(factor, params, seeds, **kwargs)
+
+        monkeypatch.setattr(ensemble, "simulate_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "axes,calls_per_chunk",
+        [([("lambda", [0.2, 0.45, 1.0])], 1), ([("alpha", [0.3, 0.6]), ("H", [0.6, 0.8])], 4)],
+    )
+    def test_lambda_points_step_in_one_call(self, calls, axes, calls_per_chunk):
+        sweep(ModelParams(**FAST), axes, 300, master_seed=15)
+        assert len(calls) == 2 * calls_per_chunk
+
+    def test_only_lambda_may_differ_within_a_call(self, calls):
+        # gamma differs, or the factorization is another object: separate calls
+        base = ModelParams(lam=0.45, **FAST)
+        factor = factorize(assemble_matrix(base.grid, base.alpha), base.dt)
+        other = factorize(assemble_matrix(base.grid, base.alpha), base.dt)
+        points = [
+            (base, factor),
+            (replace(base, lam=0.8), factor),
+            (replace(base, gamma=0.1), factor),
+            (replace(base, lam=0.8), other),
+            (replace(base, lam=1.0), factor),
+        ]
+        stats = _run_chunks(points, 300, master_seed=16)
+        assert calls == 2 * [[0.45, 0.8, 1.0], [0.45], [0.8]]
+        assert stats == [estimate(params, 300, master_seed=16) for params, _ in points]
+
+    def test_clipped_embedding_warnings_per_point(self, monkeypatch):
+        # every fGN path of a non-embeddable covariance is clipped and flagged
+        monkeypatch.setattr(noise, "fgn_autocovariance", hostile_autocov)
+        monkeypatch.setattr(noise, "_circulant_scale", noise._circulant_scale.__wrapped__)
+        base = ModelParams(lam=0.45, **FAST)
+        result = sweep(base, [("lambda", [0.2, 0.45, 1.0])], 300, master_seed=17)
+        for (lam,), stats in result.grid_points():
+            assert stats.embedding_warnings == 300
+            assert stats == estimate(replace(base, lam=lam), 300, master_seed=17)
 
     def test_given_drive_matches_drawn_drive(self):
         params = ModelParams(lam=0.45, **FAST)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from quenchsim import (
     initial_condition,
     run_realization,
 )
-from quenchsim.solver import BLOCK
+from quenchsim.noise import batch_drive
+from quenchsim.solver import BLOCK, simulate_batch
 
 from naive_reference import gaussian_solve, naive_trajectory
-from solver_states import ORACLE_PARAMS, oracle_deviation, record_states
+from solver_states import ORACLE_PARAMS, naive_deviation, oracle_deviation, record_states
 
 
 class TestInitialCondition:
@@ -229,3 +232,87 @@ class TestFold:
         for j in (0, 18, 36, 200, 255):
             (alone,), _ = record_states(params, [seeds[j]], [], f)
             assert alone == wide[j]
+
+
+class TestMergedLambdas:
+    # `lams` steps one batch per lambda in one pack on one drive: column
+    # p*len(seeds) + j runs lams[p] on seed j.  With these values the three
+    # points' columns stop on interleaved steps, so every compaction mixes
+    # points, and the pack falls below BLOCK columns while columns still stop.
+    LAMS = (0.3, 0.5, 0.9)
+
+    def case(self, M):
+        params = ModelParams(M=M, N=400, kappa1=0.3, kappa2=0.3)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        seeds = [derive_seed(20261018, i) for i in range(40)]
+        return params, factor, seeds
+
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_equals_each_lambda_alone(self, M):
+        params, factor, seeds = self.case(M)
+        n = len(seeds)
+        drive = batch_drive(params, seeds)
+        probes = [0, 17, 39]
+        columns = [p * n + j for p in range(len(self.LAMS)) for j in probes]
+        merged, states = record_states(params, seeds, columns, factor, lams=self.LAMS)
+        assert len(merged) == len(self.LAMS) * n
+        for p, lam in enumerate(self.LAMS):
+            own = simulate_batch(factor, replace(params, lam=lam), seeds, drive=drive)
+            assert merged[p * n : (p + 1) * n] == own
+            _, alone = record_states(replace(params, lam=lam), seeds, probes, factor)
+            for j in probes:
+                assert np.array_equal(np.array(states[p * n + j]), np.array(alone[j]))
+        stops = [sorted(r.steps_taken for r in merged[p * n : (p + 1) * n] if r.quenched)
+                 for p in range(len(self.LAMS))]
+        for lo, hi in zip(stops, stops[1:]):
+            assert hi[0] < lo[0] < hi[-1]  # the points' stops interleave
+        every = sorted(r.steps_taken for r in merged)
+        assert every[-BLOCK] < every[-BLOCK + 1] < params.N
+
+    def test_warning_follows_drive_column(self):
+        params, factor, seeds = self.case(12)
+        drive, _ = batch_drive(params, seeds)
+        warn = np.arange(len(seeds)) % 3 == 1
+        merged = simulate_batch(factor, params, seeds, drive=(drive, warn), lams=self.LAMS)
+        flags = [r.embedding_warning for r in merged]
+        assert flags == list(np.tile(warn, len(self.LAMS)))
+
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_observed_states_match_naive_oracle(self, M):
+        params = ModelParams(M=M, N=40, lam=0.5, gamma=0.1, kappa1=0.3, kappa2=0.3, c=0.2)
+        lams = (0.2, 2.0, 6.0)
+        seeds = [3, 8]
+        results, states = record_states(params, seeds, lams=lams)
+        assert len({r.steps_taken for r in results}) > 2
+        for p, lam in enumerate(lams):
+            for j, seed in enumerate(seeds):
+                column = states[p * len(seeds) + j]
+                assert naive_deviation(column, replace(params, lam=lam), seed) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "0.4"])
+    def test_invalid_lambda_rejected(self, bad):
+        params, factor, seeds = self.case(11)
+        with pytest.raises(ValueError, match="lam"):
+            simulate_batch(factor, params, seeds[:2], lams=[0.4, bad])
+
+
+class TestTimeStepConvergence:
+    # With kappa1 = kappa2 = 0 the quench time is deterministic and the
+    # scheme is first order in dt.  Measured (T_q(N) - T_q(16000)) / dt(N)
+    # at M = 41: 1.67, 2.34, 2.69, 2.38 and 1.75 for N = 250 ... 4000, with
+    # T_q(16000) = 0.2813125; T_q is a whole number of steps.
+    C = 3.0
+
+    @staticmethod
+    def quench_time(N):
+        params = ModelParams(lam=1.0, kappa1=0.0, kappa2=0.0, M=41, N=N)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        (result,) = simulate_batch(factor, params, [0])
+        assert result.quenched
+        return result.T_q, params.dt
+
+    def test_first_order_in_dt(self):
+        reference, _ = self.quench_time(16000)
+        for N in (250, 500, 1000, 2000, 4000):
+            t_q, dt = self.quench_time(N)
+            assert abs(t_q - reference) <= self.C * dt
