@@ -3,8 +3,6 @@ one-dimensional fractional-diffusion membrane model."""
 
 from .bounds import (
     BoundParams,
-    A_of,
-    K_of,
     M_of,
     bound_monte_carlo,
     bound_params_from_model,
@@ -34,12 +32,10 @@ from .spectral import inner_product_v0_psi1, principal_eigenpair, rayleigh_min_c
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_of",
     "BoundParams",
     "ConfigError",
     "EnsembleStats",
     "GridSpec",
-    "K_of",
     "M_of",
     "ModelParams",
     "NoisePath",

@@ -110,22 +110,8 @@ def _half_square(t, c: float):
     return 0.5 * c**2 * t
 
 
-def K_of(t: float, k_fn: float) -> float:
-    """Diffusion clock K(t) = (1/2) Int_0^t k^2 = k^2 t / 2."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return _half_square(t, k_fn)
-
-
-def A_of(t: float, a_fn: float) -> float:
-    """Brownian clock A(t) = (1/2) Int_0^t a^2 = a^2 t / 2."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return _half_square(t, a_fn)
-
-
-def _drift(tk: np.ndarray, bp: BoundParams) -> np.ndarray:
-    """gamma t - mu1 K(t) - A(t); the path exponents carry it as -3 times this."""
+def _drift(tk, bp: BoundParams):
+    """gamma t - mu1 K(t) - A(t) at a time or on a grid; the exponents carry -3 times this."""
     return (
         bp.gamma * tk
         - bp.mu1 * _half_square(tk, bp.k_fn)
@@ -145,9 +131,7 @@ def M_of(T: float, bp: BoundParams) -> float:
     """Malliavin-derivative envelope M(T) = 18 Int a^2 + 36 H T^(2H-1) Int b^2."""
     if T <= 0:
         raise ValueError("T must be positive")
-    int_a2 = 2.0 * A_of(T, bp.a_fn)
-    int_b2 = 2.0 * _half_square(T, bp.b_fn)
-    return 18.0 * int_a2 + 36.0 * bp.H * T ** (2.0 * bp.H - 1.0) * int_b2
+    return 18.0 * (bp.a_fn**2 * T) + 36.0 * bp.H * T ** (2.0 * bp.H - 1.0) * (bp.b_fn**2 * T)
 
 
 def nu_of(T: float, bp: BoundParams) -> float:
@@ -163,11 +147,8 @@ def nu_of(T: float, bp: BoundParams) -> float:
         raise ValueError("T must be positive")
 
     def integrand(t: float) -> float:
-        drift = -3.0 * (
-            bp.gamma * t - bp.mu1 * K_of(t, bp.k_fn) - A_of(t, bp.a_fn)
-        )
-        var = 2.0 * A_of(t, bp.a_fn) + bp.b_fn**2 * t ** (2.0 * bp.H)
-        return _exp(drift + 4.5 * var)
+        var = bp.a_fn**2 * t + bp.b_fn**2 * t ** (2.0 * bp.H)
+        return _exp(-3.0 * _drift(t, bp) + 4.5 * var)
 
     return quad(integrand, 0.0, T, limit=200)[0]
 
@@ -205,14 +186,14 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
     H = bp.H
 
     def int_b2(t: float) -> float:
-        return 2.0 * _half_square(t, bp.b_fn)
+        return bp.b_fn**2 * t
 
     if independent:
         def integrand(t: float) -> float:
             e = 3.0 * (
-                bp.mu1 * K_of(t, bp.k_fn)
+                bp.mu1 * _half_square(t, bp.k_fn)
                 - bp.gamma * t
-                + 4.0 * A_of(t, bp.a_fn)
+                + 4.0 * _half_square(t, bp.a_fn)
                 + 3.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
             )
             return _exp(e)
@@ -220,13 +201,12 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
         value = quad(integrand, 0.0, T, limit=200)[0] / w
     else:
         def first(t: float) -> float:
-            return _exp(
-                6.0 * (bp.mu1 * K_of(t, bp.k_fn) + A_of(t, bp.a_fn) - bp.gamma * t)
-            )
+            k_term = bp.mu1 * _half_square(t, bp.k_fn)
+            return _exp(6.0 * (k_term + _half_square(t, bp.a_fn) - bp.gamma * t))
 
         def second(t: float) -> float:
             return _exp(
-                6.0 * A_of(t, bp.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
+                6.0 * _half_square(t, bp.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
             )
 
         value = (
@@ -378,7 +358,7 @@ def bound_report(config: RunConfig) -> dict:
             "W1": config.W1,
             "T": T,
         },
-        "threshold_w": w,
+        "threshold_w": w if math.isfinite(w) else None,
         "nu_T": nu_T,
         "M_T": M_of(T, bp),
         "tail_bound": tail_upper_bound(T, w, bp, nu_T) if w > nu_T else None,

@@ -37,10 +37,12 @@ FIG2_HS = (0.55, 0.7, 0.9)
 # intensity (0.5 vs 0.1); both are exposed, the caption value is default.
 FIG2_KAPPA_CAPTION = 0.5
 FIG2_KAPPA_TEXT = 0.1
+# desk ensemble size of the nine-point figure-2 grids
+FIG2_REALIZATIONS = 1000
 
 
-def _load_config(args: argparse.Namespace, defaults: ModelParams = ModelParams()) -> RunConfig:
-    """The run config of `args`; model keys left unset take `defaults`."""
+def _load_config(args: argparse.Namespace, defaults: RunConfig = RunConfig()) -> RunConfig:
+    """The run config of `args`; keys and flags left unset take `defaults`."""
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -48,7 +50,7 @@ def _load_config(args: argparse.Namespace, defaults: ModelParams = ModelParams()
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         config = parse_config(text, defaults)
     else:
-        config = RunConfig(params=defaults)
+        config = defaults
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.realizations is not None:
@@ -89,12 +91,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # a desk sweep runs DESK_TIME_STEPS steps unless the config sets N;
-    # apply_scale sets the full-scale N
-    config = apply_scale(_load_config(args, ModelParams(N=DESK_TIME_STEPS)))
-    params = config.params
-    n_r, seed = config.n_realizations, config.master_seed
     preset = args.preset
+    # desk defaults, which the config and the flags override; apply_scale
+    # sets the full-scale counts
+    desk = RunConfig(params=ModelParams(N=DESK_TIME_STEPS))
+    if preset in ("fig2", "fig2text"):
+        desk = replace(desk, n_realizations=FIG2_REALIZATIONS)
+    config = apply_scale(_load_config(args, desk))
+    params = config.params
     if preset in ("t1", "t2"):
         base = replace(params, gamma=0.1 if preset == "t2" else 0.0)
         axes = [("lambda", TABLE_LAMBDAS)]
@@ -107,23 +111,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kap = FIG2_KAPPA_CAPTION if preset == "fig2" else FIG2_KAPPA_TEXT
         base = replace(params, lam=0.4, gamma=0.0, kappa1=kap, kappa2=kap)
         axes = [("alpha", FIG2_ALPHAS), ("H", FIG2_HS)]
-        if not config.full_scale:
-            n_r = min(n_r, 1000)
         name = f"{preset}_grid.csv"
     elif preset == "custom":
         base = params
-        lambdas = args.lambdas or TABLE_LAMBDAS
-        # reject a bad grid point before any ensemble runs
-        try:
-            for lam in lambdas:
-                replace(base, lam=lam)
-        except ValueError as exc:
-            raise ConfigError(f"--lambdas: {exc}") from exc
-        axes = [("lambda", lambdas)]
+        axes = [("lambda", args.lambdas or TABLE_LAMBDAS)]
         name = "sweep_custom.csv"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown preset '{preset}'")
-    result = sweep(base, axes, n_r, seed)
+    result = sweep(base, axes, config.n_realizations, config.master_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / name
     emit_table(result, out_path)
@@ -136,7 +131,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     report = bounds_mod.bound_report(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / "bounds_report.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out_path}")
     return 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .ensemble import SweepResult
 from .errors import ConfigError
-from .solver import ModelParams
+from .solver import MODEL_KEYS, ModelParams
 
 
 def _parse_bool(raw) -> bool:
@@ -58,49 +58,25 @@ class RunConfig:
     bound_paths: int = 2000
 
 
-_MODEL_KEYS = {
-    "lambda": ("lam", float, "forcing strength lambda >= 0"),
-    "gamma": ("gamma", float, "regularizer coefficient gamma >= 0"),
-    "alpha": ("alpha", float, "fractional order in (0, 1)"),
-    "H": ("H", float, "Hurst index in [1/2, 1)"),
-    "kappa1": ("kappa1", float, "Brownian noise intensity >= 0"),
-    "kappa2": ("kappa2", float, "fractional noise intensity >= 0"),
-    "c": ("c", float, "initial amplitude in [0, 1)"),
-    "T": ("T", float, "time horizon > 0"),
-    "N": ("N", int, "number of time steps >= 1"),
-    "M": ("M", int, "number of space subintervals >= 3"),
-    "a": ("a_fn", float, "constant noise coefficient a"),
-    "b": ("b_fn", float, "constant noise coefficient b"),
-    "k": ("k_fn", float, "constant diffusion coefficient k"),
-    "epsilon": ("epsilon", float, "quench detection tolerance > 0"),
-}
-
 _RUN_KEYS = {
-    "realizations": ("n_realizations", int, "ensemble size >= 1"),
-    "seed": ("master_seed", int, "master seed (any integer)"),
-    "out": ("out_dir", Path, "output directory"),
-    "full_scale": ("full_scale", _parse_bool, "true/false"),
-    "W1": ("W1", float, "eigenfunction initial-data amplitude > 0"),
-    "lambda_cap": ("lambda_cap", float, "constant-coefficient cap Lambda >= 0"),
-    "bound_paths": ("bound_paths", int, "paths for bound Monte Carlo >= 1"),
+    "realizations": ("n_realizations", int),
+    "seed": ("master_seed", int),
+    "out": ("out_dir", Path),
+    "full_scale": ("full_scale", _parse_bool),
+    "W1": ("W1", float),
+    "lambda_cap": ("lambda_cap", float),
+    "bound_paths": ("bound_paths", int),
 }
 
-VALID_KEYS = sorted(set(_MODEL_KEYS) | set(_RUN_KEYS))
+VALID_KEYS = sorted(set(MODEL_KEYS) | set(_RUN_KEYS))
 
 
 def _coerce(key: str, raw, kind) -> object:
+    """`raw` as `kind`, read from its text, so a JSON 1.5 is no integer and a JSON 2 no boolean."""
     try:
-        if kind is int:
-            value = int(str(raw))
-        elif kind is float:
-            value = float(str(raw))
-        elif kind is Path:
-            value = Path(str(raw))
-        else:
-            value = kind(raw)
+        return kind(str(raw))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse value for '{key}': {raw!r}") from exc
-    return value
 
 
 def _unique_keys(items) -> dict[str, object]:
@@ -113,10 +89,10 @@ def _unique_keys(items) -> dict[str, object]:
     return pairs
 
 
-def parse_config(text: str, defaults: ModelParams = ModelParams()) -> RunConfig:
+def parse_config(text: str, defaults: RunConfig = RunConfig()) -> RunConfig:
     """Parse a key-value document (or JSON object) into a validated RunConfig.
 
-    Model keys the document leaves out take their values from `defaults`.
+    Keys the document leaves out take their values from `defaults`.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -140,11 +116,11 @@ def parse_config(text: str, defaults: ModelParams = ModelParams()) -> RunConfig:
     model_kwargs: dict[str, object] = {}
     run_kwargs: dict[str, object] = {}
     for key, raw in pairs.items():
-        if key in _MODEL_KEYS:
-            attr, kind, _ = _MODEL_KEYS[key]
+        if key in MODEL_KEYS:
+            attr, kind = MODEL_KEYS[key]
             model_kwargs[attr] = _coerce(key, raw, kind)
         elif key in _RUN_KEYS:
-            attr, kind, _ = _RUN_KEYS[key]
+            attr, kind = _RUN_KEYS[key]
             run_kwargs[attr] = _coerce(key, raw, kind)
         else:
             raise ConfigError(
@@ -152,10 +128,10 @@ def parse_config(text: str, defaults: ModelParams = ModelParams()) -> RunConfig:
             )
 
     try:
-        params = replace(defaults, **model_kwargs)
+        params = replace(defaults.params, **model_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config = RunConfig(params=params, **run_kwargs)
+    config = replace(defaults, params=params, **run_kwargs)
     _validate_run(config)
     return config
 
@@ -184,8 +160,8 @@ def emit_config(config: RunConfig) -> str:
     if "#" in out or out.splitlines() != [out] or out != out.strip():
         raise ConfigError(f"output path {out!r} cannot be written as a config value")
     lines = []
-    for key in sorted(_MODEL_KEYS):
-        attr = _MODEL_KEYS[key][0]
+    for key in sorted(MODEL_KEYS):
+        attr = MODEL_KEYS[key][0]
         lines.append(f"{key} = {getattr(config.params, attr)!r}")
     for key in sorted(_RUN_KEYS):
         attr = _RUN_KEYS[key][0]

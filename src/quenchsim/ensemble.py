@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .operator import assemble_matrix
 from .seeding import derive_seed
-from .noise import batch_drive
-from .solver import Factorization, ModelParams, factorize, simulate_batch
+from .noise import _noise_key, batch_drive
+from .solver import MODEL_KEYS, ModelParams, factorize, simulate_batch
 
 CHUNK_SIZE = 256
 
@@ -69,7 +69,6 @@ class SweepResult:
     axis_names: tuple[str, ...]
     axis_values: tuple[tuple[float, ...], ...]
     stats: tuple[EnsembleStats, ...]
-    master_seed: int
 
     def __post_init__(self) -> None:
         expected = math.prod(len(v) for v in self.axis_values)
@@ -89,7 +88,6 @@ def estimate(
     master_seed: int,
     threads: int = 1,
     index_offset: int = 0,
-    factor: Factorization | None = None,
 ) -> EnsembleStats:
     """Run an ensemble on seeds derived from (master_seed, index).
 
@@ -98,14 +96,8 @@ def estimate(
     unused: it is kept so existing callers, and the benchmark tracer in
     perfbench/spans.py that reads it by name, keep working.
     """
-    if factor is None:
-        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+    factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
     return _run_chunks([(params, factor)], n_realizations, master_seed, index_offset)[0]
-
-
-def _noise_key(params: ModelParams) -> tuple:
-    """What the solver drive of a seed depends on (see `noise.batch_drive`)."""
-    return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
 
 
 def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int = 0):
@@ -145,18 +137,31 @@ def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int
     return [EnsembleStats.from_results(r) for r in results]
 
 
-# Sweep axes are named by config key; only lambda differs from its ModelParams field.
-_PARAM_FIELD = {"lambda": "lam"}
-_INT_FIELDS = {f.name for f in fields(ModelParams) if f.type == "int"}
+def _grid_points(base: ModelParams, axes) -> tuple[tuple, list[ModelParams]]:
+    """The axis values, typed by `MODEL_KEYS`, and the parameters of every grid point.
 
-
-def _axis_value(key: str, value):
-    """An axis value as the type of its ModelParams field; N and M take integral values only."""
-    if _PARAM_FIELD.get(key, key) not in _INT_FIELDS:
-        return float(value)
-    if value != int(value):
-        raise ConfigError(f"sweep axis '{key}' takes integers, got {value!r}")
-    return int(value)
+    An unknown or repeated key, a value of the wrong type (a non-integral N
+    or M) or a point that `ModelParams` rejects raises ConfigError.
+    """
+    names, values = [], []
+    for key, vals in axes:
+        if key not in MODEL_KEYS or MODEL_KEYS[key][0] in names:
+            valid = ", ".join(MODEL_KEYS)
+            raise ConfigError(f"unknown or repeated sweep axis '{key}'; valid keys: {valid}")
+        name, kind = MODEL_KEYS[key]
+        try:
+            typed = tuple(kind(v) for v in vals)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep axis '{key}': {exc}") from exc
+        if kind is int and typed != tuple(vals):
+            raise ConfigError(f"sweep axis '{key}' takes integers, got {list(vals)!r}")
+        names.append(name)
+        values.append(typed)
+    try:
+        grid = [replace(base, **dict(zip(names, point))) for point in itertools.product(*values)]
+    except ValueError as exc:
+        raise ConfigError(f"sweep point rejected: {exc}") from exc
+    return tuple(values), grid
 
 
 def sweep(
@@ -173,20 +178,13 @@ def sweep(
     once per distinct (M, alpha, dt), and each chunk's noise once per
     distinct noise key; every point's ensemble equals its own `estimate`.
     """
-    names = tuple(key for key, _ in axes)
-    values = tuple(tuple(_axis_value(key, v) for v in vals) for key, vals in axes)
+    values, grid = _grid_points(base, axes)
     factored = {}
     points = []
-    for point in itertools.product(*values):
-        params = replace(base, **{_PARAM_FIELD.get(k, k): v for k, v in zip(names, point)})
+    for params in grid:
         key = (params.M, params.alpha, params.dt)
         if key not in factored:
             factored[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         points.append((params, factored[key]))
     stats = _run_chunks(points, n_realizations, master_seed)
-    return SweepResult(
-        axis_names=names,
-        axis_values=values,
-        stats=tuple(stats),
-        master_seed=master_seed,
-    )
+    return SweepResult(tuple(key for key, _ in axes), values, tuple(stats))

@@ -32,9 +32,10 @@ class FgnSample(NamedTuple):
 
 
 class PathWorkspace:
-    """Buffers that `mixed_path` refills in place for every path of one length.
+    """Buffers that every path of one length is drawn into, refilled in place.
 
-    A loop over many paths passes one workspace to each draw instead of
+    `batch_drive` draws all its seeds through one workspace, and a loop over
+    many `mixed_path` draws passes one workspace to each draw instead of
     allocating the draws, the spectral vector, the increments and N afresh:
     at large n_steps those arrays let the heap trim and re-fault their pages
     on every path.  A path drawn into a workspace is overwritten by the next
@@ -147,19 +148,23 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     return ends, inner, clipped
 
 
+def _noise_key(params) -> tuple:
+    """What the solver drive of a seed depends on; parameter sets with one key share it."""
+    return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
+
+
 def _drive(
-    params, seed: int, c1: float, c2: float, workspace: PathWorkspace | None = None
+    params, seed: int, c1: float, c2: float, workspace: PathWorkspace
 ) -> tuple[np.ndarray, bool]:
     """c1 dB + c2 dB^H on the step grid of `params`, and the embedding flag.
 
     The Brownian and fractional increments are the seed's derived streams 1
     and 2.  `batch_drive` and `mixed_path` both draw through here, so that
-    rule has one owner.  The sum is formed in the Brownian buffer.
+    rule has one owner.  The sum is formed in the workspace's Brownian buffer.
     """
-    fresh = workspace is None
-    db = bm_increments(params.N, params.dt, derive_seed(seed, 1), None if fresh else workspace.db)
+    db = bm_increments(params.N, params.dt, derive_seed(seed, 1), workspace.db)
     fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2), workspace)
-    scaled = np.multiply(fgn.increments, c2, out=None if fresh else workspace.increments)
+    scaled = np.multiply(fgn.increments, c2, out=workspace.increments)
     db *= c1
     db += scaled
     return db, fgn.eigenvalue_clipped
@@ -169,18 +174,19 @@ def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarra
     """The solver drive kappa1 dB + kappa2 dB^H of each seed, one column each.
 
     Returns the (N, len(seeds)) drive and the per-column embedding flags.
-    The drive depends on `params` only through (N, dt, H, kappa1, kappa2),
-    so every parameter set sharing that key can step on it.  `out`, when
-    given, is an (N, width) buffer with width >= len(seeds); its leading
-    columns are filled in place and returned as a view, so a caller can
-    reuse one buffer across batches.
+    The drive depends on `params` only through `_noise_key`, so every
+    parameter set sharing that key can step on it.  The seeds are drawn
+    through one `PathWorkspace`.  `out`, when given, is an (N, width) buffer
+    with width >= len(seeds); its leading columns are filled in place and
+    returned as a view, so a caller can reuse one buffer across batches.
     """
     if out is None:
         out = np.empty((params.N, len(seeds)))
     drive = out[:, : len(seeds)]
     warn = np.zeros(len(seeds), dtype=bool)
+    workspace = PathWorkspace(params.N)
     for j, seed in enumerate(seeds):
-        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2)
+        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2, workspace)
     return drive, warn
 
 
@@ -189,12 +195,14 @@ def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> Noi
 
     The coefficients a = `params.a_fn` and b = `params.b_fn` are constants,
     and N is accumulated by left-endpoint sums:
-    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.  With a `PathWorkspace` of
-    `params.N` steps the path is drawn into its buffers, with the same bits,
-    and its N is the workspace's.
+    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.  The path is drawn into the
+    buffers of `workspace`, a `PathWorkspace` of `params.N` steps, or of a
+    new one when none is given; its N is the workspace's.
     """
+    if workspace is None:
+        workspace = PathWorkspace(params.N)
     increments, clipped = _drive(params, seed, params.a_fn, params.b_fn, workspace)
-    N = np.empty(params.N + 1) if workspace is None else workspace.N
+    N = workspace.N
     N[0] = 0.0
     np.cumsum(increments, out=N[1:])
     return NoisePath(dt=params.dt, n_steps=params.N, N=N, embedding_warning=clipped)

@@ -97,6 +97,16 @@ class ModelParams:
         return GridSpec(self.M)
 
 
+# Config key -> (ModelParams field, value type).  A key is its field's name
+# but for the four renamed here.  The config parser and emitter and the
+# sweep axes all read this one table.
+_RENAMED = {"lam": "lambda", "a_fn": "a", "b_fn": "b", "k_fn": "k"}
+MODEL_KEYS = {
+    _RENAMED.get(f.name, f.name): (f.name, int if f.type == "int" else float)
+    for f in fields(ModelParams)
+}
+
+
 @dataclass(frozen=True)
 class RealizationResult:
     """Outcome of one realization."""

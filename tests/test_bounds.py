@@ -11,8 +11,6 @@ from scipy.linalg import expm
 from quenchsim import (
     BoundParams,
     ModelParams,
-    A_of,
-    K_of,
     M_of,
     NoisePath,
     bound_monte_carlo,
@@ -52,19 +50,6 @@ def make_bp(**overrides):
 
 def flat_path(n=200, dt=0.005):
     return NoisePath(dt=dt, n_steps=n, N=np.zeros(n + 1))
-
-
-class TestClockFunctions:
-    def test_constant_k_closed_form(self):
-        assert K_of(1.0, 2.0) == pytest.approx(2.0)
-        assert K_of(0.7, 2.0) == pytest.approx(1.4)
-
-    def test_zero_coefficient(self):
-        assert A_of(5.0, 0.0) == 0.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            K_of(-1.0, 1.0)
 
 
 class TestMOf:
@@ -452,9 +437,9 @@ class TestMuHelpers:
         bp = bound_params_from_model(params, pair41, v0_psi1)
         ts = np.linspace(0.0, 1.0, 21)
         infima = np.array(
-            [np.min(expm(-K_of(t, bp.k_fn) * op41.entries) @ (w1 * pair41.psi1)) for t in ts]
+            [np.min(expm(-0.5 * bp.k_fn**2 * t * op41.entries) @ (w1 * pair41.psi1)) for t in ts]
         )
-        envelope = np.exp(bp.gamma * ts - np.array([A_of(t, bp.a_fn) for t in ts]))
+        envelope = np.exp(bp.gamma * ts - 0.5 * bp.a_fn**2 * ts)
         got = envelope * infima
         want = eigen_mu(bp, w1)(ts)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6

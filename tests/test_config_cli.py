@@ -20,6 +20,7 @@ from quenchsim import (
 )
 from quenchsim.cli import main
 from quenchsim.config import RunConfig
+from quenchsim.solver import MODEL_KEYS
 
 
 class TestParseConfig:
@@ -35,6 +36,17 @@ class TestParseConfig:
         assert config.params.kappa2 == 0.1
         assert config.params.c == 0.1
         assert config.params.epsilon == 2.2204e-16
+
+    def test_one_config_key_per_model_field(self):
+        declared = {f.name: f.type for f in fields(ModelParams)}
+        keys_of = {name: [k for k, (f, _) in MODEL_KEYS.items() if f == name] for name in declared}
+        assert all(len(keys) == 1 for keys in keys_of.values()), keys_of
+        assert len(MODEL_KEYS) == len(declared)
+        for name, kind in MODEL_KEYS.values():
+            assert kind.__name__ == declared[name]
+        # renaming a field must not rename its config key
+        assert set(MODEL_KEYS) == {"lambda", "gamma", "alpha", "H", "kappa1", "kappa2", "c",
+                                   "T", "N", "M", "a", "b", "k", "epsilon"}
 
     def test_lambda_row_config(self):
         config = parse_config("lambda = 0.4\n")
@@ -229,6 +241,18 @@ class TestCli:
         assert 0.0 <= report["chebyshev_independent"] <= 1.0
         assert report["tail_bound_valid"] in (True, False)
 
+    def test_bounds_report_is_strict_json_at_zero_lambda(self, tmp_path):
+        # the infinite threshold w used to be written as the non-JSON token Infinity
+        cfg = self._cfg(tmp_path, "M = 11\nN = 128\nlambda = 0\na = 0.1\nb = 0.1\nbound_paths = 20\n")
+        assert self._run("bounds", "--config", str(cfg), "--out", str(tmp_path)) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((tmp_path / "bounds_report.json").read_text(), parse_constant=reject)
+        assert report["threshold_w"] is None
+        assert report["chebyshev_independent"] == 0.0
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("H = 0.3\n")
@@ -242,7 +266,7 @@ class TestCli:
                 "--config", str(tiny), "--out", str(tmp_path), *flags,
             )
             assert code == 2
-        # gamma * eta1 > 1 + mu1 is the case in which the cap enters the bound
+        # gamma > 1 + mu1 is the case in which the cap enters the bound
         cap = self._cfg(tmp_path, "M = 11\nN = 100\ngamma = 10\nlambda_cap = -1\nbound_paths = 5\n")
         assert self._run("bounds", "--config", str(cap), "--out", str(tmp_path)) == 2
         # a bad --lambdas point is rejected before any ensemble runs
@@ -372,6 +396,34 @@ class TestScaleResolution:
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert seen == [steps]
+
+    @pytest.mark.parametrize(
+        "preset,flags,text,expected",
+        [
+            ("fig2", [], "", 1000),
+            ("fig2", ["--realizations", "1500"], "", 1500),
+            ("fig2text", [], "realizations = 1500\n", 1500),
+            ("fig2text", ["--realizations", "12"], "realizations = 1500\n", 12),
+            ("t1", [], "", 2000),
+        ],
+    )
+    def test_figure_grid_desk_default(self, tmp_path, monkeypatch, preset, flags, text, expected):
+        # the figure-2 grids default to 1000 realizations; an explicit count
+        # used to be capped at 1000 as well
+        from quenchsim import cli
+
+        seen = []
+
+        def record(base, axes, n_realizations, master_seed):
+            seen.append(n_realizations)
+            return sweep(base, [("lambda", [])], n_realizations, master_seed)
+
+        monkeypatch.setattr(cli, "sweep", record)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("M = 9\n" + text)
+        argv = ["sweep", "--preset", preset, "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv + flags) == 0
+        assert seen == [expected]
 
     def test_non_constant_coefficients_rejected(self):
         # coefficients are constants: a callable or a table fails at construction

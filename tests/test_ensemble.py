@@ -8,7 +8,7 @@ from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, facto
 from quenchsim import ConfigError, ensemble, noise
 from quenchsim.ensemble import _run_chunks
 from quenchsim.noise import batch_drive
-from quenchsim.solver import simulate_batch
+from quenchsim.solver import MODEL_KEYS, simulate_batch
 
 from test_noise import hostile_autocov
 
@@ -132,15 +132,18 @@ class TestSharedNoise:
             [("lambda", [0.2, 0.45, 1.0])],
             [("N", [100, 200])],
             [("M", [11, 21])],
+            [("a", [0.1, 2.0])],
+            [("b", [0.1, 2.0])],
+            [("k", [0.5, 2.0])],
+            [("T", [0.8, 1.0])],
         ],
-        ids=["kappa2", "alpha-H", "lambda", "N", "M"],
+        ids=["kappa2", "alpha-H", "lambda", "N", "M", "a", "b", "k", "T"],
     )
     def test_sweep_equals_per_point_estimate(self, axes):
         base = ModelParams(lam=0.45, **FAST)
         result = sweep(base, axes, 300, master_seed=11)
-        fields = {"lambda": "lam"}
         direct = [
-            estimate(replace(base, **{fields.get(k, k): v for (k, _), v in zip(axes, point)}),
+            estimate(replace(base, **{MODEL_KEYS[k][0]: v for (k, _), v in zip(axes, point)}),
                      300, master_seed=11)
             for point, _ in result.grid_points()
         ]
@@ -150,6 +153,27 @@ class TestSharedNoise:
     def test_non_integral_value_of_integer_axis_rejected(self):
         with pytest.raises(ConfigError, match="'N' takes integers"):
             sweep(ModelParams(**FAST), [("N", [100, 150.5])], 5, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "axes,match",
+        [
+            ([("lam", [0.4])], "repeated sweep axis 'lam'"),
+            ([("lambda", [0.4]), ("eta1", [])], "repeated sweep axis 'eta1'"),
+            ([("lambda", [0.2]), ("H", [0.7]), ("lambda", [5.0])], "repeated sweep axis 'lambda'"),
+            ([("lambda", [0.4, -1.0])], "lam must be non-negative"),
+            ([("alpha", [0.5]), ("H", [0.7, 0.3])], "Hurst index"),
+            ([("M", [11, 2])], "M must be >= 3"),
+            ([("N", [100, float("nan")])], "'N'"),
+        ],
+    )
+    def test_bad_axis_rejected_before_any_ensemble(self, monkeypatch, axes, match):
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(ensemble, "_run_chunks", never)
+        monkeypatch.setattr(ensemble, "factorize", never)
+        with pytest.raises(ConfigError, match=match):
+            sweep(ModelParams(**FAST), axes, 5, master_seed=0)
 
     def test_points_with_different_step_counts(self):
         points = []

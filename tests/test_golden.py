@@ -1,7 +1,7 @@
-"""Sweep outputs pinned across commits.
+"""Sweep and bound outputs pinned across commits.
 
 The t1 and t3 presets at M = 11, N = 100, 300 realizations and seed 7 must
-reproduce these exact bytes.  Every probability, mean and variance depends
+reproduce these exact bytes, and so must the bound report of a toy config.  Every probability, mean and variance depends
 on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
 shows up here; rounding-level changes of the states that leave them alone
@@ -53,3 +53,45 @@ def test_preset_csv_bytes(preset, tmp_path):
     argv += ["--realizations", "300", "--seed", "7", "--threads", "1"]
     assert main(argv) == 0
     assert (out / name).read_bytes() == expected.encode()
+
+
+BOUND_CONFIG = "M = 11\nN = 128\nlambda = 1e-5\na = 0.1\nb = 0.1\nbound_paths = 20\n"
+BOUND_REPORT = (
+    '{\n'
+    '  "inputs": {\n'
+    '    "mu1": 1.3654840263806718,\n'
+    '    "v0_psi1": 0.30022011445202423,\n'
+    '    "lambda": 1e-05,\n'
+    '    "gamma": 0.0,\n'
+    '    "H": 0.7,\n'
+    '    "W1": 0.5,\n'
+    '    "T": 1.0\n'
+    '  },\n'
+    '  "threshold_w": 901.9824839348652,\n'
+    '  "nu_T": 482.9354922022711,\n'
+    '  "M_T": 0.4320000000000001,\n'
+    '  "tail_bound": 1.0,\n'
+    '  "tail_bound_valid": true,\n'
+    '  "chebyshev_independent": 0.5435805087547433,\n'
+    '  "chebyshev_volterra": 1.0,\n'
+    '  "gamma_lower_bound": {\n'
+    '    "value": 1.0,\n'
+    '    "almost_sure": true\n'
+    '  },\n'
+    '  "monte_carlo": {\n'
+    '    "paths": 20,\n'
+    '    "empirical_P_tau_star_le_T": 0.0,\n'
+    '    "per_path_ordering_ok": true,\n'
+    '    "embedding_warnings": 0\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_bound_report_bytes(tmp_path):
+    # nu(T), M(T) and the Chebyshev bounds run through the closed-form clocks
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(BOUND_CONFIG)
+    argv = ["bounds", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "bounds_report.json").read_bytes() == BOUND_REPORT.encode()
