@@ -9,13 +9,15 @@ can be checked against the theory.  The Monte Carlo loop
 tau_*: it forms the path-independent exponents once per call and
 accumulates each path's exponential functional through a running
 log-sum-exp, which stays finite even when the raw integrand overflows and
-stops at its threshold.  `bound_report` runs the whole pipeline from a run
-configuration; the `bounds` command and the `validate` check both call it.
+stops at its threshold.  The paths are drawn on one worker thread per CPU.
+`bound_report` runs the whole pipeline from a run configuration; the
+`bounds` command and the `validate` check both call it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,6 +292,15 @@ def eigen_mu(bp: BoundParams, W1: float):
     return mu
 
 
+def _worker_count(n_paths: int) -> int:
+    """One worker per CPU this process may run on (`taskset` limits it), at most one per path."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_paths)
+
+
 def bound_monte_carlo(
     params: ModelParams, bp: BoundParams, W1: float, n_paths: int, master_seed: int
 ) -> tuple[float, bool, int]:
@@ -302,10 +313,20 @@ def bound_monte_carlo(
     the count is the number of paths whose fGN embedding clipped negative
     eigenvalues.  Only the first-crossing times are evaluated: the drift and
     mu(t) exponents are formed once per call, and each path's log-sum-exp
-    stops at its threshold.  The paths are drawn into one `PathWorkspace`,
-    and 3 N and the log terms into buffers of their own, all allocated once
-    per call.
+    stops at its threshold.
+
+    The paths are split into contiguous ranges, one per worker thread
+    (`_worker_count`); numpy's normal fill and FFT release the GIL.  Each
+    path's draw depends only on its index, and the per-range counts are
+    combined exactly, so the result does not depend on the worker count.
+    Each worker's `PathWorkspace` and buffers are allocated here, on the
+    calling thread, before the pool starts; the calling thread then only
+    waits, and a worker's exception leaves this function.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     tk = params.dt * np.arange(params.N)
     star_base = -3.0 * _drift(tk, bp)
     mu_vals = eigen_mu(bp, W1)(tk)
@@ -315,22 +336,34 @@ def bound_monte_carlo(
     lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     log_dt = math.log(params.dt)
-    workspace = PathWorkspace(params.N)
-    three_n, log_terms = np.empty(params.N), np.empty(params.N)
-    crossings = 0
-    ordered = True
-    clipped = 0
-    for i in range(n_paths):
-        path = mixed_path(params, derive_seed(master_seed, i), workspace)
-        np.multiply(path.N[:-1], 3.0, out=three_n)
-        star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, path.dt)
-        low = _first_crossing(
-            _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, path.dt
-        )
-        crossings += star <= params.T
-        ordered = ordered and low <= star
-        clipped += path.embedding_warning
-    return crossings / n_paths, ordered, clipped
+
+    def draw(paths: range, workspace: PathWorkspace, three_n, log_terms) -> tuple[int, bool, int]:
+        crossings, ordered, clipped = 0, True, 0
+        for i in paths:
+            path = mixed_path(params, derive_seed(master_seed, i), workspace)
+            np.multiply(path.N[:-1], 3.0, out=three_n)
+            star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, path.dt)
+            low = _first_crossing(
+                _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, path.dt
+            )
+            crossings += star <= params.T
+            ordered = ordered and low <= star
+            clipped += path.embedding_warning
+        return crossings, ordered, clipped
+
+    workers = _worker_count(n_paths)
+    edges = [n_paths * j // workers for j in range(workers + 1)]
+    buffers = [
+        (PathWorkspace(params.N), np.empty(params.N), np.empty(params.N))
+        for _ in range(workers)
+    ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(draw, range(lo, hi), *buf)
+            for lo, hi, buf in zip(edges, edges[1:], buffers)
+        ]
+        crossings, ordered, clipped = zip(*(future.result() for future in futures))
+    return sum(crossings) / n_paths, all(ordered), sum(clipped)
 
 
 def bound_report(config: RunConfig) -> dict:

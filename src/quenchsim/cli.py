@@ -92,6 +92,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = args.preset
+    if args.lambdas is not None and preset != "custom":
+        raise ConfigError(f"--lambdas applies to --preset custom only, not {preset}")
     # desk defaults, which the config and the flags override; apply_scale
     # sets the full-scale counts
     desk = RunConfig(params=ModelParams(N=DESK_TIME_STEPS))
@@ -178,7 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--realizations", type=int, default=None, help="ensemble size")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="compatibility only; no effect")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="compatibility only; no effect (bounds and validate draw their paths on "
+            "every CPU of the affinity mask; limit it with taskset)",
+        )
 
     p_sim = sub.add_parser("simulate", help="run one realization and dump its trajectory")
     add_common(p_sim)
@@ -193,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (custom sweeps lambda)",
     )
     p_sweep.add_argument(
-        "--lambdas", type=float, nargs="+", default=None, help="custom lambda grid"
+        "--lambdas", type=float, nargs="+", default=None,
+        help="lambda grid of --preset custom (an error with any other preset)",
     )
     p_sweep.add_argument("--full", action="store_true", help="full-scale run")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -265,6 +267,54 @@ class TestBoundMonteCarlo:
         assert len(seeds[0]) == len(seeds[1]) == 2000
         assert seeds[0].isdisjoint(seeds[1])
 
+    @staticmethod
+    def crossing_case(pair41):
+        # about a third of the paths cross tau* by T
+        params = ModelParams(lam=2e-5, N=256, a_fn=0.1, b_fn=0.1)
+        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
+        return params, bound_params_from_model(params, pair41, v0_psi1)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 25])
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch, pair41, n_paths):
+        params, bp = self.crossing_case(pair41)
+        workers = []
+
+        def recording_path(params, seed, workspace=None):
+            workers.append(threading.get_ident())
+            return mixed_path(params, seed, workspace)
+
+        monkeypatch.setattr(bounds, "mixed_path", recording_path)
+        results = []
+        for cpus in (1, 2, 3):
+            affinity = set(range(cpus))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            workers.clear()
+            results.append(bound_monte_carlo(params, bp, 0.5, n_paths, 3))
+            assert len(workers) == n_paths
+            assert threading.get_ident() not in workers  # the caller draws no path
+            assert len(set(workers)) <= min(cpus, n_paths)
+        assert results[0] == results[1] == results[2]
+        if n_paths == 25:
+            assert 0.0 < results[0][0] < 1.0
+
+    def test_worker_exception_leaves_and_no_worker_survives(self, monkeypatch, pair41):
+        params, bp = self.crossing_case(pair41)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        error = RuntimeError("draw failed")
+        failing = derive_seed(3, 7)  # path 7 of 10 lies in the second range, 5..9
+
+        def failing_path(params, seed, workspace=None):
+            if seed == failing:
+                raise error
+            return mixed_path(params, seed, workspace)
+
+        monkeypatch.setattr(bounds, "mixed_path", failing_path)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as raised:
+            bound_monte_carlo(params, bp, 0.5, 10, 3)
+        assert raised.value is error
+        assert [t for t in threading.enumerate() if t not in before] == []
+
 
 class TestBoundReport:
     TOY = "M = 11\nN = 128\nlambda = 1e-05\na = 0.1\nb = 0.1\nbound_paths = 20\n"
@@ -396,6 +446,8 @@ class TestBoundMonteCarloOracle:
         first_crossing = bounds._first_crossing
         with monkeypatch.context() as patch:
             patch.setattr(bounds, "_first_crossing", recording_crossing)
+            # one worker, so the crossings are recorded in path order
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             result = bound_monte_carlo(params, bp, W1, n_paths, master)
         assert result == expected
         # the loop evaluates tau* then tau_* on each path, in path order

@@ -266,6 +266,14 @@ class TestCli:
                 "--config", str(tiny), "--out", str(tmp_path), *flags,
             )
             assert code == 2
+        # --lambdas used to be ignored without a word by every preset but custom
+        for preset in ("t1", "t3", "fig2"):
+            code = self._run(
+                "sweep", "--preset", preset, "--lambdas", "0.5",
+                "--config", str(tiny), "--out", str(tmp_path / preset),
+            )
+            assert code == 2
+            assert not (tmp_path / preset).exists()
         # gamma > 1 + mu1 is the case in which the cap enters the bound
         cap = self._cfg(tmp_path, "M = 11\nN = 100\ngamma = 10\nlambda_cap = -1\nbound_paths = 5\n")
         assert self._run("bounds", "--config", str(cap), "--out", str(tmp_path)) == 2
