@@ -155,13 +155,11 @@ def nu_of(T: float, bp: BoundParams) -> float:
     return quad(integrand, 0.0, T, limit=200)[0]
 
 
-def tail_upper_bound(T: float, w: float, bp: BoundParams, nu_T: float | None = None) -> float:
-    """Gaussian-tail upper bound on P[tau* <= T], valid when w > nu(T).
+def tail_upper_bound(T: float, w: float, bp: BoundParams, nu_T: float) -> float:
+    """Gaussian-tail upper bound on P[tau* <= T], valid when w > nu_T = `nu_of(T, bp)`.
 
     Returns min(1, 2 exp(-(ln w - ln nu)^2 / (2 M(T)))).
     """
-    if nu_T is None:
-        nu_T = nu_of(T, bp)
     if not w > nu_T:
         raise ValueError(
             f"tail bound requires w > nu(T); got w={w:.6g}, nu(T)={nu_T:.6g}"

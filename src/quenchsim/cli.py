@@ -16,8 +16,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .config import (
     DESK_TIME_STEPS,
+    FULL_REALIZATIONS,
     RunConfig,
-    apply_scale,
     emit_table,
     parse_config,
     _validate_run,
@@ -60,8 +60,6 @@ def _load_config(args: argparse.Namespace, defaults: RunConfig = RunConfig()) ->
     # --threads is accepted for compatibility and has no effect
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    if getattr(args, "full", False):
-        config = replace(config, full_scale=True)
     _validate_run(config)
     return config
 
@@ -94,12 +92,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = args.preset
     if args.lambdas is not None and preset != "custom":
         raise ConfigError(f"--lambdas applies to --preset custom only, not {preset}")
-    # desk defaults, which the config and the flags override; apply_scale
-    # sets the full-scale counts
-    desk = RunConfig(params=ModelParams(N=DESK_TIME_STEPS))
-    if preset in ("fig2", "fig2text"):
-        desk = replace(desk, n_realizations=FIG2_REALIZATIONS)
-    config = apply_scale(_load_config(args, desk))
+    # the desk defaults, or under --full the ModelParams N of 1e4 steps and
+    # 1e4 realizations; the config and the flags override either
+    defaults = RunConfig(params=ModelParams(N=DESK_TIME_STEPS))
+    if args.full:
+        defaults = RunConfig(n_realizations=FULL_REALIZATIONS)
+    elif preset in ("fig2", "fig2text"):
+        defaults = replace(defaults, n_realizations=FIG2_REALIZATIONS)
+    config = _load_config(args, defaults)
     params = config.params
     if preset in ("t1", "t2"):
         base = replace(params, gamma=0.1 if preset == "t2" else 0.0)
@@ -202,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambdas", type=float, nargs="+", default=None,
         help="lambda grid of --preset custom (an error with any other preset)",
     )
-    p_sweep.add_argument("--full", action="store_true", help="full-scale run")
+    p_sweep.add_argument(
+        "--full", action="store_true",
+        help="full-scale defaults: N = 10000 steps and 10000 realizations (explicit settings win)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bounds = sub.add_parser("bounds", help="evaluate analytic bounds, emit JSON report")

@@ -19,15 +19,6 @@ from .errors import ConfigError
 from .solver import MODEL_KEYS, ModelParams
 
 
-def _parse_bool(raw) -> bool:
-    text = str(raw).lower()
-    if text in ("1", "true", "yes"):
-        return True
-    if text in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {raw!r}")
-
-
 __all__ = [
     "RunConfig",
     "parse_config",
@@ -36,8 +27,8 @@ __all__ = [
     "read_table",
 ]
 
-# Desk-scale ensemble default; the full-scale run (1e4 realizations,
-# 1e4 steps) sits behind full_scale.
+# Desk-scale ensemble default; `sweep --full` runs 1e4 realizations of the
+# ModelParams default of 1e4 steps.
 DESK_REALIZATIONS = 2000
 DESK_TIME_STEPS = 2000
 FULL_REALIZATIONS = 10_000
@@ -51,7 +42,6 @@ class RunConfig:
     n_realizations: int = DESK_REALIZATIONS
     master_seed: int = 0
     out_dir: Path = Path(".")
-    full_scale: bool = False
     # analytic-bound inputs
     W1: float = 0.5
     lambda_cap: float = 1.0
@@ -62,7 +52,6 @@ _RUN_KEYS = {
     "realizations": ("n_realizations", int),
     "seed": ("master_seed", int),
     "out": ("out_dir", Path),
-    "full_scale": ("full_scale", _parse_bool),
     "W1": ("W1", float),
     "lambda_cap": ("lambda_cap", float),
     "bound_paths": ("bound_paths", int),
@@ -72,8 +61,14 @@ VALID_KEYS = sorted(set(MODEL_KEYS) | set(_RUN_KEYS))
 
 
 def _coerce(key: str, raw, kind) -> object:
-    """`raw` as `kind`, read from its text, so a JSON 1.5 is no integer and a JSON 2 no boolean."""
+    """`raw` as `kind`, read from its text, so a JSON 1.5 is no integer.
+
+    A JSON null, boolean, list or object is no value of any key: `out`
+    would otherwise read it as the directory named by its text.
+    """
     try:
+        if raw is None or isinstance(raw, (bool, list, dict)):
+            raise TypeError("not a number or a string")
         return kind(str(raw))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse value for '{key}': {raw!r}") from exc
@@ -168,19 +163,9 @@ def emit_config(config: RunConfig) -> str:
         value = getattr(config, attr)
         if isinstance(value, Path):
             lines.append(f"{key} = {value}")
-        elif isinstance(value, bool):
-            lines.append(f"{key} = {str(value).lower()}")
         else:
             lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
-
-
-def apply_scale(config: RunConfig) -> RunConfig:
-    """Resolve desk/full scale into concrete step and realization counts."""
-    if config.full_scale:
-        params = replace(config.params, N=10_000)
-        return replace(config, params=params, n_realizations=FULL_REALIZATIONS)
-    return config
 
 
 def _format_value(value) -> str:

@@ -86,51 +86,52 @@ def estimate(
     params: ModelParams,
     n_realizations: int,
     master_seed: int,
-    threads: int = 1,
     index_offset: int = 0,
 ) -> EnsembleStats:
     """Run an ensemble on seeds derived from (master_seed, index).
 
     `index_offset` shifts the realization indices, letting disjoint ranges
-    of one logical ensemble be computed separately and pooled.  `threads` is
-    unused: it is kept so existing callers, and the benchmark tracer in
-    perfbench/spans.py that reads it by name, keep working.
+    of one logical ensemble be computed separately and pooled.
     """
-    factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
-    return _run_chunks([(params, factor)], n_realizations, master_seed, index_offset)[0]
+    return _run_chunks([params], n_realizations, master_seed, index_offset)[0]
 
 
-def _run_chunks(points, n_realizations: int, master_seed: int, index_offset: int = 0):
-    """Statistics of each (params, factorization) point over one set of realizations.
+def _run_chunks(grid, n_realizations: int, master_seed: int, index_offset: int = 0):
+    """Statistics of each point of `grid`, a list of ModelParams, over one set of realizations.
 
-    Chunks of CHUNK_SIZE seeds are the outer loop and points the inner one.
-    Each chunk's drive is drawn once per noise key, into one (N, CHUNK_SIZE)
+    The factorization is built once per distinct (M, alpha, dt).  Chunks of
+    CHUNK_SIZE seeds are the outer loop and points the inner one.  Each
+    chunk's drive is drawn once per noise key, into one (N, CHUNK_SIZE)
     buffer that is refilled in place, and every point with that key steps
-    on it; points that also share the factorization and differ only in
-    lambda step together in one `simulate_batch` call.  A point's results
-    are those of its own ensemble, in index order.
+    on it; points that differ only in lambda step together in one
+    `simulate_batch` call.  A point's results are those of its own
+    ensemble, in index order.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    # noise key -> (params with lambda cleared, factorization) -> point indices
-    groups: dict[tuple, dict[tuple, list[int]]] = {}
-    for i, (params, factor) in enumerate(points):
+    factors = {}
+    # noise key -> params with lambda cleared -> point indices
+    groups: dict[tuple, dict[ModelParams, list[int]]] = {}
+    for i, params in enumerate(grid):
+        key = (params.M, params.alpha, params.dt)
+        if key not in factors:
+            factors[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         packs = groups.setdefault(_noise_key(params), {})
-        packs.setdefault((replace(params, lam=0.0), id(factor)), []).append(i)
-    results = [[] for _ in points]
+        packs.setdefault(replace(params, lam=0.0), []).append(i)
+    results = [[] for _ in grid]
     buffer = None
     for start in range(0, n_realizations, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n_realizations))
         seeds = [derive_seed(master_seed, index_offset + i) for i in chunk]
         for packs in groups.values():
-            shared = points[next(iter(packs.values()))[0]][0]
+            shared = next(iter(packs))
             if buffer is None or buffer.shape[0] != shared.N:
                 buffer = None  # release the old buffer before allocating the new one
                 buffer = np.empty((shared.N, min(CHUNK_SIZE, n_realizations)))
             drive = batch_drive(shared, seeds, out=buffer)
-            for members in packs.values():
-                params, factor = points[members[0]]
-                lams = [points[i][0].lam for i in members]
+            for params, members in packs.items():
+                factor = factors[(params.M, params.alpha, params.dt)]
+                lams = [grid[i].lam for i in members]
                 stepped = simulate_batch(factor, params, seeds, drive=drive, lams=lams)
                 for p, i in enumerate(members):
                     results[i].extend(stepped[p * len(seeds) : (p + 1) * len(seeds)])
@@ -174,17 +175,9 @@ def sweep(
 
     `axes` is an ordered list of (config key, values) pairs, for example
     [("alpha", alphas), ("H", hurst_indices)]; the last axis varies fastest.
-    Every other parameter comes from `base`.  The factorization is built
-    once per distinct (M, alpha, dt), and each chunk's noise once per
-    distinct noise key; every point's ensemble equals its own `estimate`.
+    Every other parameter comes from `base`.  The points run together in
+    `_run_chunks`, and every point's ensemble equals its own `estimate`.
     """
     values, grid = _grid_points(base, axes)
-    factored = {}
-    points = []
-    for params in grid:
-        key = (params.M, params.alpha, params.dt)
-        if key not in factored:
-            factored[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
-        points.append((params, factored[key]))
-    stats = _run_chunks(points, n_realizations, master_seed)
+    stats = _run_chunks(grid, n_realizations, master_seed)
     return SweepResult(tuple(key for key, _ in axes), values, tuple(stats))

@@ -67,6 +67,11 @@ class TestParseConfig:
     def test_bad_value_reported(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("N = lots\n")
+        # no key takes a JSON null, boolean, list or object; out used to read
+        # one as a directory name
+        for out in (None, True, ["a", "b"], {"a": 1}):
+            with pytest.raises(ConfigError, match="cannot parse value for 'out'"):
+                parse_config(json.dumps({"out": out}))
 
     def test_out_of_range_named_constraint(self):
         with pytest.raises(ConfigError, match="c < 1"):
@@ -104,7 +109,7 @@ class TestParseConfig:
             "lambda = 0.3\ngamma = 0.2\nalpha = 0.5\nH = 0.8\nkappa1 = 0.2\n"
             "kappa2 = 0.3\nc = 0.2\nT = 2.0\nN = 500\nM = 21\na = 0.5\nb = 0.4\n"
             "k = 1.5\nepsilon = 1e-12\nrealizations = 7\nseed = 99\nout = runs/x\n"
-            "full_scale = true\nW1 = 0.7\nlambda_cap = 2.0\nbound_paths = 9\n"
+            "W1 = 0.7\nlambda_cap = 2.0\nbound_paths = 9\n"
         )
         default = RunConfig()
         for obj, base in ((full, default), (full.params, default.params)):
@@ -112,13 +117,6 @@ class TestParseConfig:
                 if f.name != "params":
                     assert getattr(obj, f.name) != getattr(base, f.name), f.name
         assert parse_config(emit_config(full)) == full
-
-    def test_booleans_accept_both_spellings(self):
-        for raw, value in (("true", True), ("YES", True), ("1", True),
-                           ("false", False), ("No", False), ("0", False)):
-            assert parse_config(f"full_scale = {raw}\n").full_scale is value
-        assert parse_config(json.dumps({"full_scale": True})).full_scale is True
-        assert parse_config(json.dumps({"full_scale": False})).full_scale is False
 
     def test_emitted_defaults_round_trip(self):
         config = RunConfig()
@@ -253,7 +251,7 @@ class TestCli:
         assert report["threshold_w"] is None
         assert report["chebyshev_independent"] == 0.0
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, monkeypatch):
         bad = tmp_path / "bad.txt"
         bad.write_text("H = 0.3\n")
         assert self._run("simulate", "--config", str(bad)) == 2
@@ -286,18 +284,22 @@ class TestCli:
             assert code == 2
         # non-finite model values; epsilon = nan used to report p = 1 at
         # lambda = 0.01, and kappa1 = inf used to simulate and exit 3.  A
-        # repeated key (N) used to keep its last value, and the growth-envelope
-        # constants (eta1) are no longer keys.
+        # repeated key (N) used to keep its last value, and these keys are
+        # gone: the growth-envelope constants (eta1), and full_scale, which
+        # only sweep --full read and the other commands ignored.
         for line in ("T = nan", "kappa1 = inf", "epsilon = nan", "a = inf", "k = nan",
-                     "W1 = nan", "lambda_cap = nan", "N = 30", "eta1 = 1"):
+                     "W1 = nan", "lambda_cap = nan", "N = 30", "eta1 = 1", "full_scale = true"):
             bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
-            for command in ("simulate", "bounds"):
+            for command in ("simulate", "sweep", "bounds", "eigen"):
                 assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2
-        # a boolean outside 1/true/yes and 0/false/no used to read as false
-        for text in ("M = 9\nN = 20\nfull_scale = ture\n", "M = 9\nN = 20\nfull_scale = 2\n",
-                     json.dumps({"M": 9, "N": 20, "full_scale": 2})):
-            bad_bool = self._cfg(tmp_path, text)
-            assert self._run("simulate", "--config", str(bad_bool), "--out", str(tmp_path)) == 2
+        # a JSON null or list for out used to name the output directory by its
+        # text, './None' or "./['a', 'b']"
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        for out in (None, ["a", "b"]):
+            bad_out = self._cfg(tmp_path, json.dumps({"M": 9, "N": 20, "out": out}))
+            assert self._run("simulate", "--config", str(bad_out)) == 2
+        assert not any((tmp_path / "cwd").iterdir())
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # exp in the nu(T) integrand overflows at k = 100; it used to escape
@@ -377,20 +379,17 @@ class TestPresetTables:
 
 
 class TestScaleResolution:
-    def test_full_scale_resolves_counts(self):
-        from quenchsim.config import apply_scale
-
-        config = parse_config("full_scale = true\n")
-        resolved = apply_scale(config)
-        assert resolved.params.N == 10_000
-        assert resolved.n_realizations == 10_000
-        desk = apply_scale(parse_config(""))
-        assert desk.n_realizations == 2000
-
-    @pytest.mark.parametrize("text,steps", [("M = 9\nN = 10000\n", 10_000), ("M = 9\n", 2000)])
-    def test_desk_preset_honours_explicit_n(self, tmp_path, monkeypatch, text, steps):
-        # a desk sweep swaps in its step count only where the config leaves N
-        # unset, even when the config sets N to the ModelParams default
+    @pytest.mark.parametrize(
+        "text,flags,steps",
+        [
+            pytest.param("M = 9\nN = 10000\n", [], 10_000, id="M = 9\nN = 10000\n-10000"),
+            pytest.param("M = 9\n", [], 2000, id="M = 9\n-2000"),
+            pytest.param("M = 9\nN = 2000\n", ["--full"], 2000, id="full-M = 9\nN = 2000\n-2000"),
+        ],
+    )
+    def test_desk_preset_honours_explicit_n(self, tmp_path, monkeypatch, text, flags, steps):
+        # a sweep swaps in its desk (or --full) step count only where the
+        # config leaves N unset, even when the config sets N to the default
         from quenchsim import cli
 
         seen = []
@@ -402,7 +401,7 @@ class TestScaleResolution:
         monkeypatch.setattr(cli, "sweep", record)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(text)
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 0
         assert seen == [steps]
 
     @pytest.mark.parametrize(
@@ -413,11 +412,14 @@ class TestScaleResolution:
             ("fig2text", [], "realizations = 1500\n", 1500),
             ("fig2text", ["--realizations", "12"], "realizations = 1500\n", 12),
             ("t1", [], "", 2000),
+            ("t1", ["--full"], "", 10_000),
+            ("t1", ["--full", "--realizations", "50"], "", 50),
         ],
     )
     def test_figure_grid_desk_default(self, tmp_path, monkeypatch, preset, flags, text, expected):
-        # the figure-2 grids default to 1000 realizations; an explicit count
-        # used to be capped at 1000 as well
+        # the figure-2 grids default to 1000 realizations, and --full to
+        # 10 000; an explicit count used to be capped at 1000 for fig2 and
+        # ignored under --full
         from quenchsim import cli
 
         seen = []

@@ -42,17 +42,19 @@ class TestEstimate:
         assert stats.n_quenched == round(p * (stats.n_realizations - stats.failures))
 
     def test_threads_do_not_change_results(self, monkeypatch):
-        # `threads` is unused: stepping stays on the calling thread, so
-        # starting a thread fails the test; 600 realizations is three chunks
+        # stepping stays on the calling thread, so starting a thread fails the
+        # test; 600 realizations is three chunks.  `estimate` takes no threads.
         params = ModelParams(lam=0.45, **FAST)
-        serial = {n: estimate(params, n, master_seed=4, threads=1) for n in (300, 600)}
+        serial = {n: estimate(params, n, master_seed=4) for n in (300, 600)}
+        with pytest.raises(TypeError, match="threads"):
+            estimate(params, 3, master_seed=4, threads=1)
 
         def refuse(self):
             raise AssertionError("estimate started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         for n, stats in serial.items():
-            assert estimate(params, n, master_seed=4, threads=4) == stats
+            assert estimate(params, n, master_seed=4) == stats
 
     def test_split_and_pool_reproduces_counts(self):
         params = ModelParams(lam=0.45, **FAST)
@@ -176,12 +178,9 @@ class TestSharedNoise:
             sweep(ModelParams(**FAST), axes, 5, master_seed=0)
 
     def test_points_with_different_step_counts(self):
-        points = []
-        for n_steps in (200, 100, 200):
-            params = ModelParams(lam=0.45, M=21, N=n_steps)
-            points.append((params, factorize(assemble_matrix(params.grid, params.alpha), params.dt)))
-        stats = _run_chunks(points, 300, master_seed=12)
-        assert stats == [estimate(params, 300, master_seed=12) for params, _ in points]
+        grid = [ModelParams(lam=0.45, M=21, N=n_steps) for n_steps in (200, 100, 200)]
+        stats = _run_chunks(grid, 300, master_seed=12)
+        assert stats == [estimate(params, 300, master_seed=12) for params in grid]
 
     @pytest.mark.parametrize(
         "axes,draws_per_realization",
@@ -219,21 +218,29 @@ class TestSharedNoise:
         sweep(ModelParams(**FAST), axes, 300, master_seed=15)
         assert len(calls) == 2 * calls_per_chunk
 
-    def test_only_lambda_may_differ_within_a_call(self, calls):
-        # gamma differs, or the factorization is another object: separate calls
+    def test_only_lambda_may_differ_within_a_call(self, calls, monkeypatch):
+        # gamma differs, or alpha and so the factorization: separate calls.
+        # One factorization per (M, alpha, dt).
+        factored = []
+        original = ensemble.factorize
+
+        def counted(op, dt):
+            factored.append(op.alpha)
+            return original(op, dt)
+
+        monkeypatch.setattr(ensemble, "factorize", counted)
         base = ModelParams(lam=0.45, **FAST)
-        factor = factorize(assemble_matrix(base.grid, base.alpha), base.dt)
-        other = factorize(assemble_matrix(base.grid, base.alpha), base.dt)
-        points = [
-            (base, factor),
-            (replace(base, lam=0.8), factor),
-            (replace(base, gamma=0.1), factor),
-            (replace(base, lam=0.8), other),
-            (replace(base, lam=1.0), factor),
+        grid = [
+            base,
+            replace(base, lam=0.8),
+            replace(base, gamma=0.1),
+            replace(base, lam=0.8, alpha=0.5),
+            replace(base, lam=1.0),
         ]
-        stats = _run_chunks(points, 300, master_seed=16)
+        stats = _run_chunks(grid, 300, master_seed=16)
         assert calls == 2 * [[0.45, 0.8, 1.0], [0.45], [0.8]]
-        assert stats == [estimate(params, 300, master_seed=16) for params, _ in points]
+        assert factored == [0.6, 0.5]
+        assert stats == [estimate(params, 300, master_seed=16) for params in grid]
 
     def test_clipped_embedding_warnings_per_point(self, monkeypatch):
         # every fGN path of a non-embeddable covariance is clipped and flagged
