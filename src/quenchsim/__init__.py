@@ -5,7 +5,6 @@ from .bounds import (
     BoundParams,
     M_of,
     bound_monte_carlo,
-    bound_params_from_model,
     bound_report,
     chebyshev_bounds,
     eigen_mu,
@@ -13,7 +12,7 @@ from .bounds import (
     nu_of,
     tail_upper_bound,
 )
-from .config import emit_config, emit_table, parse_config, read_table
+from .config import emit_config, emit_table, parse_config
 from .ensemble import EnsembleStats, estimate, sweep
 from .errors import ConfigError, NumericalError
 from .noise import (
@@ -45,7 +44,6 @@ __all__ = [
     "assemble_matrix",
     "bm_increments",
     "bound_monte_carlo",
-    "bound_params_from_model",
     "bound_report",
     "chebyshev_bounds",
     "derive_seed",
@@ -64,7 +62,6 @@ __all__ = [
     "parse_config",
     "principal_eigenpair",
     "rayleigh_min_check",
-    "read_table",
     "run_realization",
     "singular_integral_constant",
     "sweep",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
@@ -40,71 +40,39 @@ INFINITE_TIME = math.inf
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Constants entering the bound formulas.
+    """The model and what its eigen-solve adds for eigenfunction initial data.
 
-    The source is the simulated one, so the growth envelope of the
-    nonlinearity is the unit envelope and its constants drop out.  a_fn,
-    b_fn and k_fn are the constant coefficients a, b and k.  psi1 and dx are
-    optional but required by the eigenfunction-initial-data helpers.
+    For v0 = W1 psi1: mu1 is the principal eigenvalue, v0_psi1 = <v0, psi1>
+    and mu0 = mu(0) = W1 min psi1.  Every other constant of the bounds
+    (lambda, gamma, H, the coefficients a, b, k and the horizon T) is read
+    from `params`.  The source is the simulated one, so the growth envelope
+    of the nonlinearity is the unit envelope and its constants drop out.
     """
 
+    params: ModelParams
     mu1: float
     v0_psi1: float
-    lam: float
-    gamma: float = 0.0
-    H: float = 0.7
-    a_fn: float = 1.0
-    b_fn: float = 1.0
-    k_fn: float = 2.0
-    psi1: np.ndarray | None = field(default=None, repr=False)
-    dx: float | None = None
+    mu0: float
 
     def __post_init__(self) -> None:
         if self.mu1 <= 0:
             raise ValueError(f"principal eigenvalue must be positive, got {self.mu1}")
-        if self.psi1 is not None:
-            if np.any(self.psi1 <= 0):
-                raise ValueError("psi1 must be componentwise positive")
-            if self.dx is None:
-                raise ValueError("dx is required alongside psi1")
-            if abs(self.dx * float(np.sum(self.psi1)) - 1.0) > 1e-10:
-                raise ValueError("psi1 must be normalized to unit integral")
-
-    @property
-    def psi_min(self) -> float:
-        if self.psi1 is None:
-            raise ValueError("psi1 was not provided")
-        return float(np.min(self.psi1))
+        if self.mu0 <= 0:
+            raise ValueError(f"mu(0) must be positive, got {self.mu0}")
 
     def tau_star_threshold(self) -> float:
         """w = <v0, psi1>^3 / (3 lambda); infinite when undefined."""
-        denom = 3.0 * self.lam
+        denom = 3.0 * self.params.lam
         if denom <= 0.0:
             return INFINITE_TIME
         return self.v0_psi1**3 / denom
 
     def tau_lower_threshold(self) -> float:
         """1 / (4 lambda); infinite when undefined."""
-        denom = 4.0 * self.lam
+        denom = 4.0 * self.params.lam
         if denom <= 0.0:
             return INFINITE_TIME
         return 1.0 / denom
-
-
-def bound_params_from_model(params: ModelParams, pair, v0_psi1: float) -> BoundParams:
-    """Assemble BoundParams from a model configuration and its eigenpair."""
-    return BoundParams(
-        mu1=pair.mu1,
-        v0_psi1=v0_psi1,
-        lam=params.lam,
-        gamma=params.gamma,
-        H=params.H,
-        a_fn=params.a_fn,
-        b_fn=params.b_fn,
-        k_fn=params.k_fn,
-        psi1=pair.psi1,
-        dx=pair.dx,
-    )
 
 
 def _half_square(t, c: float):
@@ -114,11 +82,8 @@ def _half_square(t, c: float):
 
 def _drift(tk, bp: BoundParams):
     """gamma t - mu1 K(t) - A(t) at a time or on a grid; the exponents carry -3 times this."""
-    return (
-        bp.gamma * tk
-        - bp.mu1 * _half_square(tk, bp.k_fn)
-        - _half_square(tk, bp.a_fn)
-    )
+    p = bp.params
+    return p.gamma * tk - bp.mu1 * _half_square(tk, p.k_fn) - _half_square(tk, p.a_fn)
 
 
 def _exp(x: float) -> float:
@@ -129,14 +94,14 @@ def _exp(x: float) -> float:
         raise NumericalError(f"bound integrand exp({x:.6g}) overflows a float") from exc
 
 
-def M_of(T: float, bp: BoundParams) -> float:
+def M_of(bp: BoundParams) -> float:
     """Malliavin-derivative envelope M(T) = 18 Int a^2 + 36 H T^(2H-1) Int b^2."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    return 18.0 * (bp.a_fn**2 * T) + 36.0 * bp.H * T ** (2.0 * bp.H - 1.0) * (bp.b_fn**2 * T)
+    p = bp.params
+    T = p.T
+    return 18.0 * (p.a_fn**2 * T) + 36.0 * p.H * T ** (2.0 * p.H - 1.0) * (p.b_fn**2 * T)
 
 
-def nu_of(T: float, bp: BoundParams) -> float:
+def nu_of(bp: BoundParams) -> float:
     """Mean accumulated exponential functional nu(T) = Int_0^T E[e^(X_t)] dt.
 
     X_t = -3 (gamma t - mu1 K(t) - A(t)) + 3 N_t, so the integrand is
@@ -145,32 +110,33 @@ def nu_of(T: float, bp: BoundParams) -> float:
     """
     from scipy.integrate import quad
 
-    if T <= 0:
-        raise ValueError("T must be positive")
+    p = bp.params
 
     def integrand(t: float) -> float:
-        var = bp.a_fn**2 * t + bp.b_fn**2 * t ** (2.0 * bp.H)
+        var = p.a_fn**2 * t + p.b_fn**2 * t ** (2.0 * p.H)
         return _exp(-3.0 * _drift(t, bp) + 4.5 * var)
 
-    return quad(integrand, 0.0, T, limit=200)[0]
+    return quad(integrand, 0.0, p.T, limit=200)[0]
 
 
-def tail_upper_bound(T: float, w: float, bp: BoundParams, nu_T: float) -> float:
-    """Gaussian-tail upper bound on P[tau* <= T], valid when w > nu_T = `nu_of(T, bp)`.
+def tail_upper_bound(w: float, bp: BoundParams, nu_T: float) -> float:
+    """Gaussian-tail upper bound on P[tau* <= T], valid when w > nu_T = `nu_of(bp)`.
 
-    Returns min(1, 2 exp(-(ln w - ln nu)^2 / (2 M(T)))).
+    Returns min(1, 2 exp(-(ln w - ln nu)^2 / (2 M(T)))), and its M -> 0 limit
+    0 when M(T) = 0: without noise tau* is deterministic and its functional
+    nu(T) stays below w.
     """
     if not w > nu_T:
         raise ValueError(
             f"tail bound requires w > nu(T); got w={w:.6g}, nu(T)={nu_T:.6g}"
         )
-    mT = M_of(T, bp)
-    if mT <= 0.0:
-        raise ValueError("M(T) must be positive for the tail bound")
+    mT = M_of(bp)
+    if mT == 0.0:
+        return 0.0
     return min(1.0, 2.0 * math.exp(-((math.log(w) - math.log(nu_T)) ** 2) / (2.0 * mT)))
 
 
-def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
+def chebyshev_bounds(bp: BoundParams, independent: bool) -> float:
     """First-moment (Chebyshev) upper bound on P[tau* <= T].
 
     independent=True evaluates the bound for independent drivers; False the
@@ -178,39 +144,35 @@ def chebyshev_bounds(T: float, bp: BoundParams, independent: bool) -> float:
     """
     from scipy.integrate import quad
 
-    if T <= 0:
-        raise ValueError("T must be positive")
     w = bp.tau_star_threshold()
     if not math.isfinite(w):
         return 0.0
-    H = bp.H
-
-    def int_b2(t: float) -> float:
-        return bp.b_fn**2 * t
+    p = bp.params
+    H = p.H
 
     if independent:
         def integrand(t: float) -> float:
             e = 3.0 * (
-                bp.mu1 * _half_square(t, bp.k_fn)
-                - bp.gamma * t
-                + 4.0 * _half_square(t, bp.a_fn)
-                + 3.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
+                bp.mu1 * _half_square(t, p.k_fn)
+                - p.gamma * t
+                + 4.0 * _half_square(t, p.a_fn)
+                + 3.0 * H * t ** (2.0 * H - 1.0) * (p.b_fn**2 * t)
             )
             return _exp(e)
 
-        value = quad(integrand, 0.0, T, limit=200)[0] / w
+        value = quad(integrand, 0.0, p.T, limit=200)[0] / w
     else:
         def first(t: float) -> float:
-            k_term = bp.mu1 * _half_square(t, bp.k_fn)
-            return _exp(6.0 * (k_term + _half_square(t, bp.a_fn) - bp.gamma * t))
+            k_term = bp.mu1 * _half_square(t, p.k_fn)
+            return _exp(6.0 * (k_term + _half_square(t, p.a_fn) - p.gamma * t))
 
         def second(t: float) -> float:
             return _exp(
-                6.0 * _half_square(t, bp.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * int_b2(t)
+                6.0 * _half_square(t, p.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * (p.b_fn**2 * t)
             )
 
         value = (
-            quad(first, 0.0, T, limit=200)[0] + quad(second, 0.0, T, limit=200)[0]
+            quad(first, 0.0, p.T, limit=200)[0] + quad(second, 0.0, p.T, limit=200)[0]
         ) / w
     return min(1.0, value)
 
@@ -230,7 +192,7 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     P[quench in finite time].  nu >= 0 is the almost-sure case: the bound is
     returned as 1 with the flag set.
     """
-    nu = (1.0 + bp.mu1 - bp.gamma) / 3.0
+    nu = (1.0 + bp.mu1 - bp.params.gamma) / 3.0
     if nu >= 0.0:
         return GammaBoundResult(value=1.0, almost_sure=True)
     w = bp.tau_star_threshold()
@@ -278,16 +240,9 @@ def _log_terms(
     return out
 
 
-def eigen_mu(bp: BoundParams, W1: float):
-    """Closed-form mu(t) for eigenfunction initial data v0 = W1 psi1."""
-    if W1 <= 0:
-        raise ValueError("W1 must be positive")
-    psi_m = bp.psi_min
-
-    def mu(t):
-        return W1 * psi_m * np.exp(_drift(np.asarray(t, dtype=float), bp))
-
-    return mu
+def eigen_mu(bp: BoundParams, t):
+    """Closed-form mu(t) = mu(0) e^(gamma t - mu1 K(t) - A(t)) for v0 = W1 psi1, on t or a grid."""
+    return bp.mu0 * np.exp(_drift(np.asarray(t, dtype=float), bp))
 
 
 def _worker_count(n_paths: int) -> int:
@@ -299,12 +254,10 @@ def _worker_count(n_paths: int) -> int:
     return min(cpus, n_paths)
 
 
-def bound_monte_carlo(
-    params: ModelParams, bp: BoundParams, W1: float, n_paths: int, master_seed: int
-) -> tuple[float, bool, int]:
+def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[float, bool, int]:
     """Empirical P[tau* <= T] over sampled paths, the per-path ordering, and clipping.
 
-    Path i is `mixed_path(params, derive_seed(master_seed, i))`, the seeding
+    Path i is `mixed_path(bp.params, derive_seed(master_seed, i))`, the seeding
     policy of the ensembles, so distinct master seeds draw disjoint paths.
     tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
     (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path;
@@ -325,9 +278,10 @@ def bound_monte_carlo(
 
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    params = bp.params
     tk = params.dt * np.arange(params.N)
     star_base = -3.0 * _drift(tk, bp)
-    mu_vals = eigen_mu(bp, W1)(tk)
+    mu_vals = eigen_mu(bp, tk)
     if np.any(mu_vals <= 0):
         # exp underflow: a large k or a drives mu(t) to zero within the horizon
         raise ValueError("mu(t) must be positive on the path horizon")
@@ -374,28 +328,31 @@ def bound_report(config: RunConfig) -> dict:
     """
     params = config.params
     pair = principal_eigenpair(assemble_matrix(params.grid, params.alpha))
-    v0_psi1 = inner_product_v0_psi1(config.W1 * pair.psi1, pair)
-    bp = bound_params_from_model(params, pair, v0_psi1)
-    T = params.T
+    bp = BoundParams(
+        params,
+        mu1=pair.mu1,
+        v0_psi1=inner_product_v0_psi1(config.W1 * pair.psi1, pair),
+        mu0=config.W1 * float(np.min(pair.psi1)),
+    )
     w = bp.tau_star_threshold()
-    nu_T = nu_of(T, bp)
+    nu_T = nu_of(bp)
     report: dict = {
         "inputs": {
-            "mu1": pair.mu1,
-            "v0_psi1": v0_psi1,
+            "mu1": bp.mu1,
+            "v0_psi1": bp.v0_psi1,
             "lambda": params.lam,
             "gamma": params.gamma,
             "H": params.H,
             "W1": config.W1,
-            "T": T,
+            "T": params.T,
         },
         "threshold_w": w if math.isfinite(w) else None,
         "nu_T": nu_T,
-        "M_T": M_of(T, bp),
-        "tail_bound": tail_upper_bound(T, w, bp, nu_T) if w > nu_T else None,
+        "M_T": M_of(bp),
+        "tail_bound": tail_upper_bound(w, bp, nu_T) if w > nu_T else None,
         "tail_bound_valid": bool(w > nu_T),
-        "chebyshev_independent": chebyshev_bounds(T, bp, independent=True),
-        "chebyshev_volterra": chebyshev_bounds(T, bp, independent=False),
+        "chebyshev_independent": chebyshev_bounds(bp, independent=True),
+        "chebyshev_volterra": chebyshev_bounds(bp, independent=False),
     }
     if params.lam > 0:
         gamma_result = gamma_lower_bound(bp, config.lambda_cap)
@@ -403,9 +360,7 @@ def bound_report(config: RunConfig) -> dict:
             "value": gamma_result.value,
             "almost_sure": gamma_result.almost_sure,
         }
-    empirical, ordered, clipped = bound_monte_carlo(
-        params, bp, config.W1, config.bound_paths, config.master_seed
-    )
+    empirical, ordered, clipped = bound_monte_carlo(bp, config.bound_paths, config.master_seed)
     report["monte_carlo"] = {
         "paths": config.bound_paths,
         "empirical_P_tau_star_le_T": empirical,

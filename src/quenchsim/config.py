@@ -24,7 +24,6 @@ __all__ = [
     "parse_config",
     "emit_config",
     "emit_table",
-    "read_table",
 ]
 
 # Desk-scale ensemble default; `sweep --full` runs 1e4 realizations of the
@@ -207,18 +206,3 @@ def emit_table(sweep: SweepResult, path) -> None:
                 )
     except OSError as exc:
         raise OSError(f"cannot write table to {path}: {exc}") from exc
-
-
-def read_table(path) -> list[dict[str, float | None]]:
-    """Parse a CSV written by emit_table back into row dictionaries."""
-    rows = []
-    try:
-        with open(path, newline="") as handle:
-            for record in csv.DictReader(handle):
-                row: dict[str, float | None] = {}
-                for key, raw in record.items():
-                    row[key] = None if raw == "" else float(raw)
-                rows.append(row)
-    except OSError as exc:
-        raise OSError(f"cannot read table from {path}: {exc}") from exc
-    return rows

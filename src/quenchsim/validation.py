@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import gamma as _gamma
 
 from . import bounds
 from .config import RunConfig
@@ -73,18 +72,6 @@ def fractional_laplacian_pv(
     far = quad(integrand, delta, xi_max, points=kinks or None, limit=400)[0]
     tail = 2.0 * ux * xi_max ** (-2.0 * alpha) / (2.0 * alpha)
     return c * (near + far + tail)
-
-
-def boundary_profile_constant(alpha: float) -> float:
-    """Exact value of (-Delta)^alpha (1-x^2)^alpha on (-1, 1).
-
-    The profile matched to the operator order is mapped to a constant:
-    4^a Gamma(1/2+a) Gamma(1+a) / Gamma(1/2).  Used to validate the
-    quadrature oracle itself.
-    """
-    return float(
-        4.0**alpha * _gamma(0.5 + alpha) * _gamma(1.0 + alpha) / _gamma(0.5)
-    )
 
 
 def operator_oracle_deviation(

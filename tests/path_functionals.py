@@ -24,7 +24,8 @@ def full_crossing(log_terms, threshold, dt):
 def tau_star(path, bp):
     """tau* along one path, with K(t) = k^2 t / 2 and A(t) = a^2 t / 2."""
     tk = path.dt * np.arange(path.n_steps)
-    drift = bp.gamma * tk - bp.mu1 * (0.5 * bp.k_fn**2 * tk) - 0.5 * bp.a_fn**2 * tk
+    p = bp.params
+    drift = p.gamma * tk - bp.mu1 * (0.5 * p.k_fn**2 * tk) - 0.5 * p.a_fn**2 * tk
     log_terms = -3.0 * drift + 3.0 * path.N[:-1] + math.log(path.dt)
     return full_crossing(log_terms, bp.tau_star_threshold(), path.dt)
 

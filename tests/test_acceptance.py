@@ -19,11 +19,11 @@ import pytest
 from scipy.linalg import eigh
 
 from quenchsim import (
+    BoundParams,
     GridSpec,
     ModelParams,
     assemble_matrix,
     bound_monte_carlo,
-    bound_params_from_model,
     chebyshev_bounds,
     fgn_autocovariance,
     fgn_circulant,
@@ -35,10 +35,10 @@ from quenchsim import (
     tail_upper_bound,
 )
 from quenchsim.cli import main
-from quenchsim.config import read_table
 from quenchsim.spectral import trapezoid_integral
 from quenchsim.validation import operator_oracle_deviation
 
+from helpers import read_table
 from solver_states import ORACLE_PARAMS, oracle_deviation
 
 MASTER_SEED = 20240901
@@ -85,18 +85,15 @@ def t3_sweep():
 
 
 @pytest.fixture(scope="module")
-def bound_world():
-    grid = GridSpec(41)
-    op = assemble_matrix(grid, 0.6)
-    pair = principal_eigenpair(op)
+def bp():
+    pair = principal_eigenpair(assemble_matrix(GridSpec(41), 0.6))
     w1 = 0.5
     params = ModelParams(
         lam=1e-5, gamma=0.0, alpha=0.6, H=0.7, T=1.0, N=2000,
         a_fn=0.1, b_fn=0.1, k_fn=2.0,
     )
     v0_psi1 = w1 * trapezoid_integral(pair.psi1**2, pair.dx)
-    bp = bound_params_from_model(params, pair, v0_psi1)
-    return dict(op=op, pair=pair, params=params, bp=bp, w1=w1)
+    return BoundParams(params, pair.mu1, v0_psi1, w1 * float(np.min(pair.psi1)))
 
 
 class TestCriterion1TableT1:
@@ -322,16 +319,15 @@ class TestCriterion7Spectral:
 
 
 class TestCriterion8BoundInequalities:
-    def test_bounds_dominate_monte_carlo(self, bound_world):
-        bp, params, w1 = bound_world["bp"], bound_world["params"], bound_world["w1"]
+    def test_bounds_dominate_monte_carlo(self, bp):
         w = bp.tau_star_threshold()
-        nu1 = nu_of(params.T, bp)
+        nu1 = nu_of(bp)
         assert w > nu1, "acceptance configuration must satisfy the validity condition"
-        tail = tail_upper_bound(params.T, w, bp, nu1)
-        cheb_ind = chebyshev_bounds(params.T, bp, independent=True)
-        cheb_dep = chebyshev_bounds(params.T, bp, independent=False)
-        empirical, ordering, _ = bound_monte_carlo(params, bp, w1, 2000, MASTER_SEED)
-        gamma_bp = replace(bp, gamma=4.0 + bp.mu1)  # nu = -1
+        tail = tail_upper_bound(w, bp, nu1)
+        cheb_ind = chebyshev_bounds(bp, independent=True)
+        cheb_dep = chebyshev_bounds(bp, independent=False)
+        empirical, ordering, _ = bound_monte_carlo(bp, 2000, MASTER_SEED)
+        gamma_bp = replace(bp, params=replace(bp.params, gamma=4.0 + bp.mu1))  # nu = -1
         cap = 9.0 * gamma_bp.tau_star_threshold() / 2.0  # scaled cap exactly 1
         gamma_value = gamma_lower_bound(gamma_bp, cap).value
         gamma_exact = abs(gamma_value - (1.0 - math.exp(-1.0))) <= 1e-10

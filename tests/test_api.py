@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import quenchsim
@@ -59,3 +60,9 @@ def test_import_leaves_quadrature_unloaded():
     loaded = ast.literal_eval(proc.stdout)
     assert "scipy.linalg" in loaded
     assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse"} & set(loaded)
+
+
+def test_bound_params_hold_no_model_constant():
+    # the model constants have one owner: BoundParams reads them from its params
+    model = {f.name for f in fields(quenchsim.ModelParams)}
+    assert {f.name for f in fields(quenchsim.BoundParams)} & model == set()

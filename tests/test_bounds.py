@@ -16,7 +16,6 @@ from quenchsim import (
     M_of,
     NoisePath,
     bound_monte_carlo,
-    bound_params_from_model,
     bound_report,
     chebyshev_bounds,
     derive_seed,
@@ -35,19 +34,16 @@ from naive_reference import naive_incomplete_gamma
 from path_functionals import full_crossing, tau_lower, tau_star
 
 
-def make_bp(**overrides):
-    defaults = dict(
-        mu1=1.3,
-        v0_psi1=0.3,
-        lam=1e-4,
-        gamma=0.0,
-        H=0.7,
-        a_fn=0.1,
-        b_fn=0.1,
-        k_fn=2.0,
-    )
-    defaults.update(overrides)
-    return BoundParams(**defaults)
+def make_bp(mu1=1.3, v0_psi1=0.3, mu0=0.5, **model):
+    """Bound constants over a toy model; `model` overrides its ModelParams fields."""
+    params = ModelParams(**{**dict(lam=1e-4, a_fn=0.1, b_fn=0.1), **model})
+    return BoundParams(params, mu1=mu1, v0_psi1=v0_psi1, mu0=mu0)
+
+
+def eigen_bp(params, pair, w1=0.5):
+    """Bound constants of eigenfunction initial data v0 = w1 psi1."""
+    v0_psi1 = w1 * trapezoid_integral(pair.psi1**2, pair.dx)
+    return BoundParams(params, pair.mu1, v0_psi1, w1 * float(np.min(pair.psi1)))
 
 
 def flat_path(n=200, dt=0.005):
@@ -56,30 +52,28 @@ def flat_path(n=200, dt=0.005):
 
 class TestMOf:
     def test_zero_coefficients(self):
-        bp = make_bp(a_fn=0.0, b_fn=0.0)
-        assert M_of(1.0, bp) == 0.0
+        assert M_of(make_bp(a_fn=0.0, b_fn=0.0)) == 0.0
 
     def test_unit_coefficients_closed_form(self):
         bp = make_bp(a_fn=1.0, b_fn=1.0, H=0.75)
-        assert M_of(1.0, bp) == pytest.approx(18.0 + 36.0 * 0.75)
+        assert M_of(bp) == pytest.approx(18.0 + 36.0 * 0.75)
 
 
 class TestNuOf:
     def test_trivial_config_integrates_time(self):
-        bp = make_bp(a_fn=0.0, b_fn=0.0, k_fn=0.0, gamma=0.0)
-        assert nu_of(3.0, bp) == pytest.approx(3.0, rel=1e-10)
+        bp = make_bp(a_fn=0.0, b_fn=0.0, k_fn=0.0, gamma=0.0, T=3.0)
+        assert nu_of(bp) == pytest.approx(3.0, rel=1e-10)
 
     def test_constant_a_closed_form(self):
         a, mu1, k = 0.2, 1.3, 0.5
         bp = make_bp(a_fn=a, b_fn=0.0, k_fn=k, mu1=mu1, gamma=0.0)
         # integrand exp(c t) with c = 3 mu1 k^2/2 + 3 a^2/2 + 4.5 a^2
         c = 3 * mu1 * k**2 / 2 + 1.5 * a**2 + 4.5 * a**2
-        T = 1.0
-        assert nu_of(T, bp) == pytest.approx((math.exp(c * T) - 1.0) / c, rel=1e-8)
+        T = bp.params.T
+        assert nu_of(bp) == pytest.approx((math.exp(c * T) - 1.0) / c, rel=1e-8)
 
     def test_monotone_in_horizon(self):
-        bp = make_bp()
-        values = [nu_of(T, bp) for T in (0.25, 0.5, 1.0, 2.0)]
+        values = [nu_of(make_bp(T=T)) for T in (0.25, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -87,23 +81,23 @@ class TestTailUpperBound:
     def test_three_sigma_point(self):
         # w chosen three deviations above nu gives exactly 2 exp(-9/2)
         bp = make_bp()
-        nu1 = nu_of(1.0, bp)
-        m1 = M_of(1.0, bp)
+        nu1 = nu_of(bp)
+        m1 = M_of(bp)
         w = nu1 * math.exp(3.0 * math.sqrt(m1))
-        value = tail_upper_bound(1.0, w, bp, nu1)
+        value = tail_upper_bound(w, bp, nu1)
         assert value == pytest.approx(2.0 * math.exp(-4.5), rel=1e-12)
         assert value == pytest.approx(0.0222, abs=2e-4)
 
     def test_vanishes_for_large_threshold(self):
         bp = make_bp()
-        nu1 = nu_of(1.0, bp)
-        assert tail_upper_bound(1.0, 1e300, bp, nu1) < 1e-10
+        nu1 = nu_of(bp)
+        assert tail_upper_bound(1e300, bp, nu1) < 1e-10
 
     def test_condition_violation_raises(self):
         bp = make_bp()
-        nu1 = nu_of(1.0, bp)
+        nu1 = nu_of(bp)
         with pytest.raises(ValueError, match="w > nu"):
-            tail_upper_bound(1.0, 0.5 * nu1, bp, nu1)
+            tail_upper_bound(0.5 * nu1, bp, nu1)
 
 
 class TestChebyshevBounds:
@@ -111,21 +105,21 @@ class TestChebyshevBounds:
         small = make_bp(v0_psi1=0.3)
         large = make_bp(v0_psi1=3e5)
         for independent in (True, False):
-            assert chebyshev_bounds(1.0, large, independent) < 1e-10
-            assert chebyshev_bounds(1.0, small, independent) <= 1.0
+            assert chebyshev_bounds(large, independent) < 1e-10
+            assert chebyshev_bounds(small, independent) <= 1.0
 
     def test_small_horizon_slope(self):
         # integrand tends to 1 at t = 0, so bound ~ T / w to first order
-        bp = make_bp()
-        w = bp.tau_star_threshold()
         for T in (1e-4, 1e-5):
-            value = chebyshev_bounds(T, bp, independent=True)
+            bp = make_bp(T=T)
+            w = bp.tau_star_threshold()
+            value = chebyshev_bounds(bp, independent=True)
             assert value * w / T == pytest.approx(1.0, abs=0.01)
 
     def test_clamped_to_unit_interval(self):
         bp = make_bp(lam=10.0, v0_psi1=1e-3)
-        assert chebyshev_bounds(1.0, bp, True) == 1.0
-        assert chebyshev_bounds(1.0, bp, False) == 1.0
+        assert chebyshev_bounds(bp, True) == 1.0
+        assert chebyshev_bounds(bp, False) == 1.0
 
 
 class TestGammaLowerBound:
@@ -200,15 +194,14 @@ class TestTauStarSample:
     def test_reaccumulation_with_plain_loop(self):
         # the crossing of a scalar re-accumulation of the same integrand on
         # the same path
-        params = ModelParams(N=256, T=1.0, a_fn=0.2, b_fn=0.2, gamma=0.3)
-        path = mixed_path(params, 7)
-        bp = make_bp(lam=5e-3, a_fn=0.2, b_fn=0.2, gamma=0.3)
+        bp = make_bp(N=256, lam=5e-3, a_fn=0.2, b_fn=0.2, gamma=0.3)
+        path = mixed_path(bp.params, 7)
         w = bp.tau_star_threshold()
         total, crossing = 0.0, math.inf
         for m in range(path.n_steps):
             t = m * path.dt
             exponent = (
-                -3.0 * (bp.gamma * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
+                -3.0 * (bp.params.gamma * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
                 + 3.0 * path.N[m]
             )
             total += math.exp(exponent) * path.dt
@@ -228,22 +221,19 @@ class TestTauLowerSample:
         time = tau_lower(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
         assert time == pytest.approx(0.25, abs=2e-3)
 
-    def test_nonpositive_mu_rejected(self, pair41):
-        # mu(t) = W1 psi_min exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100
-        params = ModelParams(N=64, k_fn=100.0)
-        bp = make_bp(k_fn=100.0, psi1=pair41.psi1, dx=pair41.dx)
-        assert eigen_mu(bp, 0.5)(params.T) == 0.0
+    def test_nonpositive_mu_rejected(self):
+        # mu(t) = mu(0) exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100
+        bp = make_bp(N=64, k_fn=100.0)
+        assert eigen_mu(bp, bp.params.T) == 0.0
         with pytest.raises(ValueError, match="positive"):
-            bound_monte_carlo(params, bp, 0.5, 1, 0)
+            bound_monte_carlo(bp, 1, 0)
 
 
 class TestPathOrdering:
     def test_tau_lower_below_tau_star_with_eigen_data(self, grid41, op41, pair41):
         w1 = 0.5
         params = ModelParams(lam=1e-5, N=512, a_fn=0.1, b_fn=0.1)
-        v0_psi1 = w1 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
-        _, ordered, _ = bound_monte_carlo(params, bp, w1, 50, master_seed=0)
+        _, ordered, _ = bound_monte_carlo(eigen_bp(params, pair41, w1), 50, master_seed=0)
         assert ordered
 
 
@@ -256,13 +246,11 @@ class TestBoundMonteCarlo:
             return mixed_path(params, seed, workspace)
 
         monkeypatch.setattr(bounds, "mixed_path", recording_path)
-        params = ModelParams(lam=1e-5, N=64, a_fn=0.1, b_fn=0.1)
-        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
+        bp = eigen_bp(ModelParams(lam=1e-5, N=64, a_fn=0.1, b_fn=0.1), pair41)
         seeds = []
         for master in (0, 1):
             drawn.clear()
-            bound_monte_carlo(params, bp, 0.5, 2000, master)
+            bound_monte_carlo(bp, 2000, master)
             seeds.append(set(drawn))
         assert len(seeds[0]) == len(seeds[1]) == 2000
         assert seeds[0].isdisjoint(seeds[1])
@@ -270,13 +258,11 @@ class TestBoundMonteCarlo:
     @staticmethod
     def crossing_case(pair41):
         # about a third of the paths cross tau* by T
-        params = ModelParams(lam=2e-5, N=256, a_fn=0.1, b_fn=0.1)
-        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        return params, bound_params_from_model(params, pair41, v0_psi1)
+        return eigen_bp(ModelParams(lam=2e-5, N=256, a_fn=0.1, b_fn=0.1), pair41)
 
     @pytest.mark.parametrize("n_paths", [1, 2, 25])
     def test_result_does_not_depend_on_worker_count(self, monkeypatch, pair41, n_paths):
-        params, bp = self.crossing_case(pair41)
+        bp = self.crossing_case(pair41)
         workers = []
 
         def recording_path(params, seed, workspace=None):
@@ -289,7 +275,7 @@ class TestBoundMonteCarlo:
             affinity = set(range(cpus))
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
             workers.clear()
-            results.append(bound_monte_carlo(params, bp, 0.5, n_paths, 3))
+            results.append(bound_monte_carlo(bp, n_paths, 3))
             assert len(workers) == n_paths
             assert threading.get_ident() not in workers  # the caller draws no path
             assert len(set(workers)) <= min(cpus, n_paths)
@@ -298,7 +284,7 @@ class TestBoundMonteCarlo:
             assert 0.0 < results[0][0] < 1.0
 
     def test_worker_exception_leaves_and_no_worker_survives(self, monkeypatch, pair41):
-        params, bp = self.crossing_case(pair41)
+        bp = self.crossing_case(pair41)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         error = RuntimeError("draw failed")
         failing = derive_seed(3, 7)  # path 7 of 10 lies in the second range, 5..9
@@ -311,7 +297,7 @@ class TestBoundMonteCarlo:
         monkeypatch.setattr(bounds, "mixed_path", failing_path)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError) as raised:
-            bound_monte_carlo(params, bp, 0.5, 10, 3)
+            bound_monte_carlo(bp, 10, 3)
         assert raised.value is error
         assert [t for t in threading.enumerate() if t not in before] == []
 
@@ -352,6 +338,16 @@ class TestBoundReport:
         # bypass the spectrum cache, which would hide the hostile covariance
         monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
         assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 5
+
+    def test_noise_free_report(self, tmp_path):
+        # M(T) = 0: tau* is deterministic with nu(T) < w, so P[tau* <= T] = 0
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text("a = 0\nb = 0\nN = 64\nlambda = 1e-5\nbound_paths = 5\n")
+        assert main(["bounds", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert report["M_T"] == 0.0 and report["tail_bound_valid"]
+        assert report["tail_bound"] == 0.0
+        assert report["monte_carlo"]["empirical_P_tau_star_le_T"] == 0.0
 
 
 class TestFirstCrossing:
@@ -424,19 +420,19 @@ class TestBoundMonteCarloOracle:
     """bound_monte_carlo against the full-accumulate oracle on the same paths."""
 
     @staticmethod
-    def oracle(params, bp, W1, n_paths, master):
+    def oracle(bp, n_paths, master):
         stars, lows, clipped = [], [], 0
         for i in range(n_paths):
-            path = mixed_path(params, derive_seed(master, i))
+            path = mixed_path(bp.params, derive_seed(master, i))
             stars.append(tau_star(path, bp))
-            lows.append(tau_lower(path, bp, eigen_mu(bp, W1)))
+            lows.append(tau_lower(path, bp, lambda t: eigen_mu(bp, t)))
             clipped += path.embedding_warning
         stars, lows = np.array(stars), np.array(lows)
-        empirical = int(np.sum(stars <= params.T)) / n_paths
+        empirical = int(np.sum(stars <= bp.params.T)) / n_paths
         return (empirical, bool(np.all(lows <= stars)), clipped), stars, lows
 
-    def check(self, monkeypatch, params, bp, W1, n_paths, master):
-        expected, stars, lows = self.oracle(params, bp, W1, n_paths, master)
+    def check(self, monkeypatch, bp, n_paths, master):
+        expected, stars, lows = self.oracle(bp, n_paths, master)
         times = []
 
         def recording_crossing(log_terms, threshold, dt):
@@ -448,34 +444,29 @@ class TestBoundMonteCarloOracle:
             patch.setattr(bounds, "_first_crossing", recording_crossing)
             # one worker, so the crossings are recorded in path order
             patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            result = bound_monte_carlo(params, bp, W1, n_paths, master)
+            result = bound_monte_carlo(bp, n_paths, master)
         assert result == expected
         # the loop evaluates tau* then tau_* on each path, in path order
         assert np.array_equal(times[0::2], stars)
         assert np.array_equal(times[1::2], lows)
-        return stars / params.dt, lows / params.dt
+        return stars / bp.params.dt, lows / bp.params.dt
 
     def test_validate_bound_parameters(self, monkeypatch, pair41):
         # the validate check's parameters: every tau_* crosses past the first prefix
         params = ModelParams(lam=1e-5, gamma=0.0, H=0.7, T=1.0, N=1024,
                              a_fn=0.1, b_fn=0.1, k_fn=2.0)
-        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
-        _, lows = self.check(monkeypatch, params, bp, 0.5, 100, 5_000)
+        _, lows = self.check(monkeypatch, eigen_bp(params, pair41), 100, 5_000)
         assert np.all(lows[np.isfinite(lows)] > bounds.CROSSING_PREFIX)
 
     def test_default_bounds_config_reduced_n(self, monkeypatch, pair41):
-        params = ModelParams(N=1000)
         v0_psi1 = inner_product_v0_psi1(0.5 * pair41.psi1, pair41)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
-        stars, _ = self.check(monkeypatch, params, bp, 0.5, 100, 7)
+        bp = BoundParams(ModelParams(N=1000), pair41.mu1, v0_psi1, 0.5 * float(np.min(pair41.psi1)))
+        stars, _ = self.check(monkeypatch, bp, 100, 7)
         assert np.all(np.isfinite(stars))
 
     def test_crossings_on_both_sides_of_the_prefix(self, monkeypatch, pair41):
-        params = ModelParams(lam=0.01, N=1024, a_fn=0.1, b_fn=0.1)
-        v0_psi1 = 0.5 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
-        stars, _ = self.check(monkeypatch, params, bp, 0.5, 100, 11)
+        bp = eigen_bp(ModelParams(lam=0.01, N=1024, a_fn=0.1, b_fn=0.1), pair41)
+        stars, _ = self.check(monkeypatch, bp, 100, 11)
         assert np.any(stars <= bounds.CROSSING_PREFIX)
         assert np.any(np.isfinite(stars) & (stars > bounds.CROSSING_PREFIX))
 
@@ -485,15 +476,14 @@ class TestMuHelpers:
         # for v0 = W1 psi1, mu(t) = exp(gamma t - A(t)) inf_x exp(-K(t) A) v0
         w1 = 0.4
         params = ModelParams(lam=1e-4, a_fn=0.1, b_fn=0.1)
-        v0_psi1 = w1 * trapezoid_integral(pair41.psi1**2, pair41.dx)
-        bp = bound_params_from_model(params, pair41, v0_psi1)
+        bp = eigen_bp(params, pair41, w1)
         ts = np.linspace(0.0, 1.0, 21)
         infima = np.array(
-            [np.min(expm(-0.5 * bp.k_fn**2 * t * op41.entries) @ (w1 * pair41.psi1)) for t in ts]
+            [np.min(expm(-0.5 * params.k_fn**2 * t * op41.entries) @ (w1 * pair41.psi1)) for t in ts]
         )
-        envelope = np.exp(bp.gamma * ts - 0.5 * bp.a_fn**2 * ts)
+        envelope = np.exp(params.gamma * ts - 0.5 * params.a_fn**2 * ts)
         got = envelope * infima
-        want = eigen_mu(bp, w1)(ts)
+        want = eigen_mu(bp, ts)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 
 
@@ -502,18 +492,16 @@ class TestBoundParamsValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             make_bp(mu1=0.0)
 
-    def test_psi_normalization_checked(self, pair41):
-        with pytest.raises(ValueError, match="normalized"):
-            make_bp(psi1=2.0 * pair41.psi1, dx=pair41.dx)
-        bp = make_bp(psi1=pair41.psi1, dx=pair41.dx)
-        assert bp.psi_min > 0.0
+    def test_positive_initial_infimum_required(self):
+        with pytest.raises(ValueError, match=r"mu\(0\)"):
+            make_bp(mu0=0.0)
 
 
 class TestBoundMonotonicity:
     def test_tail_bound_nonincreasing_in_threshold(self):
         bp = make_bp()
-        nu1 = nu_of(1.0, bp)
-        values = [tail_upper_bound(1.0, w, bp, nu1) for w in (2 * nu1, 5 * nu1, 50 * nu1)]
+        nu1 = nu_of(bp)
+        values = [tail_upper_bound(w, bp, nu1) for w in (2 * nu1, 5 * nu1, 50 * nu1)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_gamma_bound_nondecreasing_in_cap(self):

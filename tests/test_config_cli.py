@@ -15,12 +15,13 @@ from quenchsim import (
     emit_config,
     emit_table,
     parse_config,
-    read_table,
     sweep,
 )
 from quenchsim.cli import main
 from quenchsim.config import RunConfig
 from quenchsim.solver import MODEL_KEYS
+
+from helpers import read_table
 
 
 class TestParseConfig:

@@ -1,7 +1,8 @@
 """Sweep and bound outputs pinned across commits.
 
 The t1 and t3 presets at M = 11, N = 100, 300 realizations and seed 7 must
-reproduce these exact bytes, and so must the bound report of a toy config.  Every probability, mean and variance depends
+reproduce these exact bytes, and so must the bound reports of three small
+configs.  Every probability, mean and variance depends
 on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
 shows up here; rounding-level changes of the states that leave them alone
@@ -88,10 +89,86 @@ BOUND_REPORT = (
 )
 
 
-def test_bound_report_bytes(tmp_path):
+# The toy's tail and Volterra bounds are clamped to 1, its gamma bound is
+# almost sure and no path crosses, so two more reports pin what it leaves
+# unchecked.  "unclamped" has T != 1, a != b and k != 2, and its tail and
+# Chebyshev bounds lie inside (0, 1); "incomplete_gamma" takes the gamma
+# bound off its almost-sure branch and has paths that cross tau* by T.
+BOUND_PINS = {
+    "toy": (BOUND_CONFIG, BOUND_REPORT),
+    "unclamped": (
+        "M = 11\nN = 128\nT = 0.5\nlambda = 3e-6\nk = 1\na = 0.1\nb = 0.05\nbound_paths = 20\n",
+        """{
+  "inputs": {
+    "mu1": 1.3654840263806718,
+    "v0_psi1": 0.30022011445202423,
+    "lambda": 3e-06,
+    "gamma": 0.0,
+    "H": 0.7,
+    "W1": 0.5,
+    "T": 0.5
+  },
+  "threshold_w": 3006.6082797828844,
+  "nu_T": 0.8886495165927605,
+  "M_T": 0.11387253592253879,
+  "tail_bound": 2.3092715225149353e-126,
+  "tail_bound_valid": true,
+  "chebyshev_independent": 0.0002958212385048945,
+  "chebyshev_volterra": 0.0007230813151310697,
+  "gamma_lower_bound": {
+    "value": 1.0,
+    "almost_sure": true
+  },
+  "monte_carlo": {
+    "paths": 20,
+    "empirical_P_tau_star_le_T": 0.0,
+    "per_path_ordering_ok": true,
+    "embedding_warnings": 0
+  }
+}
+""",
+    ),
+    "incomplete_gamma": (
+        "M = 11\nN = 128\nlambda = 0.05\ngamma = 3\na = 0.3\nb = 1\nW1 = 0.9\nbound_paths = 40\n",
+        """{
+  "inputs": {
+    "mu1": 1.3654840263806718,
+    "v0_psi1": 0.5403962060136436,
+    "lambda": 0.05,
+    "gamma": 3.0,
+    "H": 0.7,
+    "W1": 0.9,
+    "T": 1.0
+  },
+  "threshold_w": 1.0520723692616265,
+  "nu_T": 12.462805416516924,
+  "M_T": 26.82,
+  "tail_bound": null,
+  "tail_bound_valid": false,
+  "chebyshev_independent": 1.0,
+  "chebyshev_volterra": 1.0,
+  "gamma_lower_bound": {
+    "value": 0.7590378858145121,
+    "almost_sure": false
+  },
+  "monte_carlo": {
+    "paths": 40,
+    "empirical_P_tau_star_le_T": 0.55,
+    "per_path_ordering_ok": true,
+    "embedding_warnings": 0
+  }
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("pin", sorted(BOUND_PINS))
+def test_bound_report_bytes(pin, tmp_path):
     # nu(T), M(T) and the Chebyshev bounds run through the closed-form clocks
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(BOUND_CONFIG)
+    config_text, expected = BOUND_PINS[pin]
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(config_text)
     argv = ["bounds", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert (tmp_path / "bounds_report.json").read_bytes() == BOUND_REPORT.encode()
+    assert (tmp_path / "bounds_report.json").read_bytes() == expected.encode()

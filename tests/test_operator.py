@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from quenchsim import GridSpec, assemble_matrix, singular_integral_constant
 from quenchsim.validation import (
     INTERIOR_MARGIN,
-    boundary_profile_constant,
     fractional_laplacian_pv,
     operator_oracle_deviation,
 )
 
+from helpers import boundary_profile_constant
 from naive_reference import naive_matrix, naive_pv_integral
 
 
