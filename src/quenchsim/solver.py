@@ -125,7 +125,8 @@ class RealizationResult:
 # kernel by width.  One fixed gemm shape gives each column the same bits
 # whatever the other columns hold and wherever the column sits (checked for
 # widths 4 to 256 at M = 41 and M = 321 on OpenBLAS 0.3.31), which keeps a
-# realization's result independent of its batch.
+# realization's result independent of its batch.  `solve` multiplies all
+# full blocks in one stacked matmul, which keeps those bits (see there).
 BLOCK = 64
 
 
@@ -146,23 +147,35 @@ class Factorization:
         `rhs` is a vector or an (h, k) block of columns holding the first h
         entries of each mirror-symmetric right-hand side; the result holds
         the first h entries of each solution, which is mirror-symmetric too.
+        `out`, when given, receives the result.
+
         The columns are multiplied BLOCK at a time, the last block
-        zero-padded to full width; `out`, when given, receives the result.
+        zero-padded to full width.  The full blocks go to one stacked
+        matmul over the (k // BLOCK, h, BLOCK) views of `rhs` and `out`;
+        splitting the column axis is always a view, never a copy.  numpy
+        runs gemm on each block in turn with the same shape, strides and
+        pointers as a matmul of that block alone, so every column keeps
+        the bits of a per-block product.
         """
         if rhs.ndim == 1:
-            return self.solve(rhs[:, None])[:, 0]
+            return self.solve(rhs[:, None], None if out is None else out[:, None])[:, 0]
         inverse = self._inverse
         n, k = rhs.shape
         if out is None:
             out = np.empty((n, k))
         full = k - k % BLOCK
-        for j in range(0, full, BLOCK):
-            np.matmul(inverse, rhs[:, j : j + BLOCK], out=out[:, j : j + BLOCK])
+        if full:
+            np.matmul(inverse, _blocks(rhs[:, :full]), out=_blocks(out[:, :full]))
         if full < k:
             pad = np.zeros((n, BLOCK))
             pad[:, : k - full] = rhs[:, full:]
             out[:, full:] = (inverse @ pad)[:, : k - full]
         return out
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """The (k // BLOCK, h, BLOCK) view of an (h, k) array, block b first."""
+    return a.reshape(a.shape[0], -1, BLOCK).transpose(1, 0, 2)
 
 
 def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
@@ -232,6 +245,8 @@ def simulate_batch(
     `drive`, when given, is `batch_drive(params, seeds)` drawn beforehand
     (the (N, len(seeds)) drive and its embedding flags), which lets
     parameter sets that share a noise key step on one draw; it is only read.
+    A drive with fewer rows or columns, or fewer flags, raises ValueError
+    before the first step.
     """
     if lams is None:
         lams = (params.lam,)
@@ -243,6 +258,12 @@ def simulate_batch(
     gamma = params.gamma
     threshold = 1.0 - params.epsilon
     drive, warn = batch_drive(params, seeds) if drive is None else drive
+    if drive.ndim != 2 or drive.shape[0] < n_steps or drive.shape[1] < n_seeds:
+        raise ValueError(
+            f"drive needs {n_steps} rows and {n_seeds} columns, got shape {drive.shape}"
+        )
+    if len(warn) < n_seeds:
+        raise ValueError(f"drive flags need {n_seeds} entries, got {len(warn)}")
     # column c runs lams[c // n_seeds] on drive column c % n_seeds
     lam_of = np.repeat(np.asarray(lams, dtype=float), n_seeds)
     seed_of = np.tile(np.arange(n_seeds), len(lams))

@@ -88,6 +88,42 @@ class TestFactorization:
             for j in (0, k // 2, k - 1):
                 assert np.array_equal(wide[:, j], f.solve(rhs[:, j]))
 
+    def test_vector_fills_out(self, op41, rng):
+        f = factorize(op41, 1e-3)
+        h = (op41.n + 1) // 2
+        rhs = rng.standard_normal(h)
+        out = np.full(h, np.nan)
+        assert np.shares_memory(f.solve(rhs, out=out), out)
+        assert np.array_equal(out, f.solve(rhs))
+
+    @pytest.mark.parametrize("M", [11, 12, 41, 321])
+    @pytest.mark.parametrize("k", [BLOCK, 2 * BLOCK, 200, 2048])
+    def test_stacked_blocks_match_per_block_products(self, M, k, rng):
+        # One stacked matmul multiplies every full block.  The reference is a
+        # matmul per block; the bits must agree, so numpy must call gemm on
+        # each block as it would on the block alone, and the (k // BLOCK, h,
+        # BLOCK) views must not be copies.  The input and output are strided
+        # like the kernel's pack and the caller's view of a wider array.
+        f = factorize(assemble_matrix(GridSpec(M), 0.6), 1e-3)
+        inverse = f._inverse
+        h = inverse.shape[0]
+        buf = rng.standard_normal(h * k + 7)
+        rhs = buf[: h * k].reshape(h, k)
+        wide = np.full((h, k + 5), np.nan)
+        out = wide[:, :k]
+        expected = np.empty((h, k))
+        full = k - k % BLOCK
+        for j in range(0, full, BLOCK):
+            np.matmul(inverse, rhs[:, j : j + BLOCK], out=expected[:, j : j + BLOCK])
+        if full < k:
+            pad = np.zeros((h, BLOCK))
+            pad[:, : k - full] = rhs[:, full:]
+            expected[:, full:] = (inverse @ pad)[:, : k - full]
+        result = f.solve(rhs, out=out)
+        assert np.shares_memory(result, wide)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.isnan(wide[:, k:]).all()
+
     def test_positive_dt_required(self, op41):
         with pytest.raises(ValueError):
             factorize(op41, 0.0)
@@ -288,6 +324,21 @@ class TestMergedLambdas:
             for j, seed in enumerate(seeds):
                 column = states[p * len(seeds) + j]
                 assert naive_deviation(column, replace(params, lam=lam), seed) <= 1e-12
+
+    @pytest.mark.parametrize("cut", ["rows", "columns", "flags"])
+    def test_short_drive_rejected_before_stepping(self, cut):
+        params, factor, seeds = self.case(11)
+        drive, warn = batch_drive(params, seeds)
+        short = {
+            "rows": (drive[:-1], warn),
+            "columns": (drive[:, :-1], warn),
+            "flags": (drive, warn[:-1]),
+        }[cut]
+        steps = []
+        with pytest.raises(ValueError, match="drive"):
+            simulate_batch(factor, params, seeds, observer=lambda n, u, a: steps.append(n),
+                           drive=short)
+        assert steps == []
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "0.4"])
     def test_invalid_lambda_rejected(self, bad):
