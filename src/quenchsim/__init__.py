@@ -16,7 +16,6 @@ from .config import emit_config, emit_table, parse_config
 from .ensemble import EnsembleStats, estimate, sweep
 from .errors import ConfigError, NumericalError
 from .noise import (
-    NoisePath,
     PathWorkspace,
     bm_increments,
     fgn_autocovariance,
@@ -37,7 +36,6 @@ __all__ = [
     "GridSpec",
     "M_of",
     "ModelParams",
-    "NoisePath",
     "NumericalError",
     "PathWorkspace",
     "RealizationResult",

@@ -25,7 +25,7 @@ from scipy.special import gammainc
 
 from .config import RunConfig
 from .errors import NumericalError
-from .noise import PathWorkspace, mixed_path
+from .noise import PathWorkspace, _embedding_clipped, mixed_path
 from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
@@ -261,10 +261,10 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     policy of the ensembles, so distinct master seeds draw disjoint paths.
     tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
     (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path;
-    the count is the number of paths whose fGN embedding clipped negative
-    eigenvalues.  Only the first-crossing times are evaluated: the drift and
-    mu(t) exponents are formed once per call, and each path's log-sum-exp
-    stops at its threshold.
+    the count of paths whose fGN embedding clipped is n_paths or 0, as all
+    share the grid's `_embedding_clipped`.  Only the first-crossing times
+    are evaluated: the drift and mu(t) exponents are formed once per call,
+    and each path's log-sum-exp stops at its threshold.
 
     The paths are split into contiguous ranges, one per worker thread
     (`_worker_count`); numpy's normal fill and FFT release the GIL.  Each
@@ -288,20 +288,20 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     log_dt = math.log(params.dt)
+    clipped = _embedding_clipped(params.N, params.dt, params.H)
 
-    def draw(paths: range, workspace: PathWorkspace, three_n, log_terms) -> tuple[int, bool, int]:
-        crossings, ordered, clipped = 0, True, 0
+    def draw(paths: range, workspace: PathWorkspace, three_n, log_terms) -> tuple[int, bool]:
+        crossings, ordered = 0, True
         for i in paths:
-            path = mixed_path(params, derive_seed(master_seed, i), workspace)
-            np.multiply(path.N[:-1], 3.0, out=three_n)
-            star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, path.dt)
+            N = mixed_path(params, derive_seed(master_seed, i), workspace)
+            np.multiply(N[:-1], 3.0, out=three_n)
+            star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, params.dt)
             low = _first_crossing(
-                _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, path.dt
+                _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, params.dt
             )
             crossings += star <= params.T
             ordered = ordered and low <= star
-            clipped += path.embedding_warning
-        return crossings, ordered, clipped
+        return crossings, ordered
 
     workers = _worker_count(n_paths)
     edges = [n_paths * j // workers for j in range(workers + 1)]
@@ -314,8 +314,8 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
             pool.submit(draw, range(lo, hi), *buf)
             for lo, hi, buf in zip(edges, edges[1:], buffers)
         ]
-        crossings, ordered, clipped = zip(*(future.result() for future in futures))
-    return sum(crossings) / n_paths, all(ordered), sum(clipped)
+        crossings, ordered = zip(*(future.result() for future in futures))
+    return sum(crossings) / n_paths, all(ordered), n_paths if clipped else 0
 
 
 def bound_report(config: RunConfig) -> dict:

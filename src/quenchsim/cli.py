@@ -31,14 +31,22 @@ from .validation import run_validation_suite
 
 TABLE_LAMBDAS = (0.01, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
 TABLE_KAPPA2S = (0.05, 0.1, 0.5, 1.0, 1.5, 2.0)
-FIG2_ALPHAS = (0.2, 0.5, 0.8)
-FIG2_HS = (0.55, 0.7, 0.9)
-# The figure-2 caption and the surrounding text disagree on the noise
-# intensity (0.5 vs 0.1); both are exposed, the caption value is default.
-FIG2_KAPPA_CAPTION = 0.5
-FIG2_KAPPA_TEXT = 0.1
+FIG2_AXES = [("alpha", (0.2, 0.5, 0.8)), ("H", (0.55, 0.7, 0.9))]
 # desk ensemble size of the nine-point figure-2 grids
 FIG2_REALIZATIONS = 1000
+
+# preset -> (output file, the model keys it sets, its sweep axes).  The keys
+# are defaults: a value in the config wins, and the swept axes set their own.
+# --lambdas replaces custom's axis.  The figure-2 caption and the surrounding
+# text disagree on the noise intensity (0.5 vs 0.1); fig2 takes the caption's.
+PRESETS = {
+    "t1": ("table_t1.csv", dict(gamma=0.0), [("lambda", TABLE_LAMBDAS)]),
+    "t2": ("table_t2.csv", dict(gamma=0.1), [("lambda", TABLE_LAMBDAS)]),
+    "t3": ("table_t3.csv", dict(lam=0.4, gamma=0.0, kappa1=0.1), [("kappa2", TABLE_KAPPA2S)]),
+    "fig2": ("fig2_grid.csv", dict(lam=0.4, gamma=0.0, kappa1=0.5, kappa2=0.5), FIG2_AXES),
+    "fig2text": ("fig2text_grid.csv", dict(lam=0.4, gamma=0.0, kappa1=0.1, kappa2=0.1), FIG2_AXES),
+    "custom": ("sweep_custom.csv", {}, [("lambda", TABLE_LAMBDAS)]),
+}
 
 
 def _load_config(args: argparse.Namespace, defaults: RunConfig = RunConfig()) -> RunConfig:
@@ -92,35 +100,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = args.preset
     if args.lambdas is not None and preset != "custom":
         raise ConfigError(f"--lambdas applies to --preset custom only, not {preset}")
+    name, pinned, axes = PRESETS[preset]
+    if args.lambdas is not None:
+        axes = [("lambda", args.lambdas)]
     # the desk defaults, or under --full the ModelParams N of 1e4 steps and
-    # 1e4 realizations; the config and the flags override either
+    # 1e4 realizations, with the preset's keys; the config and the flags
+    # override any of them
     defaults = RunConfig(params=ModelParams(N=DESK_TIME_STEPS))
     if args.full:
         defaults = RunConfig(n_realizations=FULL_REALIZATIONS)
     elif preset in ("fig2", "fig2text"):
         defaults = replace(defaults, n_realizations=FIG2_REALIZATIONS)
+    defaults = replace(defaults, params=replace(defaults.params, **pinned))
     config = _load_config(args, defaults)
-    params = config.params
-    if preset in ("t1", "t2"):
-        base = replace(params, gamma=0.1 if preset == "t2" else 0.0)
-        axes = [("lambda", TABLE_LAMBDAS)]
-        name = f"table_{preset}.csv"
-    elif preset == "t3":
-        base = replace(params, lam=0.4, gamma=0.0, kappa1=0.1)
-        axes = [("kappa2", TABLE_KAPPA2S)]
-        name = "table_t3.csv"
-    elif preset in ("fig2", "fig2text"):
-        kap = FIG2_KAPPA_CAPTION if preset == "fig2" else FIG2_KAPPA_TEXT
-        base = replace(params, lam=0.4, gamma=0.0, kappa1=kap, kappa2=kap)
-        axes = [("alpha", FIG2_ALPHAS), ("H", FIG2_HS)]
-        name = f"{preset}_grid.csv"
-    elif preset == "custom":
-        base = params
-        axes = [("lambda", args.lambdas or TABLE_LAMBDAS)]
-        name = "sweep_custom.csv"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown preset '{preset}'")
-    result = sweep(base, axes, config.n_realizations, config.master_seed)
+    result = sweep(config.params, axes, config.n_realizations, config.master_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / name
     emit_table(result, out_path)
@@ -194,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument(
         "--preset",
-        choices=("t1", "t2", "t3", "fig2", "fig2text", "custom"),
+        choices=tuple(PRESETS),
         default="t1",
         help="experiment preset (custom sweeps lambda)",
     )

@@ -8,22 +8,11 @@ carry the exact target autocovariance up to floating rounding.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import derive_seed
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One realization of the mixed process N_t on the step grid."""
-
-    dt: float
-    n_steps: int
-    N: np.ndarray  # accumulated mixed process at t_0..t_n; N[0] = 0
-    embedding_warning: bool = False
 
 
 class FgnSample(NamedTuple):
@@ -82,7 +71,8 @@ def fgn_circulant(
     `fgn_autocovariance`.  The covariance is embedded in a circulant of size
     2 * n_steps diagonalized by FFT (Davies-Harte); the embedding is
     nonnegative definite for fGN, but if rounding produces negative
-    eigenvalues they are clipped to zero and the sample is flagged.
+    eigenvalues they are clipped to zero and the sample is flagged with
+    `_embedding_clipped(n_steps, dt, H)`, which no seed enters.
 
     Draw order is pinned for reproducibility: one standard-normal block of
     length 2 * n_steps consumed as (real DC term, real Nyquist term,
@@ -101,9 +91,9 @@ def fgn_circulant(
         out = None if workspace is None else workspace.draws[:n_steps]
         x = rng.standard_normal(n_steps, out=out)
         x *= np.sqrt(dt) if H == 0.5 else dt**H
-        return FgnSample(x, False)
+        return FgnSample(x, _embedding_clipped(n_steps, dt, H))
 
-    ends, inner, clipped = _circulant_scale(n_steps, dt, H)
+    ends, inner, _ = _circulant_scale(n_steps, dt, H)
     m = 2 * n_steps
     if workspace is None:
         draws, y = rng.standard_normal(m), np.empty(m, dtype=complex)
@@ -120,7 +110,7 @@ def fgn_circulant(
     re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
     np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
     # transform in place: no second 2n complex buffer, and none at all with a workspace
-    return FgnSample(np.fft.fft(y, out=y).real[:n_steps], clipped)
+    return FgnSample(np.fft.fft(y, out=y).real[:n_steps], _embedding_clipped(n_steps, dt, H))
 
 
 # One entry: every chunk drive and bound report samples all its paths on one
@@ -148,15 +138,25 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     return ends, inner, clipped
 
 
+def _embedding_clipped(n_steps: int, dt: float, H: float) -> bool:
+    """Whether `fgn_circulant` clips negative embedding eigenvalues on this grid.
+
+    The embedding depends only on the covariance and the grid, so every path
+    drawn on one (n_steps, dt, H) shares the flag, whatever its seed.  The
+    white (H = 1/2) and one-step draws use no embedding and are never clipped.
+    """
+    if H == 0.5 or n_steps == 1:
+        return False
+    return _circulant_scale(n_steps, dt, H)[2]
+
+
 def _noise_key(params) -> tuple:
     """What the solver drive of a seed depends on; parameter sets with one key share it."""
     return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
 
 
-def _drive(
-    params, seed: int, c1: float, c2: float, workspace: PathWorkspace
-) -> tuple[np.ndarray, bool]:
-    """c1 dB + c2 dB^H on the step grid of `params`, and the embedding flag.
+def _drive(params, seed: int, c1: float, c2: float, workspace: PathWorkspace) -> np.ndarray:
+    """c1 dB + c2 dB^H on the step grid of `params`.
 
     The Brownian and fractional increments are the seed's derived streams 1
     and 2.  `batch_drive` and `mixed_path` both draw through here, so that
@@ -167,13 +167,12 @@ def _drive(
     scaled = np.multiply(fgn.increments, c2, out=workspace.increments)
     db *= c1
     db += scaled
-    return db, fgn.eigenvalue_clipped
+    return db
 
 
-def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The solver drive kappa1 dB + kappa2 dB^H of each seed, one column each.
+def batch_drive(params, seeds, out: np.ndarray | None = None) -> np.ndarray:
+    """The (N, len(seeds)) solver drive kappa1 dB + kappa2 dB^H, one column per seed.
 
-    Returns the (N, len(seeds)) drive and the per-column embedding flags.
     The drive depends on `params` only through `_noise_key`, so every
     parameter set sharing that key can step on it.  The seeds are drawn
     through one `PathWorkspace`.  `out`, when given, is an (N, width) buffer
@@ -183,26 +182,24 @@ def batch_drive(params, seeds, out: np.ndarray | None = None) -> tuple[np.ndarra
     if out is None:
         out = np.empty((params.N, len(seeds)))
     drive = out[:, : len(seeds)]
-    warn = np.zeros(len(seeds), dtype=bool)
     workspace = PathWorkspace(params.N)
     for j, seed in enumerate(seeds):
-        drive[:, j], warn[j] = _drive(params, seed, params.kappa1, params.kappa2, workspace)
-    return drive, warn
+        drive[:, j] = _drive(params, seed, params.kappa1, params.kappa2, workspace)
+    return drive
 
 
-def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> NoisePath:
-    """Sample the mixed process N_t = a B_t + b B^H_t on the step grid.
+def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> np.ndarray:
+    """The mixed process N_t = a B_t + b B^H_t at t_0..t_N, with N_0 = 0.
 
     The coefficients a = `params.a_fn` and b = `params.b_fn` are constants,
     and N is accumulated by left-endpoint sums:
     N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.  The path is drawn into the
     buffers of `workspace`, a `PathWorkspace` of `params.N` steps, or of a
-    new one when none is given; its N is the workspace's.
+    new one when none is given, and the returned array is the workspace's N.
     """
     if workspace is None:
         workspace = PathWorkspace(params.N)
-    increments, clipped = _drive(params, seed, params.a_fn, params.b_fn, workspace)
     N = workspace.N
     N[0] = 0.0
-    np.cumsum(increments, out=N[1:])
-    return NoisePath(dt=params.dt, n_steps=params.N, N=N, embedding_warning=clipped)
+    np.cumsum(_drive(params, seed, params.a_fn, params.b_fn, workspace), out=N[1:])
+    return N

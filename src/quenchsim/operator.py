@@ -93,17 +93,16 @@ def assemble_matrix(grid: GridSpec, alpha: float) -> OperatorMatrix:
     # quadrature oracle for every order in (0, 1) and exact for 2*alpha = 1.
     kappa = 1.0
 
+    # the weights of |i-j| = k for k = 2..M: the row needs k <= M-2, the diagonal all
     k = np.arange(2, M + 1, dtype=float)
-    band = np.zeros(M)
-    band[1] = 0.5 * (2.0**chi + kappa - 1.0)
-    band[2:] = ((k[:-1] + 1.0) ** chi - (k[:-1] - 1.0) ** chi) / (2.0 * k[:-1] ** rho)
-
-    tail_weights = ((k + 1.0) ** chi - (k - 1.0) ** chi) / (2.0 * k**rho)
-    diagonal = 2.0 * band[1] + 2.0 * np.sum(tail_weights) + chi / (alpha * M ** (2.0 * alpha))
+    weights = ((k + 1.0) ** chi - (k - 1.0) ** chi) / (2.0 * k**rho)
+    near = 0.5 * (2.0**chi + kappa - 1.0)
+    diagonal = 2.0 * near + 2.0 * np.sum(weights) + chi / (alpha * M ** (2.0 * alpha))
 
     first_row = np.empty(M - 1)
     first_row[0] = diagonal
-    first_row[1:] = -band[1 : M - 1]
+    first_row[1] = -near
+    first_row[2:] = -weights[: M - 3]
     scale = singular_integral_constant(alpha) * grid.dx ** (-2.0 * alpha) / chi
     entries = scale * toeplitz(first_row)
     return OperatorMatrix(entries=entries, alpha=alpha, grid=grid)

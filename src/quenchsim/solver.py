@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .noise import batch_drive
+from .noise import _embedding_clipped, batch_drive
 from .operator import GridSpec, OperatorMatrix, assemble_matrix
 
 MACHINE_EPSILON = 2.2204e-16
@@ -209,7 +209,7 @@ def simulate_batch(
     params: ModelParams,
     seeds: Sequence[int],
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    drive: tuple[np.ndarray, np.ndarray] | None = None,
+    drive: np.ndarray | None = None,
     lams: Sequence[float] | None = None,
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
@@ -242,11 +242,11 @@ def simulate_batch(
     into u before each call; a stopped column keeps the state it stopped
     in.  Both arrays are live: an observer that keeps them must copy.
 
-    `drive`, when given, is `batch_drive(params, seeds)` drawn beforehand
-    (the (N, len(seeds)) drive and its embedding flags), which lets
-    parameter sets that share a noise key step on one draw; it is only read.
-    A drive with fewer rows or columns, or fewer flags, raises ValueError
-    before the first step.
+    `drive`, when given, is the (N, len(seeds)) `batch_drive(params, seeds)`
+    drawn beforehand, which lets parameter sets that share a noise key step
+    on one draw; it is only read.  A drive with fewer rows or columns raises
+    ValueError before the first step.  Every result carries the one
+    embedding flag of the grid, `_embedding_clipped(N, dt, H)`.
     """
     if lams is None:
         lams = (params.lam,)
@@ -257,13 +257,12 @@ def simulate_batch(
     dt, n_steps = params.dt, params.N
     gamma = params.gamma
     threshold = 1.0 - params.epsilon
-    drive, warn = batch_drive(params, seeds) if drive is None else drive
+    if drive is None:
+        drive = batch_drive(params, seeds)
     if drive.ndim != 2 or drive.shape[0] < n_steps or drive.shape[1] < n_seeds:
         raise ValueError(
             f"drive needs {n_steps} rows and {n_seeds} columns, got shape {drive.shape}"
         )
-    if len(warn) < n_seeds:
-        raise ValueError(f"drive flags need {n_seeds} entries, got {len(warn)}")
     # column c runs lams[c // n_seeds] on drive column c % n_seeds
     lam_of = np.repeat(np.asarray(lams, dtype=float), n_seeds)
     seed_of = np.tile(np.arange(n_seeds), len(lams))
@@ -326,6 +325,7 @@ def simulate_batch(
         np.add(b, w, out=b)
         factor.solve(b, out=x)
 
+    clipped = _embedding_clipped(n_steps, dt, params.H)
     results = []
     for c in range(n_batch):
         quenched = not np.isnan(quench_time[c])
@@ -334,7 +334,7 @@ def simulate_batch(
                 quenched=quenched,
                 T_q=float(quench_time[c]) if quenched else None,
                 steps_taken=int(steps_taken[c]),
-                embedding_warning=bool(warn[seed_of[c]]),
+                embedding_warning=clipped,
                 failed=bool(failed[c]),
             )
         )

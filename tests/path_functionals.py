@@ -21,17 +21,17 @@ def full_crossing(log_terms, threshold, dt):
     return dt * (int(hits[0]) + 1) if hits.size else math.inf
 
 
-def tau_star(path, bp):
-    """tau* along one path, with K(t) = k^2 t / 2 and A(t) = a^2 t / 2."""
-    tk = path.dt * np.arange(path.n_steps)
+def tau_star(N, dt, bp):
+    """tau* along the path N at t_0..t_n, with K(t) = k^2 t / 2 and A(t) = a^2 t / 2."""
+    tk = dt * np.arange(len(N) - 1)
     p = bp.params
     drift = p.gamma * tk - bp.mu1 * (0.5 * p.k_fn**2 * tk) - 0.5 * p.a_fn**2 * tk
-    log_terms = -3.0 * drift + 3.0 * path.N[:-1] + math.log(path.dt)
-    return full_crossing(log_terms, bp.tau_star_threshold(), path.dt)
+    log_terms = -3.0 * drift + 3.0 * N[:-1] + math.log(dt)
+    return full_crossing(log_terms, bp.tau_star_threshold(), dt)
 
 
-def tau_lower(path, bp, mu_fn):
-    """tau_* along one path for the initial-data envelope mu(t)."""
-    mu = np.asarray(mu_fn(path.dt * np.arange(path.n_steps)), dtype=float)
-    log_terms = -3.0 * np.log(mu) + 3.0 * path.N[:-1] + math.log(path.dt)
-    return full_crossing(log_terms, bp.tau_lower_threshold(), path.dt)
+def tau_lower(N, dt, bp, mu_fn):
+    """tau_* along the path N at t_0..t_n for the initial-data envelope mu(t)."""
+    mu = np.asarray(mu_fn(dt * np.arange(len(N) - 1)), dtype=float)
+    log_terms = -3.0 * np.log(mu) + 3.0 * N[:-1] + math.log(dt)
+    return full_crossing(log_terms, bp.tau_lower_threshold(), dt)

@@ -14,7 +14,6 @@ from quenchsim import (
     BoundParams,
     ModelParams,
     M_of,
-    NoisePath,
     bound_monte_carlo,
     bound_report,
     chebyshev_bounds,
@@ -32,6 +31,7 @@ from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
 from path_functionals import full_crossing, tau_lower, tau_star
+from test_noise import hostile_autocov
 
 
 def make_bp(mu1=1.3, v0_psi1=0.3, mu0=0.5, **model):
@@ -46,8 +46,8 @@ def eigen_bp(params, pair, w1=0.5):
     return BoundParams(params, pair.mu1, v0_psi1, w1 * float(np.min(pair.psi1)))
 
 
-def flat_path(n=200, dt=0.005):
-    return NoisePath(dt=dt, n_steps=n, N=np.zeros(n + 1))
+def flat_path(n=200):
+    return np.zeros(n + 1)
 
 
 class TestMOf:
@@ -171,23 +171,23 @@ class TestTauStarSample:
                      lam=1.0, v0_psi1=(3.0 * 0.5) ** (1 / 3))
         w = bp.tau_star_threshold()
         assert w == pytest.approx(0.5)
-        assert tau_star(flat_path(n=1000, dt=1e-3), bp) == pytest.approx(0.5, abs=2e-3)
+        assert tau_star(flat_path(n=1000), 1e-3, bp) == pytest.approx(0.5, abs=2e-3)
 
     def test_huge_threshold_returns_infinity(self):
         bp = make_bp(lam=1e-300)
-        assert math.isinf(tau_star(flat_path(), bp))
+        assert math.isinf(tau_star(flat_path(), 0.005, bp))
 
     def test_zero_lambda_threshold_infinite(self):
         bp = make_bp(lam=0.0)
         assert math.isinf(bp.tau_star_threshold())
-        assert math.isinf(tau_star(flat_path(), bp))
+        assert math.isinf(tau_star(flat_path(), 0.005, bp))
 
     def test_flat_path_refinement_consistency(self):
         # zero-noise accumulation at two resolutions crosses within O(dt)
         bp = make_bp(a_fn=0.0, b_fn=0.0, k_fn=0.0, gamma=0.0,
                      lam=1.0, v0_psi1=(3.0 * 0.37) ** (1 / 3))
-        coarse = tau_star(flat_path(n=512, dt=1.0 / 512), bp)
-        fine = tau_star(flat_path(n=1024, dt=1.0 / 1024), bp)
+        coarse = tau_star(flat_path(n=512), 1.0 / 512, bp)
+        fine = tau_star(flat_path(n=1024), 1.0 / 1024, bp)
         assert math.isfinite(coarse)
         assert coarse == pytest.approx(fine, abs=2.0 / 512)
 
@@ -195,21 +195,21 @@ class TestTauStarSample:
         # the crossing of a scalar re-accumulation of the same integrand on
         # the same path
         bp = make_bp(N=256, lam=5e-3, a_fn=0.2, b_fn=0.2, gamma=0.3)
-        path = mixed_path(bp.params, 7)
+        N, dt = mixed_path(bp.params, 7), bp.params.dt
         w = bp.tau_star_threshold()
         total, crossing = 0.0, math.inf
-        for m in range(path.n_steps):
-            t = m * path.dt
+        for m in range(bp.params.N):
+            t = m * dt
             exponent = (
                 -3.0 * (bp.params.gamma * t - bp.mu1 * 0.5 * 2.0**2 * t - 0.5 * 0.2**2 * t)
-                + 3.0 * path.N[m]
+                + 3.0 * N[m]
             )
-            total += math.exp(exponent) * path.dt
+            total += math.exp(exponent) * dt
             if total >= w:
-                crossing = (m + 1) * path.dt
+                crossing = (m + 1) * dt
                 break
         assert math.isfinite(crossing)
-        assert tau_star(path, bp) == crossing
+        assert tau_star(N, dt, bp) == crossing
 
 
 class TestTauLowerSample:
@@ -217,8 +217,7 @@ class TestTauLowerSample:
         bp = make_bp(lam=1.0)
         threshold = bp.tau_lower_threshold()
         assert threshold == pytest.approx(0.25)
-        path = flat_path(n=1000, dt=1e-3)
-        time = tau_lower(path, bp, lambda t: np.ones_like(np.asarray(t, float)))
+        time = tau_lower(flat_path(n=1000), 1e-3, bp, lambda t: np.ones_like(np.asarray(t, float)))
         assert time == pytest.approx(0.25, abs=2e-3)
 
     def test_nonpositive_mu_rejected(self):
@@ -328,12 +327,6 @@ class TestBoundReport:
 
         config = replace(parse_config(self.TOY), bound_paths=5)
         assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 0
-
-        def hostile_autocov(k, H, dt=1.0):
-            # rho = 0.9 at lag 1 only is not nonnegative definite
-            k = np.abs(np.asarray(k, dtype=float))
-            return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
-
         monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
         # bypass the spectrum cache, which would hide the hostile covariance
         monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
@@ -421,15 +414,14 @@ class TestBoundMonteCarloOracle:
 
     @staticmethod
     def oracle(bp, n_paths, master):
-        stars, lows, clipped = [], [], 0
+        stars, lows, dt = [], [], bp.params.dt
         for i in range(n_paths):
-            path = mixed_path(bp.params, derive_seed(master, i))
-            stars.append(tau_star(path, bp))
-            lows.append(tau_lower(path, bp, lambda t: eigen_mu(bp, t)))
-            clipped += path.embedding_warning
+            N = mixed_path(bp.params, derive_seed(master, i))
+            stars.append(tau_star(N, dt, bp))
+            lows.append(tau_lower(N, dt, bp, lambda t: eigen_mu(bp, t)))
         stars, lows = np.array(stars), np.array(lows)
         empirical = int(np.sum(stars <= bp.params.T)) / n_paths
-        return (empirical, bool(np.all(lows <= stars)), clipped), stars, lows
+        return (empirical, bool(np.all(lows <= stars)), 0), stars, lows
 
     def check(self, monkeypatch, bp, n_paths, master):
         expected, stars, lows = self.oracle(bp, n_paths, master)

@@ -379,6 +379,54 @@ class TestPresetTables:
         assert [r["lambda"] for r in rows] == [0.01, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]
 
 
+    @pytest.mark.parametrize(
+        "preset,keys",
+        [
+            ("t1", {"gamma": 0.0}),
+            ("t2", {"gamma": 0.1}),
+            ("t3", {"lam": 0.4, "gamma": 0.0, "kappa1": 0.1}),
+            ("fig2", {"lam": 0.4, "gamma": 0.0, "kappa1": 0.5, "kappa2": 0.5}),
+            ("fig2text", {"lam": 0.4, "gamma": 0.0, "kappa1": 0.1, "kappa2": 0.1}),
+        ],
+    )
+    def test_preset_keys_yield_to_the_config(self, tmp_path, monkeypatch, preset, keys):
+        # a preset sets its keys only where the config leaves them unset
+        from quenchsim import cli
+
+        seen = []
+
+        def record(base, axes, n_realizations, master_seed):
+            seen.append(base)
+            return sweep(base, [("lambda", [])], n_realizations, master_seed)
+
+        monkeypatch.setattr(cli, "sweep", record)
+        key_of = {field: key for key, (field, _) in MODEL_KEYS.items()}
+        own = {"lam": 0.7, "gamma": 0.3, "kappa1": 0.2, "kappa2": 0.25}
+        cfg = tmp_path / "cfg.txt"
+        for text, expected in [
+            ("", keys),
+            ("".join(f"{key_of[f]} = {own[f]}\n" for f in keys), {f: own[f] for f in keys}),
+        ]:
+            cfg.write_text("M = 9\n" + text)
+            argv = ["sweep", "--preset", preset, "--config", str(cfg), "--out", str(tmp_path)]
+            assert main(argv) == 0
+            assert seen.pop() == ModelParams(M=9, N=2000, **expected)
+
+    def test_config_gamma_reaches_the_t1_table(self, tmp_path):
+        # t1 with gamma = 0.3 in the config is the custom sweep of the same
+        # config on the t1 lambdas, not the t1 table of gamma = 0
+        def table(preset, text):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("M = 11\nN = 100\n" + text)
+            out = tmp_path / f"{preset}-{len(text)}"
+            argv = ["sweep", "--preset", preset, "--config", str(cfg), "--out", str(out)]
+            assert main(argv + ["--realizations", "50", "--seed", "7"]) == 0
+            return next(out.iterdir()).read_bytes()
+
+        gamma = "gamma = 0.3\n"
+        assert table("t1", gamma) == table("custom", gamma) != table("t1", "")
+
+
 class TestScaleResolution:
     @pytest.mark.parametrize(
         "text,flags,steps",

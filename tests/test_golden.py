@@ -1,8 +1,9 @@
-"""Sweep and bound outputs pinned across commits.
+"""Sweep, simulate and bound outputs pinned across commits.
 
-The t1 and t3 presets at M = 11, N = 100, 300 realizations and seed 7 must
-reproduce these exact bytes, and so must the bound reports of three small
-configs.  Every probability, mean and variance depends
+Every sweep preset at M = 11, N = 100, 300 realizations and seed 7 (custom
+on its own lambda grid) must reproduce these exact bytes, and so must one
+`simulate` realization and the bound reports of three small configs.
+Every probability, mean and variance depends
 on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
 shows up here; rounding-level changes of the states that leave them alone
@@ -41,7 +42,54 @@ GOLDEN = {
         "1.5,0.65,0.42723076923076925,0.046814972244250595,0.02753785273643051,0\n"
         "2.0,0.67,0.3786567164179105,0.04939368656716418,0.027147743920996455,0\n",
     ),
+    "t2": (
+        "table_t2.csv",
+        "lambda,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.01,0.0,,,0.0,0\n"
+        "0.2,0.0,,,0.0,0\n"
+        "0.4,0.25333333333333335,0.8657894736842103,0.008926035087719296,0.025110127807689838,0\n"
+        "0.6,0.9866666666666667,0.610777027027027,0.011363122995877233,0.0066220730781117,0\n"
+        "0.8,1.0,0.41436666666666666,0.0035484269788182833,0.0,0\n"
+        "1.0,1.0,0.3143666666666667,0.0013638115942028988,0.0,0\n"
+        "1.2,1.0,0.2545333333333334,0.000673025641025641,0.0,0\n"
+        "1.4,1.0,0.21383333333333335,0.00037957079152731323,0.0,0\n",
+    ),
+    "fig2": (
+        "fig2_grid.csv",
+        "alpha,H,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.2,0.55,0.7166666666666667,0.5215348837209303,0.04634950228211258,0.02601637660881799,0\n"
+        "0.2,0.7,0.68,0.5345098039215685,0.04356182748961653,0.02693201316896554,0\n"
+        "0.2,0.9,0.67,0.5441293532338308,0.038322363184079604,0.027147743920996455,0\n"
+        "0.5,0.55,0.7033333333333334,0.5252132701421801,0.048371740013540956,0.02637268508359584,0\n"
+        "0.5,0.7,0.6566666666666666,0.5312182741116751,0.04330361027659795,0.027413838084414933,0\n"
+        "0.5,0.9,0.66,0.5525252525252525,0.040860595805773475,0.027349588662354686,0\n"
+        "0.8,0.55,0.6433333333333333,0.5324352331606218,0.046126851252158894,0.027655955088404592,0\n"
+        "0.8,0.7,0.61,0.5540437158469946,0.04464180027622651,0.028160255680657446,0\n"
+        "0.8,0.9,0.5833333333333334,0.5645714285714286,0.042021510673234806,0.02846375212766555,0\n",
+    ),
+    "fig2text": (
+        "fig2text_grid.csv",
+        "alpha,H,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.2,0.55,0.7166666666666667,0.8056279069767442,0.011618178656813735,0.02601637660881799,0\n"
+        "0.2,0.7,0.73,0.8139726027397262,0.011224054291818523,0.025632011235952594,0\n"
+        "0.2,0.9,0.7333333333333333,0.8171818181818182,0.010175583229555833,0.02553138954016902,0\n"
+        "0.5,0.55,0.6266666666666667,0.8267553191489362,0.011591020025031288,0.02792582768427557,0\n"
+        "0.5,0.7,0.6166666666666667,0.8301081081081081,0.010660857814336077,0.028070677992577286,0\n"
+        "0.5,0.9,0.6233333333333333,0.8355614973262031,0.009597935713874994,0.027975518397871192,0\n"
+        "0.8,0.55,0.20333333333333334,0.87,0.00808,0.02323710315342605,0\n"
+        "0.8,0.7,0.17333333333333334,0.8621153846153846,0.006883672699849172,0.02185473929447866,0\n"
+        "0.8,0.9,0.17666666666666667,0.8713207547169812,0.006265529753265602,0.0220193517582115,0\n",
+    ),
+    "custom": (
+        "sweep_custom.csv",
+        "lambda,probability,mean_Tq,var_Tq,std_error,failures\n"
+        "0.3,0.023333333333333334,0.9085714285714286,0.003747619047619045,0.008715673408461504,0\n"
+        "0.5,0.96,0.7071180555555556,0.013869365805265196,0.011313708498984765,0\n"
+        "0.9,1.0,0.3384666666666667,0.0016631928651059088,0.0,0\n",
+    ),
 }
+# flags a preset needs beyond the shared ones
+PRESET_ARGS = {"custom": ["--lambdas", "0.3", "0.5", "0.9"]}
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN))
@@ -52,8 +100,28 @@ def test_preset_csv_bytes(preset, tmp_path):
     out = tmp_path / "out"
     argv = ["sweep", "--preset", preset, "--config", str(cfg), "--out", str(out)]
     argv += ["--realizations", "300", "--seed", "7", "--threads", "1"]
+    argv += PRESET_ARGS.get(preset, [])
     assert main(argv) == 0
     assert (out / name).read_bytes() == expected.encode()
+
+
+REALIZATION = """{
+  "seed": 7,
+  "quenched": true,
+  "T_q": 0.77,
+  "steps_taken": 78,
+  "failed": false,
+  "embedding_warning": false
+}
+"""
+
+
+def test_simulate_realization_bytes(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M = 11\nN = 100\n")
+    argv = ["simulate", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "realization.json").read_bytes() == REALIZATION.encode()
 
 
 BOUND_CONFIG = "M = 11\nN = 128\nlambda = 1e-5\na = 0.1\nb = 0.1\nbound_paths = 20\n"

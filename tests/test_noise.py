@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from quenchsim import (
     ModelParams,
     PathWorkspace,
+    assemble_matrix,
     bm_increments,
+    bound_report,
     derive_seed,
+    factorize,
     fgn_autocovariance,
     fgn_circulant,
     mixed_path,
 )
+from quenchsim.config import RunConfig
+from quenchsim.solver import simulate_batch
 
 
 def bartlett_se(k, H, n, truncation=400):
@@ -157,27 +162,24 @@ class TestCovarianceRH:
 class TestMixedPath:
     def test_zero_coefficients_give_zero_process(self):
         params = ModelParams(N=64, a_fn=0.0, b_fn=0.0)
-        path = mixed_path(params, seed=1)
-        assert np.all(path.N == 0.0)
-        assert len(path.N) == 65
+        N = mixed_path(params, seed=1)
+        assert np.all(N == 0.0)
+        assert len(N) == 65
 
     def test_pure_brownian_terminal_variance(self):
         params = ModelParams(N=64, T=1.0, a_fn=1.0, b_fn=0.0)
-        finals = np.array([mixed_path(params, seed=i).N[-1] for i in range(10_000)])
+        finals = np.array([mixed_path(params, seed=i)[-1] for i in range(10_000)])
         assert finals.var() == pytest.approx(1.0, rel=0.05)
 
     def test_mixed_terminal_variance_adds(self):
         H = 0.7
         params = ModelParams(N=64, T=1.0, H=H, a_fn=1.0, b_fn=1.0)
-        finals = np.array([mixed_path(params, seed=i).N[-1] for i in range(10_000)])
+        finals = np.array([mixed_path(params, seed=i)[-1] for i in range(10_000)])
         assert finals.var() == pytest.approx(1.0 + 1.0 ** (2 * H), rel=0.05)
 
     def test_replay_bit_identical(self):
         params = ModelParams(N=256)
-        a = mixed_path(params, seed=77)
-        b = mixed_path(params, seed=77)
-        assert np.array_equal(a.N, b.N)
-        assert a.embedding_warning == b.embedding_warning
+        assert np.array_equal(mixed_path(params, seed=77), mixed_path(params, seed=77))
 
     @pytest.mark.parametrize("a, b, H", [(0.1, 0.1, 0.7), (1.0, 0.3, 0.55), (0.0, 2.0, 0.9)])
     def test_streams_one_and_two_of_the_seed(self, a, b, H):
@@ -188,9 +190,8 @@ class TestMixedPath:
         dt = params.T / params.N
         db = bm_increments(params.N, dt, derive_seed(seed, 1))
         dbh = fgn_circulant(params.N, dt, H, derive_seed(seed, 2)).increments
-        path = mixed_path(params, seed)
-        assert np.array_equal(path.N, np.concatenate([[0.0], np.cumsum(a * db + b * dbh)]))
-        assert path.dt == dt and path.n_steps == params.N
+        N = mixed_path(params, seed)
+        assert np.array_equal(N, np.concatenate([[0.0], np.cumsum(a * db + b * dbh)]))
 
 
 def hostile_autocov(k, H, dt=1.0):
@@ -212,6 +213,31 @@ def test_fgn_negative_eigenvalue_fallback(monkeypatch):
     sample = noise_mod.fgn_circulant(64, 1.0, 0.7, seed=1)
     assert sample.eigenvalue_clipped is True
     assert np.all(np.isfinite(sample.increments))
+
+
+@pytest.mark.parametrize("covariance", ["fgn", "hostile"])
+def test_clip_flag_is_the_grids(monkeypatch, covariance):
+    # Clipping depends on (n_steps, dt, H) alone: the sampler's flag on every
+    # seed, every simulate_batch column and the bound report's count all
+    # follow `_embedding_clipped`.
+    import quenchsim.noise as noise_mod
+
+    if covariance == "hostile":
+        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
+        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+    seeds = [derive_seed(18, i) for i in range(6)]
+    for n in (1, 2, 3, 100):
+        for H in (0.5, 0.7):
+            params = ModelParams(M=11, N=n, H=H, lam=1e-5, a_fn=0.1, b_fn=0.1)
+            clipped = noise_mod._embedding_clipped(n, params.dt, H)
+            assert clipped is (covariance == "hostile" and H != 0.5 and n > 1)
+            for seed in seeds:
+                assert fgn_circulant(n, params.dt, H, seed).eigenvalue_clipped is clipped
+            factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+            results = simulate_batch(factor, params, seeds, lams=(0.4, 1.0))
+            assert [r.embedding_warning for r in results] == [clipped] * 12
+            report = bound_report(RunConfig(params=params, bound_paths=5))
+            assert report["monte_carlo"]["embedding_warnings"] == (5 if clipped else 0)
 
 
 def test_fgn_embedding_covariance_is_exact():
@@ -304,8 +330,8 @@ class TestPathWorkspace:
         assert reused.eigenvalue_clipped == fresh.eigenvalue_clipped
         fresh = mixed_path(params, seed)
         reused = mixed_path(params, seed, workspace)
-        assert np.array_equal(bits(reused.N), bits(fresh.N))
-        assert reused.embedding_warning == fresh.embedding_warning
+        assert np.array_equal(bits(reused), bits(fresh))
+        assert reused is workspace.N
 
     def test_interleaved_seeds_and_keys(self):
         workspaces = {n: self.poisoned(n) for n in (1, 2, 3, 100, 1024)}

@@ -305,14 +305,6 @@ class TestMergedLambdas:
         every = sorted(r.steps_taken for r in merged)
         assert every[-BLOCK] < every[-BLOCK + 1] < params.N
 
-    def test_warning_follows_drive_column(self):
-        params, factor, seeds = self.case(12)
-        drive, _ = batch_drive(params, seeds)
-        warn = np.arange(len(seeds)) % 3 == 1
-        merged = simulate_batch(factor, params, seeds, drive=(drive, warn), lams=self.LAMS)
-        flags = [r.embedding_warning for r in merged]
-        assert flags == list(np.tile(warn, len(self.LAMS)))
-
     @pytest.mark.parametrize("M", [11, 12])
     def test_observed_states_match_naive_oracle(self, M):
         params = ModelParams(M=M, N=40, lam=0.5, gamma=0.1, kappa1=0.3, kappa2=0.3, c=0.2)
@@ -325,15 +317,11 @@ class TestMergedLambdas:
                 column = states[p * len(seeds) + j]
                 assert naive_deviation(column, replace(params, lam=lam), seed) <= 1e-12
 
-    @pytest.mark.parametrize("cut", ["rows", "columns", "flags"])
+    @pytest.mark.parametrize("cut", ["rows", "columns"])
     def test_short_drive_rejected_before_stepping(self, cut):
         params, factor, seeds = self.case(11)
-        drive, warn = batch_drive(params, seeds)
-        short = {
-            "rows": (drive[:-1], warn),
-            "columns": (drive[:, :-1], warn),
-            "flags": (drive, warn[:-1]),
-        }[cut]
+        drive = batch_drive(params, seeds)
+        short = {"rows": drive[:-1], "columns": drive[:, :-1]}[cut]
         steps = []
         with pytest.raises(ValueError, match="drive"):
             simulate_batch(factor, params, seeds, observer=lambda n, u, a: steps.append(n),
