@@ -122,16 +122,16 @@ def nu_of(bp: BoundParams) -> float:
 def tail_upper_bound(w: float, bp: BoundParams, nu_T: float) -> float:
     """Gaussian-tail upper bound on P[tau* <= T], valid when w > nu_T = `nu_of(bp)`.
 
-    Returns min(1, 2 exp(-(ln w - ln nu)^2 / (2 M(T)))), and its M -> 0 limit
-    0 when M(T) = 0: without noise tau* is deterministic and its functional
-    nu(T) stays below w.
+    Returns min(1, 2 exp(-(ln w - ln nu)^2 / (2 M(T)))), and its limit 0
+    when nu(T) = 0 (it underflows at large gamma) or M(T) = 0: without noise
+    tau* is deterministic and its functional nu(T) stays below w.
     """
     if not w > nu_T:
         raise ValueError(
             f"tail bound requires w > nu(T); got w={w:.6g}, nu(T)={nu_T:.6g}"
         )
     mT = M_of(bp)
-    if mT == 0.0:
+    if nu_T == 0.0 or mT == 0.0:
         return 0.0
     return min(1.0, 2.0 * math.exp(-((math.log(w) - math.log(nu_T)) ** 2) / (2.0 * mT)))
 

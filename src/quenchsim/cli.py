@@ -2,13 +2,13 @@
 
 Subcommands: simulate (one realization + trajectory dump), sweep (table
 presets and custom grids), bounds (JSON bound report), eigen, validate.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (float
+overflow and division by zero included), 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +21,8 @@ from .config import (
     emit_table,
     parse_config,
     _validate_run,
+    _write_json,
+    _write_rows,
 )
 from .ensemble import sweep
 from .errors import ConfigError, NumericalError
@@ -72,16 +74,19 @@ def _load_config(args: argparse.Namespace, defaults: RunConfig = RunConfig()) ->
     return config
 
 
+def _output(config: RunConfig, name: str) -> Path:
+    """The path of output file `name`, in an output directory made only once a file is due."""
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    return config.out_dir / name
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     result = run_realization(config.params, config.master_seed)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = config.out_dir / "trajectory.csv"
     dt = config.params.dt
-    with open(traj_path, "w", newline="\n") as handle:
-        handle.write("t,sup_norm\n")
-        for n, value in enumerate(result.sup_norm_series):
-            handle.write(f"{n * dt!r},{float(value)!r}\n")
+    series = result.sup_norm_series.tolist()
+    traj_path = _output(config, "trajectory.csv")
+    _write_rows(traj_path, ("t", "sup_norm"), ((n * dt, value) for n, value in enumerate(series)))
     meta = {
         "seed": config.master_seed,
         "quenched": result.quenched,
@@ -90,8 +95,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "failed": result.failed,
         "embedding_warning": result.embedding_warning,
     }
-    meta_path = config.out_dir / "realization.json"
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    meta_path = _output(config, "realization.json")
+    _write_json(meta_path, meta)
     print(f"quenched={result.quenched} T_q={result.T_q} -> {traj_path}, {meta_path}")
     return 0
 
@@ -114,8 +119,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     defaults = replace(defaults, params=replace(defaults.params, **pinned))
     config = _load_config(args, defaults)
     result = sweep(config.params, axes, config.n_realizations, config.master_seed)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / name
+    out_path = _output(config, name)
     emit_table(result, out_path)
     print(f"wrote {out_path}")
     return 0
@@ -124,9 +128,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _load_config(args)
     report = bounds_mod.bound_report(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "bounds_report.json"
-    out_path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+    out_path = _output(config, "bounds_report.json")
+    _write_json(out_path, report)
     print(f"wrote {out_path}")
     return 0
 
@@ -137,13 +140,9 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     op = assemble_matrix(params.grid, params.alpha)
     pair = principal_eigenpair(op)
     print(f"mu1 = {pair.mu1!r}  (residual {pair.residual:.3e})")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "psi1.csv"
-    x = params.grid.interior_points
-    with open(out_path, "w", newline="\n") as handle:
-        handle.write("x,psi1\n")
-        for xi, psi in zip(x, pair.psi1):
-            handle.write(f"{float(xi)!r},{float(psi)!r}\n")
+    out_path = _output(config, "psi1.csv")
+    x = params.grid.interior_points.tolist()
+    _write_rows(out_path, ("x", "psi1"), zip(x, pair.psi1.tolist()))
     print(f"wrote {out_path}")
     return 0
 
@@ -224,6 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # a float overflow or division by zero that no check caught first
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

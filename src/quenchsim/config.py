@@ -1,20 +1,19 @@
-"""Run configuration: parsing, defaults, and table output.
+"""Run configuration: parsing, defaults, and the writers of every output file.
 
 Configs are flat key-value text (one `key = value` per line, `#` comments)
 or a JSON object with the same keys.  Every key has a documented default;
 parse -> emit -> parse is the identity, and `emit_config` refuses an output
-path that the flat format cannot carry.
+path that the flat format cannot carry.  Every CSV and JSON file the CLI
+writes goes through `_write_rows` or `_write_json`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .ensemble import SweepResult
 from .errors import ConfigError
 from .solver import MODEL_KEYS, ModelParams
 
@@ -168,41 +167,40 @@ def emit_config(config: RunConfig) -> str:
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A CSV field: empty for None, else `str`, which for a float is its `repr`."""
+    return "" if value is None else str(value)
 
 
-def emit_table(sweep: SweepResult, path) -> None:
+def _write_rows(path, header, rows) -> None:
+    """Write `header` and `rows`, tuples of its length, as CSV lines of `_format_value` fields.
+
+    The rows are streamed, and a row without None is formatted by one `%` of
+    `%s` fields and no call per field: the 10,001-row trajectory is written
+    as fast as by an f-string loop, and no copy of the file is held.  No
+    field is quoted, so none may hold a comma, a quote or a line break.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", newline="\n") as handle:
+        handle.write(line % header)
+        for row in rows:
+            handle.write(line % (row if None not in row else tuple(map(_format_value, row))))
+
+
+def _write_json(path, document) -> None:
+    """Write `document` as strict JSON (no NaN or infinity), indented by 2."""
+    Path(path).write_text(json.dumps(document, indent=2, allow_nan=False) + "\n", newline="\n")
+
+
+def emit_table(sweep, path) -> None:
     """Write sweep statistics as CSV mirroring the experiment tables.
 
     Columns: one per sweep axis, then probability, mean_Tq, var_Tq,
     std_error, failures.  Missing moments render as empty fields.  Output
     is byte-deterministic for identical sweeps.
     """
-    header = list(sweep.axis_names) + [
-        "probability",
-        "mean_Tq",
-        "var_Tq",
-        "std_error",
-        "failures",
+    header = (*sweep.axis_names, "probability", "mean_Tq", "var_Tq", "std_error", "failures")
+    rows = [
+        (*coords, s.quench_probability, s.mean_Tq, s.var_Tq, s.std_error_p, s.failures)
+        for coords, s in sweep.grid_points()
     ]
-    try:
-        with open(path, "w", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for coords, stats in sweep.grid_points():
-                writer.writerow(
-                    [_format_value(c) for c in coords]
-                    + [
-                        _format_value(stats.quench_probability),
-                        _format_value(stats.mean_Tq),
-                        _format_value(stats.var_Tq),
-                        _format_value(stats.std_error_p),
-                        str(stats.failures),
-                    ]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write table to {path}: {exc}") from exc
+    _write_rows(path, header, rows)

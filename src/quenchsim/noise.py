@@ -25,7 +25,7 @@ class PathWorkspace:
 
     `batch_drive` draws all its seeds through one workspace, and a loop over
     many `mixed_path` draws passes one workspace to each draw instead of
-    allocating the draws, the spectral vector, the increments and N afresh:
+    allocating the draws, the spectral vector and N afresh:
     at large n_steps those arrays let the heap trim and re-fault their pages
     on every path.  A path drawn into a workspace is overwritten by the next
     draw into it.
@@ -35,7 +35,6 @@ class PathWorkspace:
         self.db = np.empty(n_steps)  # Brownian increments, then the drive
         self.draws = np.empty(2 * n_steps)  # the fGN sampler's standard normals
         self.spectrum = np.empty(2 * n_steps, dtype=complex)
-        self.increments = np.empty(n_steps)  # the scaled fGN increments
         self.N = np.empty(n_steps + 1)
 
 
@@ -160,13 +159,14 @@ def _drive(params, seed: int, c1: float, c2: float, workspace: PathWorkspace) ->
 
     The Brownian and fractional increments are the seed's derived streams 1
     and 2.  `batch_drive` and `mixed_path` both draw through here, so that
-    rule has one owner.  The sum is formed in the workspace's Brownian buffer.
+    rule has one owner.  The fGN increments, a view of the workspace, are
+    scaled in place, and the sum is formed in its Brownian buffer.
     """
     db = bm_increments(params.N, params.dt, derive_seed(seed, 1), workspace.db)
-    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2), workspace)
-    scaled = np.multiply(fgn.increments, c2, out=workspace.increments)
+    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2), workspace).increments
+    fgn *= c2
     db *= c1
-    db += scaled
+    db += fgn
     return db
 
 

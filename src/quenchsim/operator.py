@@ -36,10 +36,6 @@ class GridSpec:
         return 2.0 / self.M
 
     @property
-    def n_interior(self) -> int:
-        return self.M - 1
-
-    @property
     def interior_points(self) -> np.ndarray:
         """x_j = -1 + j*dx for j = 1..M-1."""
         return -1.0 + self.dx * np.arange(1, self.M)

@@ -47,7 +47,7 @@ class ModelParams:
     injection itself is kappa1 * dB + kappa2 * dB^H with raw increments
     (dB ~ Normal(0, dt), dB^H fractional Gaussian noise of variance dt^2H),
     which makes the update a consistent Euler-Maruyama/Young step.  Every
-    float field must be finite.
+    float field must be finite.  Errors name a field by its config key.
     """
 
     lam: float = 0.4
@@ -69,7 +69,8 @@ class ModelParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                key = _RENAMED.get(f.name, f.name)
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"initial amplitude must satisfy 0 <= c < 1, got {self.c}")
         if self.T <= 0:
@@ -80,7 +81,7 @@ class ModelParams:
             raise ValueError(f"space subintervals M must be >= 3, got {self.M}")
         for name in ("lam", "gamma", "kappa1", "kappa2"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ValueError(f"{_RENAMED.get(name, name)} must be non-negative")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.5 <= self.H < 1.0:

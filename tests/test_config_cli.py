@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -302,12 +303,62 @@ class TestCli:
             assert self._run("simulate", "--config", str(bad_out)) == 2
         assert not any((tmp_path / "cwd").iterdir())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # exp in the nu(T) integrand overflows at k = 100; it used to escape
         # as an OverflowError traceback (exit 1)
         big_k = self._cfg(tmp_path, "M = 9\nN = 20\nk = 100\nbound_paths = 2\n")
         assert self._run("bounds", "--config", str(big_k), "--out", str(tmp_path)) == 3
         assert "overflows" in capsys.readouterr().err
+        # float overflow and division by zero that no check catches also exit
+        # 3 and name the exception; each of these used to exit 1
+        cases = [
+            (["simulate"], "T = 1e300", "OverflowError"),  # the fGN autocovariance
+            (["sweep", "--preset", "t1", "--realizations", "2"], "T = 1e300", "OverflowError"),
+            (["bounds"], "W1 = 1e300", "OverflowError"),  # the threshold w
+            (["bounds"], "W1 = 1e-300", "ZeroDivisionError"),  # w underflows to 0
+            (["bounds"], "T = 1e300", "OverflowError"),  # ** in the nu(T) integrand
+            (["bounds"], "a = 1e200", "OverflowError"),
+            (["bounds"], "b = 1e200", "OverflowError"),
+        ]
+        for command, line, name in cases:
+            cfg = self._cfg(tmp_path, f"M = 9\nN = 20\nbound_paths = 2\n{line}\n")
+            out = tmp_path / "out"
+            assert self._run(*command, "--config", str(cfg), "--out", str(out)) == 3, line
+            assert f"numerical failure: {name}" in capsys.readouterr().err
+            assert not out.exists()
+        # nu(T) underflows to 0 at gamma = 1e300: the tail bound takes its limit
+        # 0 (math domain error, exit 1, before).  N = 50 keeps the paths' left
+        # sums over the first step below w, which N = 20 does not
+        cfg = self._cfg(tmp_path, "M = 11\nN = 50\nbound_paths = 2\ngamma = 1e300\n")
+        assert self._run("bounds", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert report["tail_bound"] == 0.0
+        assert report["monte_carlo"]["empirical_P_tau_star_le_T"] == 0.0
+
+    def test_config_errors_name_the_config_key(self, tmp_path, capsys):
+        # they used to name the fields lam and a_fn
+        for line, message in (("lambda = -1", "lambda must be non-negative"),
+                              ("a = nan", "a must be a finite number")):
+            cfg = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
+            assert self._run("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+            assert f"configuration error: {message}" in capsys.readouterr().err
+        cfg = self._cfg(tmp_path, "M = 9\nN = 20\n")
+        argv = ["sweep", "--preset", "custom", "--lambdas", "-1", "--config", str(cfg)]
+        assert self._run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "sweep point rejected: lambda must be non-negative" in err
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        # --out naming a regular file: the output directory cannot be made
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        cfg = self._cfg(tmp_path, "M = 9\nN = 20\nbound_paths = 2\n")
+        for command in (["simulate"], ["sweep", "--preset", "custom", "--lambdas", "0.4",
+                                       "--realizations", "2"], ["bounds"], ["eigen"]):
+            assert self._run(*command, "--config", str(cfg), "--out", str(blocked)) == 4
+            assert "I/O error" in capsys.readouterr().err
+        assert blocked.read_text() == ""
 
     def test_missing_config_file_exit_code(self):
         assert self._run("simulate", "--config", "/nonexistent/path.cfg") == 2
@@ -320,6 +371,23 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "sweep" in proc.stdout
+
+    def test_console_script_declaration(self, capsys):
+        # the quenchsim script that pyproject.toml declares, resolved without
+        # installing the package
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"quenchsim": "quenchsim.cli:main"}
+        module, _, attr = scripts["quenchsim"].partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        with pytest.raises(SystemExit) as exit_info:
+            entry(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("simulate", "sweep", "bounds", "eigen", "validate"):
+            assert command in out
 
 
 class TestEndToEndDeterminism:
@@ -487,5 +555,5 @@ class TestScaleResolution:
     def test_non_constant_coefficients_rejected(self):
         # coefficients are constants: a callable or a table fails at construction
         for bad in (lambda t: t, ([0.0, 1.0], [1.0, 2.0])):
-            with pytest.raises(ValueError, match="a_fn must be a finite number"):
+            with pytest.raises(ValueError, match="a must be a finite number"):
                 ModelParams(a_fn=bad)

@@ -1,8 +1,9 @@
 """Sweep, simulate and bound outputs pinned across commits.
 
 Every sweep preset at M = 11, N = 100, 300 realizations and seed 7 (custom
-on its own lambda grid) must reproduce these exact bytes, and so must one
-`simulate` realization and the bound reports of three small configs.
+on its own lambda grid) must reproduce these exact bytes, and so must
+`simulate`'s realization and trajectory, `eigen`'s eigenfunction and the
+bound reports of three small configs.
 Every probability, mean and variance depends
 on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
@@ -14,6 +15,8 @@ OpenBLAS 0.3.31).  numpy guarantees no `Generator` stream across versions
 (NEP 19), and pocketfft and the gemm kernel can move the last bits, so the
 repository's `constraints.txt` pins these versions and CI installs with it.
 """
+
+import hashlib
 
 import pytest
 
@@ -122,6 +125,42 @@ def test_simulate_realization_bytes(tmp_path):
     argv = ["simulate", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert (tmp_path / "realization.json").read_bytes() == REALIZATION.encode()
+
+
+# simulate's trajectory (101 states; this realization does not quench) and
+# eigen's principal eigenfunction on the same toy grid
+TRAJECTORY_SHA256 = "9d4ed18d70a874b60a7653821ce0afcb056fadd34a2c75a2d1b98cd1d20eca33"
+PSI1 = """x,psi1
+-0.8181818181818181,0.2749806010876428
+-0.6363636363636364,0.4586922270361688
+-0.4545454545454546,0.5950250763474721
+-0.2727272727272727,0.6872729115176773
+-0.09090909090909083,0.7340291840110394
+0.09090909090909083,0.7340291840110394
+0.2727272727272727,0.6872729115176771
+0.4545454545454546,0.5950250763474715
+0.6363636363636365,0.4586922270361684
+0.8181818181818183,0.27498060108764255
+"""
+
+
+def test_simulate_trajectory_bytes(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M = 11\nN = 100\n")
+    argv = ["simulate", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    lines = data.decode().splitlines()
+    assert lines[:3] == ["t,sup_norm", "0.0,0.09917355371900827", "0.01,0.07536026198376959"]
+    assert lines[-1] == "1.0,0.34052401584258146" and len(lines) == 102
+    assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256
+
+
+def test_eigen_psi1_bytes(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M = 11\nN = 100\n")
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "psi1.csv").read_bytes() == PSI1.encode()
 
 
 BOUND_CONFIG = "M = 11\nN = 128\nlambda = 1e-5\na = 0.1\nb = 0.1\nbound_paths = 20\n"

@@ -17,7 +17,6 @@ from naive_reference import naive_matrix, naive_pv_integral
 def test_grid_spec_basics():
     g = GridSpec(41)
     assert g.dx * g.M == pytest.approx(2.0, abs=1e-15)
-    assert g.n_interior == 40
     assert len(g.interior_points) == 40
     assert g.interior_points[0] == pytest.approx(-1.0 + g.dx)
 

@@ -79,7 +79,7 @@ def test_rayleigh_orthogonal_complement_dominated_by_second_eigenvalue():
 
 
 def test_inner_product_basics(grid41, pair41):
-    zeros = np.zeros(grid41.n_interior)
+    zeros = np.zeros(grid41.M - 1)
     assert inner_product_v0_psi1(zeros, pair41) == 0.0
     self_product = inner_product_v0_psi1(pair41.psi1, pair41)
     assert self_product == pytest.approx(
