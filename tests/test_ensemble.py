@@ -162,7 +162,12 @@ class TestSharedNoise:
             ([("lam", [0.4])], "repeated sweep axis 'lam'"),
             ([("lambda", [0.4]), ("eta1", [])], "repeated sweep axis 'eta1'"),
             ([("lambda", [0.2]), ("H", [0.7]), ("lambda", [5.0])], "repeated sweep axis 'lambda'"),
-            ([("lambda", [0.4, -1.0])], "lambda must be non-negative"),
+            # The case id names the ModelParams field; the message names its config key.
+            pytest.param(
+                [("lambda", [0.4, -1.0])],
+                "lambda must be non-negative",
+                id="axes3-lam must be non-negative",
+            ),
             ([("alpha", [0.5]), ("H", [0.7, 0.3])], "Hurst index"),
             ([("M", [11, 2])], "M must be >= 3"),
             ([("N", [100, float("nan")])], "'N'"),
