@@ -84,6 +84,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     result = run_realization(config.params, config.master_seed)
     dt = config.params.dt
+    if result.failed:
+        step = result.steps_taken
+        raise NumericalError(f"the realization's state is not finite at step {step} (t = {step * dt})")
     series = result.sup_norm_series.tolist()
     traj_path = _output(config, "trajectory.csv")
     _write_rows(traj_path, ("t", "sup_norm"), ((n * dt, value) for n, value in enumerate(series)))

@@ -6,8 +6,9 @@ and applied by matrix product to every step and realization, while the
 singular source lambda / (1-u)^2 - gamma * (1-u) and the multiplicative
 noise kick are explicit.  A realization quenches when max_j u_j exceeds
 1 - epsilon; the quench time is reported as the last compliant step time.
-Running realizations are kept packed, as a contiguous block of columns, and
-the pack is compacted only on a step where one of them stops.  One call can
+Realizations are stepped packed, as a contiguous block of columns.  One
+that stops is parked at rest in place, and the pack is re-laid without the
+parked columns only when that saves a block of the solve.  One call can
 step several lambda values on the same noise, one batch each.
 
 The kernel steps half the nodes.  It relies on two preconditions: the
@@ -222,8 +223,15 @@ def simulate_batch(
     solve multiplies fixed-width blocks, so results are identical whether
     realizations run alone or batched.  Quench detection runs before the
     source evaluation each step; quenched and failed columns stop at once.
-    The running columns are kept packed, contiguous and in batch order, and
-    the pack is compacted only on a step where some column stops.
+    The stepped columns are kept packed, contiguous and in batch order.  A
+    column that stops has its result recorded and is parked: its state is
+    set to 0 and it goes on being stepped, zeroed again whenever it crosses
+    the threshold, so it stays finite and never touches another column's
+    bits.  The live columns are re-laid into a narrower pack only when that
+    drops a BLOCK of the solve, ceil(live/BLOCK) < ceil(k/BLOCK), or when
+    none is left.  At gamma = 0 the gamma (1-u) term is skipped: for finite
+    u it is +0.0 and g - 0.0 is g, and a node at -inf makes the next state
+    non-finite with or without it, so the column fails on the same step.
 
     `lams` steps one batch per lambda on the same drive, in place of
     `params.lam` (the default is `(params.lam,)`): column p*len(seeds) + j
@@ -240,8 +248,9 @@ def simulate_batch(
     step n = 0..N before quench detection, with the full state u (all M-1
     interior nodes by batch column, unfolded from the half state) and the
     mask of columns still running.  The running columns are written back
-    into u before each call; a stopped column keeps the state it stopped
-    in.  Both arrays are live: an observer that keeps them must copy.
+    into u before each call; a stopped column, parked or not, keeps the
+    state it stopped in.  Both arrays are live: an observer that keeps them
+    must copy.
 
     `drive`, when given, is the (N, len(seeds)) `batch_drive(params, seeds)`
     drawn beforehand, which lets parameter sets that share a noise key step
@@ -268,10 +277,11 @@ def simulate_batch(
     lam_of = np.repeat(np.asarray(lams, dtype=float), n_seeds)
     seed_of = np.tile(np.arange(n_seeds), len(lams))
 
-    # The pack of the k running columns is the leading h*k entries of flat
+    # The pack of the k stepped columns is the leading h*k entries of flat
     # buffers viewed as (h, k), so every per-step ufunc runs on contiguous
     # memory; order[:k] holds their batch columns, lam and cols their lambda
-    # and drive column.  The views are rebuilt only when a column stops.
+    # and drive column.  parked marks the stopped columns held at rest in
+    # the pack; the views are rebuilt only when the live columns are re-laid.
     n_nodes = params.M - 1
     half = (n_nodes + 1) // 2
     buffers = [np.empty(half * n_batch) for _ in range(4)]
@@ -284,6 +294,8 @@ def simulate_batch(
     x[...] = initial_condition(params.grid, params.c)[:half, None]
     order = np.arange(n_batch)
     lam, cols = lam_of, seed_of
+    parked = np.zeros(k, dtype=bool)
+    n_parked = 0
     u = np.empty((n_nodes, n_batch)) if observer is not None else None
     active = np.ones(n_batch, dtype=bool)
     quench_time = np.full(n_batch, np.nan)
@@ -292,36 +304,49 @@ def simulate_batch(
 
     for n in range(n_steps + 1):
         if observer is not None:
-            u[:half, order[:k]] = x
-            u[n_nodes - half :, order[:k]] = x[::-1]
+            shown, state = order[:k], x
+            if n_parked:
+                shown, state = shown[~parked], x[:, ~parked]
+            u[:half, shown] = state
+            u[n_nodes - half :, shown] = state[::-1]
             observer(n, u, active)
         col_max = x.max(axis=0)
         running = np.isfinite(col_max) & (col_max <= threshold)
         if not running.all():
             stop = ~running
-            stopped = order[:k][stop]
-            bad = ~np.isfinite(col_max[stop])
+            new = stop & ~parked
+            stopped = order[:k][new]
+            bad = ~np.isfinite(col_max[new])
             failed[stopped[bad]] = True
             quench_time[stopped[~bad]] = max(n - 1, 0) * dt
             steps_taken[stopped] = n
             active[stopped] = False
-            kept = x[:, running]
-            order[: kept.shape[1]] = order[:k][running]
-            k = kept.shape[1]
-            x, w, g, b = pack(k)
-            x[...] = kept
-            lam, cols = lam_of[order[:k]], seed_of[order[:k]]
+            x[:, stop] = 0.0
+            parked |= stop
+            n_parked += len(stopped)
+            live = k - n_parked
+            if live == 0 or -(-live // BLOCK) < -(-k // BLOCK):
+                keep = ~parked
+                kept = x[:, keep]
+                order[:live] = order[:k][keep]
+                k = live
+                x, w, g, b = pack(k)
+                x[...] = kept
+                lam, cols = lam_of[order[:k]], seed_of[order[:k]]
+                parked = np.zeros(k, dtype=bool)
+                n_parked = 0
         if n == n_steps or k == 0:
             break
         np.subtract(1.0, x, out=w)
         np.square(w, out=g)
         np.divide(lam, g, out=g)
-        np.multiply(gamma, w, out=b)
-        np.subtract(g, b, out=g)
+        if gamma:  # at gamma = 0 the term changes no bit (see the docstring)
+            np.multiply(gamma, w, out=b)
+            np.subtract(g, b, out=g)
         np.multiply(dt, g, out=g)
         np.add(x, g, out=b)
-        # (1-u)^+ is 1-u here: every entry of a running column is at most
-        # 1 - epsilon (or -inf), so w > 0 already
+        # (1-u)^+ is 1-u here: every entry of a stepped column, parked or
+        # not, is at most 1 - epsilon (or -inf), so w > 0 already
         np.multiply(w, drive[n, cols], out=w)
         np.add(b, w, out=b)
         factor.solve(b, out=x)

@@ -327,6 +327,15 @@ class TestCli:
             assert self._run(*command, "--config", str(cfg), "--out", str(out)) == 3, line
             assert f"numerical failure: {name}" in capsys.readouterr().err
             assert not out.exists()
+        # simulate's one realization fails at gamma = 1e300; it used to exit 0
+        # and write "failed": true and inf into trajectory.csv
+        cfg = self._cfg(tmp_path, "M = 11\nN = 50\ngamma = 1e300\n")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = self._run("simulate", "--config", str(cfg), "--seed", "3", "--out", str(out))
+        assert code == 3
+        assert "state is not finite at step 2 " in capsys.readouterr().err
+        assert not out.exists()
         # nu(T) underflows to 0 at gamma = 1e300: the tail bound takes its limit
         # 0 (math domain error, exit 1, before).  N = 50 keeps the paths' left
         # sums over the first step below w, which N = 20 does not

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from quenchsim import (
     run_realization,
 )
 from quenchsim.noise import batch_drive
-from quenchsim.solver import BLOCK, simulate_batch
+from quenchsim.solver import BLOCK, MACHINE_EPSILON, simulate_batch
 
 from naive_reference import gaussian_solve, naive_trajectory
 from solver_states import ORACLE_PARAMS, naive_deviation, oracle_deviation, record_states
@@ -333,6 +334,117 @@ class TestMergedLambdas:
         params, factor, seeds = self.case(11)
         with pytest.raises(ValueError, match="lam"):
             simulate_batch(factor, params, seeds[:2], lams=[0.4, bad])
+
+
+class CrossingCounter:
+    """A Factorization stand-in that counts the columns each solve sends over the threshold."""
+
+    def __init__(self, factor, threshold):
+        self.factor, self.threshold, self.crossings = factor, threshold, 0
+
+    def solve(self, rhs, out=None):
+        out = self.factor.solve(rhs, out)
+        col_max = out.max(axis=0)
+        self.crossings += int(np.sum(~(np.isfinite(col_max) & (col_max <= self.threshold))))
+        return out
+
+
+class TestParking:
+    # A column that stops is parked at rest in the pack, and the pack is
+    # re-laid only when that drops a BLOCK of the solve.  Widths 130 and 257
+    # sit just past a BLOCK multiple; the lambdas run up to where a column at
+    # rest crosses the threshold again within a few steps, so parked columns
+    # re-cross, and are zeroed again, before the pack is re-laid.
+    CASES = [(65, 2), (257, 1)]  # (lambdas, seeds): 130 and 257 columns
+
+    def case(self, M, n_lams, n_seeds):
+        params = ModelParams(M=M, N=200, kappa1=0.3, kappa2=0.3)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        lams = tuple(np.geomspace(0.3, 300.0, n_lams))
+        seeds = [derive_seed(20261019, i) for i in range(n_seeds)]
+        return params, factor, lams, seeds
+
+    @pytest.mark.parametrize("M", [11, 12])
+    @pytest.mark.parametrize("n_lams,n_seeds", CASES)
+    def test_every_column_equals_its_run_alone(self, M, n_lams, n_seeds):
+        params, factor, lams, seeds = self.case(M, n_lams, n_seeds)
+        results, states = record_states(params, seeds, factor=factor, lams=lams)
+        final = []  # the observer's live state array, left as the last step wrote it
+        simulate_batch(factor, params, seeds, lams=lams,
+                       observer=lambda n, u, a: final.append(u) if not final else None)
+        counter = CrossingCounter(factor, 1.0 - params.epsilon)
+        assert simulate_batch(counter, params, seeds, lams=lams) == results
+        recorded = sum(r.steps_taken > 0 and (r.quenched or r.failed) for r in results)
+        assert counter.crossings > recorded  # parked columns crossed again
+        for p, lam in enumerate(lams):
+            for j, seed in enumerate(seeds):
+                c = p * n_seeds + j
+                (alone,), solo = record_states(params, [seed], factor=factor, lams=(lam,))
+                assert results[c] == alone
+                mine, theirs = np.array(states[c]), np.array(solo[0])
+                assert mine.shape == theirs.shape
+                assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+                # u keeps each column's last state, a parked one's where it stopped
+                assert np.array_equal(final[0][:, c].view(np.uint64), mine[-1].view(np.uint64))
+
+    @pytest.mark.parametrize("M", [11, 12])
+    @pytest.mark.parametrize("n_lams,n_seeds", CASES)
+    def test_parked_columns_raise_no_warning(self, M, n_lams, n_seeds):
+        params, factor, lams, seeds = self.case(M, n_lams, n_seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = simulate_batch(factor, params, seeds, lams=lams)
+        assert all(r.quenched for r in results[-n_seeds:])
+
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_failed_column_is_parked_at_rest(self, M):
+        # An infinite drive entry makes column 7 fail at step 6.  Left as it
+        # was, its state would meet inf - inf on a later step; parked at rest
+        # it raises no warning, and the other columns keep their bits.
+        params = ModelParams(M=M, N=50, lam=0.1)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        seeds = [derive_seed(20261019, i) for i in range(130)]
+        drive = batch_drive(params, seeds)
+        clean = simulate_batch(factor, params, seeds, drive=drive)
+        drive[5, 7] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = simulate_batch(factor, params, seeds, drive=drive)
+        assert results[7].failed and results[7].steps_taken == 6
+        assert sum(r.steps_taken < params.N for r in results) == 1  # never re-laid
+        assert results[:7] + results[8:] == clean[:7] + clean[8:]
+
+
+class TestGammaSkip:
+    # At gamma = 0 the kernel skips the gamma (1-u) term.  Each observed step
+    # must carry the bits of a replica that keeps g - 0.0 * w.  Even M puts a
+    # node at x = 0, where c = 1 - 4 eps starts within a few ulps of the
+    # threshold 1 - eps; the zero drive steps the same states without noise.
+    @pytest.mark.parametrize("M", [12, 40])
+    def test_step_equals_explicit_zero_term(self, M):
+        eps = MACHINE_EPSILON
+        params = ModelParams(M=M, N=20, c=1.0 - 4 * eps, kappa1=0.3, kappa2=0.3)
+        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+        lams = (0.0, 1e-3, 0.4)
+        seeds = [3, 8]
+        h = M // 2  # ceil((M-1)/2) stepped nodes
+        checked = 0
+        for drive in (batch_drive(params, seeds), np.zeros((params.N, len(seeds)))):
+            observed = []
+            simulate_batch(factor, params, seeds, drive=drive, lams=lams,
+                           observer=lambda n, u, a: observed.append((u.copy(), a.copy())))
+            assert 1.0 - 8 * eps <= observed[0][0].max() <= 1.0 - eps
+            for n, ((u, _), (u_next, stepped)) in enumerate(zip(observed, observed[1:])):
+                for c in np.flatnonzero(stepped):
+                    x = u[:h, c]
+                    w = 1.0 - x
+                    g = lams[c // len(seeds)] / np.square(w)
+                    g = g - 0.0 * w
+                    b = (x + params.dt * g) + w * drive[n, c % len(seeds)]
+                    expected = factor.solve(b)
+                    assert np.array_equal(u_next[:h, c].view(np.uint64), expected.view(np.uint64))
+                    checked += 1
+        assert checked > 2 * len(lams) * len(seeds)
 
 
 class TestTimeStepConvergence:
