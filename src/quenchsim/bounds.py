@@ -254,17 +254,16 @@ def _worker_count(n_paths: int) -> int:
     return min(cpus, n_paths)
 
 
-def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[float, bool, int]:
-    """Empirical P[tau* <= T] over sampled paths, the per-path ordering, and clipping.
+def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[float, bool]:
+    """Empirical P[tau* <= T] over sampled paths and the per-path ordering.
 
     Path i is `mixed_path(bp.params, derive_seed(master_seed, i))`, the seeding
     policy of the ensembles, so distinct master seeds draw disjoint paths.
     tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
-    (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path;
-    the count of paths whose fGN embedding clipped is n_paths or 0, as all
-    share the grid's `_embedding_clipped`.  Only the first-crossing times
-    are evaluated: the drift and mu(t) exponents are formed once per call,
-    and each path's log-sum-exp stops at its threshold.
+    (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path.
+    Only the first-crossing times are evaluated: the drift and mu(t)
+    exponents are formed once per call, and each path's log-sum-exp stops
+    at its threshold.
 
     The paths are split into contiguous ranges, one per worker thread
     (`_worker_count`); numpy's normal fill and FFT release the GIL.  Each
@@ -288,7 +287,6 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     lower_base = -3.0 * np.log(mu_vals)
     w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
     log_dt = math.log(params.dt)
-    clipped = _embedding_clipped(params.N, params.dt, params.H)
 
     def draw(paths: range, workspace: PathWorkspace, three_n, log_terms) -> tuple[int, bool]:
         crossings, ordered = 0, True
@@ -315,7 +313,7 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
             for lo, hi, buf in zip(edges, edges[1:], buffers)
         ]
         crossings, ordered = zip(*(future.result() for future in futures))
-    return sum(crossings) / n_paths, all(ordered), n_paths if clipped else 0
+    return sum(crossings) / n_paths, all(ordered)
 
 
 def bound_report(config: RunConfig) -> dict:
@@ -360,11 +358,13 @@ def bound_report(config: RunConfig) -> dict:
             "value": gamma_result.value,
             "almost_sure": gamma_result.almost_sure,
         }
-    empirical, ordered, clipped = bound_monte_carlo(bp, config.bound_paths, config.master_seed)
+    empirical, ordered = bound_monte_carlo(bp, config.bound_paths, config.master_seed)
+    # every path shares the grid's embedding, so all are clipped or none is
+    clipped = _embedding_clipped(params.N, params.dt, params.H)
     report["monte_carlo"] = {
         "paths": config.bound_paths,
         "empirical_P_tau_star_le_T": empirical,
         "per_path_ordering_ok": ordered,
-        "embedding_warnings": clipped,
+        "embedding_warnings": config.bound_paths if clipped else 0,
     }
     return report

@@ -26,6 +26,7 @@ from .config import (
 )
 from .ensemble import sweep
 from .errors import ConfigError, NumericalError
+from .noise import _embedding_clipped
 from .operator import assemble_matrix
 from .solver import ModelParams, run_realization
 from .spectral import principal_eigenpair
@@ -63,13 +64,10 @@ def _load_config(args: argparse.Namespace, defaults: RunConfig = RunConfig()) ->
         config = defaults
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.realizations is not None:
+    if getattr(args, "realizations", None) is not None:  # a sweep flag
         config = replace(config, n_realizations=args.realizations)
     if args.out is not None:
         config = replace(config, out_dir=Path(args.out))
-    # --threads is accepted for compatibility and has no effect
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     _validate_run(config)
     return config
 
@@ -82,8 +80,9 @@ def _output(config: RunConfig, name: str) -> Path:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = run_realization(config.params, config.master_seed)
-    dt = config.params.dt
+    params = config.params
+    result = run_realization(params, config.master_seed)
+    dt = params.dt
     if result.failed:
         step = result.steps_taken
         raise NumericalError(f"the realization's state is not finite at step {step} (t = {step * dt})")
@@ -96,7 +95,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "T_q": result.T_q,
         "steps_taken": result.steps_taken,
         "failed": result.failed,
-        "embedding_warning": result.embedding_warning,
+        "embedding_warning": _embedding_clipped(params.N, dt, params.H),
     }
     meta_path = _output(config, "realization.json")
     _write_json(meta_path, meta)
@@ -108,6 +107,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = args.preset
     if args.lambdas is not None and preset != "custom":
         raise ConfigError(f"--lambdas applies to --preset custom only, not {preset}")
+    # --threads is accepted for compatibility and has no effect
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     name, pinned, axes = PRESETS[preset]
     if args.lambdas is not None:
         axes = [("lambda", args.lambdas)]
@@ -173,13 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key-value or JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--realizations", type=int, default=None, help="ensemble size")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="compatibility only; no effect (bounds and validate draw their paths on "
-            "every CPU of the affinity mask; limit it with taskset)",
-        )
 
     p_sim = sub.add_parser("simulate", help="run one realization and dump its trajectory")
     add_common(p_sim)
@@ -187,6 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and emit a CSV table")
     add_common(p_sweep)
+    p_sweep.add_argument("--realizations", type=int, default=None, help="ensemble size")
+    p_sweep.add_argument(
+        "--threads", type=int, default=None,
+        help="compatibility only; no effect (a sweep steps on the calling thread, "
+        "and the solve's BLAS uses the cores)",
+    )
     p_sweep.add_argument(
         "--preset",
         choices=tuple(PRESETS),

@@ -36,7 +36,6 @@ class EnsembleStats:
     mean_Tq: float | None
     var_Tq: float | None
     std_error_p: float
-    embedding_warnings: int = 0
 
     @staticmethod
     def from_results(results) -> "EnsembleStats":
@@ -58,7 +57,6 @@ class EnsembleStats:
             mean_Tq=mean,
             var_Tq=var,
             std_error_p=float(np.sqrt(p * (1.0 - p) / n_valid)),
-            embedding_warnings=sum(r.embedding_warning for r in results),
         )
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .seeding import derive_seed
 
 
+# Kept while perfbench/spans.py reads `eigenvalue_clipped` off every traced
+# `fgn_circulant` result; the class goes with ROADMAP item 5.
 class FgnSample(NamedTuple):
     increments: np.ndarray
     eigenvalue_clipped: bool

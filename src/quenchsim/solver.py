@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .noise import _embedding_clipped, batch_drive
+from .noise import batch_drive
 from .operator import GridSpec, OperatorMatrix, assemble_matrix
 
 MACHINE_EPSILON = 2.2204e-16
@@ -116,7 +116,6 @@ class RealizationResult:
     quenched: bool
     T_q: float | None
     steps_taken: int
-    embedding_warning: bool = False
     failed: bool = False
     sup_norm_series: np.ndarray | None = None
 
@@ -255,8 +254,7 @@ def simulate_batch(
     `drive`, when given, is the (N, len(seeds)) `batch_drive(params, seeds)`
     drawn beforehand, which lets parameter sets that share a noise key step
     on one draw; it is only read.  A drive with fewer rows or columns raises
-    ValueError before the first step.  Every result carries the one
-    embedding flag of the grid, `_embedding_clipped(N, dt, H)`.
+    ValueError before the first step.
     """
     if lams is None:
         lams = (params.lam,)
@@ -351,7 +349,6 @@ def simulate_batch(
         np.add(b, w, out=b)
         factor.solve(b, out=x)
 
-    clipped = _embedding_clipped(n_steps, dt, params.H)
     results = []
     for c in range(n_batch):
         quenched = not np.isnan(quench_time[c])
@@ -360,7 +357,6 @@ def simulate_batch(
                 quenched=quenched,
                 T_q=float(quench_time[c]) if quenched else None,
                 steps_taken=int(steps_taken[c]),
-                embedding_warning=clipped,
                 failed=bool(failed[c]),
             )
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import quenchsim.noise as noise_mod
 from quenchsim import GridSpec, assemble_matrix, principal_eigenpair
 
 
@@ -22,3 +23,22 @@ def pair41(op41):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240917)
+
+
+def _hostile_autocov(k, H, dt=1.0):
+    k = np.abs(np.asarray(k, dtype=float))
+    out = np.zeros_like(k)
+    out[k == 0] = 1.0
+    out[k == 1] = 0.9  # rho=0.9 at lag 1 only is not nonneg definite
+    return out
+
+
+@pytest.fixture()
+def hostile_covariance(monkeypatch):
+    """A non-embeddable fGN covariance: every embedding with n_steps > 1 and H > 1/2 clips.
+
+    The spectrum cache is bypassed, so a cached entry cannot hide the
+    hostile covariance and the hostile spectrum is not cached either.
+    """
+    monkeypatch.setattr(noise_mod, "fgn_autocovariance", _hostile_autocov)
+    monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)

@@ -326,7 +326,7 @@ class TestCriterion8BoundInequalities:
         tail = tail_upper_bound(w, bp, nu1)
         cheb_ind = chebyshev_bounds(bp, independent=True)
         cheb_dep = chebyshev_bounds(bp, independent=False)
-        empirical, ordering, _ = bound_monte_carlo(bp, 2000, MASTER_SEED)
+        empirical, ordering = bound_monte_carlo(bp, 2000, MASTER_SEED)
         gamma_bp = replace(bp, params=replace(bp.params, gamma=4.0 + bp.mu1))  # nu = -1
         cap = 9.0 * gamma_bp.tau_star_threshold() / 2.0  # scaled cap exactly 1
         gamma_value = gamma_lower_bound(gamma_bp, cap).value

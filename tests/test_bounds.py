@@ -31,7 +31,6 @@ from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
 from naive_reference import naive_incomplete_gamma
 from path_functionals import full_crossing, tau_lower, tau_star
-from test_noise import hostile_autocov
 
 
 def make_bp(mu1=1.3, v0_psi1=0.3, mu0=0.5, **model):
@@ -232,7 +231,7 @@ class TestPathOrdering:
     def test_tau_lower_below_tau_star_with_eigen_data(self, grid41, op41, pair41):
         w1 = 0.5
         params = ModelParams(lam=1e-5, N=512, a_fn=0.1, b_fn=0.1)
-        _, ordered, _ = bound_monte_carlo(eigen_bp(params, pair41, w1), 50, master_seed=0)
+        _, ordered = bound_monte_carlo(eigen_bp(params, pair41, w1), 50, master_seed=0)
         assert ordered
 
 
@@ -322,14 +321,10 @@ class TestBoundReport:
         assert validation._check_bound_inequalities().passed
         assert len(calls) == 2
 
-    def test_embedding_warnings_counted(self, monkeypatch):
-        import quenchsim.noise as noise_mod
-
+    def test_embedding_warnings_counted(self, request):
         config = replace(parse_config(self.TOY), bound_paths=5)
         assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 0
-        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
-        # bypass the spectrum cache, which would hide the hostile covariance
-        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+        request.getfixturevalue("hostile_covariance")
         assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 5
 
     def test_noise_free_report(self, tmp_path):
@@ -421,7 +416,7 @@ class TestBoundMonteCarloOracle:
             lows.append(tau_lower(N, dt, bp, lambda t: eigen_mu(bp, t)))
         stars, lows = np.array(stars), np.array(lows)
         empirical = int(np.sum(stars <= bp.params.T)) / n_paths
-        return (empirical, bool(np.all(lows <= stars)), 0), stars, lows
+        return (empirical, bool(np.all(lows <= stars))), stars, lows
 
     def check(self, monkeypatch, bp, n_paths, master):
         expected, stars, lows = self.oracle(bp, n_paths, master)

@@ -266,6 +266,14 @@ class TestCli:
                 "--config", str(tiny), "--out", str(tmp_path), *flags,
             )
             assert code == 2
+        # only sweep runs an ensemble; simulate, bounds and eigen used to
+        # accept --realizations and --threads and ignore them
+        for command in ("simulate", "bounds", "eigen"):
+            for flag in ("--realizations", "--threads"):
+                with pytest.raises(SystemExit) as exc:
+                    self._run(command, flag, "2", "--out", str(tmp_path / "ignored"))
+                assert exc.value.code == 2
+        assert not (tmp_path / "ignored").exists()
         # --lambdas used to be ignored without a word by every preset but custom
         for preset in ("t1", "t3", "fig2"):
             code = self._run(

@@ -6,11 +6,9 @@ import pytest
 
 from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
 from quenchsim import ConfigError, ensemble, noise
-from quenchsim.ensemble import _run_chunks
+from quenchsim.ensemble import EnsembleStats, _run_chunks
 from quenchsim.noise import batch_drive
 from quenchsim.solver import MODEL_KEYS, simulate_batch
-
-from test_noise import hostile_autocov
 
 FAST = dict(N=200, M=21)
 
@@ -56,13 +54,26 @@ class TestEstimate:
         for n, stats in serial.items():
             assert estimate(params, n, master_seed=4) == stats
 
-    def test_split_and_pool_reproduces_counts(self):
+    def test_split_and_pool_reproduces_counts(self, monkeypatch):
+        # 137 is not a multiple of CHUNK_SIZE, so the two ranges chunk their
+        # seeds at boundaries the full ensemble does not
+        received = []
+        from_results = EnsembleStats.from_results
+
+        def recording(results):
+            received.append(list(results))
+            return from_results(results)
+
+        monkeypatch.setattr(EnsembleStats, "from_results", staticmethod(recording))
         params = ModelParams(lam=0.45, **FAST)
         full = estimate(params, 500, master_seed=5)
-        first = estimate(params, 250, master_seed=5)
-        second = estimate(params, 250, master_seed=5, index_offset=250)
+        first = estimate(params, 137, master_seed=5)
+        second = estimate(params, 363, master_seed=5, index_offset=137)
         assert first.n_quenched + second.n_quenched == full.n_quenched
         assert first.failures + second.failures == full.failures
+        # each realization's result, not only the counts, pools exactly
+        assert 0 < full.n_quenched < 500
+        assert received[1] + received[2] == received[0]
 
     def test_self_consistency_between_master_seeds(self):
         params = ModelParams(lam=0.42, N=500, M=41)
@@ -247,14 +258,12 @@ class TestSharedNoise:
         assert factored == [0.6, 0.5]
         assert stats == [estimate(params, 300, master_seed=16) for params in grid]
 
-    def test_clipped_embedding_warnings_per_point(self, monkeypatch):
-        # every fGN path of a non-embeddable covariance is clipped and flagged
-        monkeypatch.setattr(noise, "fgn_autocovariance", hostile_autocov)
-        monkeypatch.setattr(noise, "_circulant_scale", noise._circulant_scale.__wrapped__)
+    def test_clipped_embedding_sweep_matches_estimate(self, hostile_covariance):
+        # every fGN path of a non-embeddable covariance is clipped; the merged
+        # sweep still gives each point its own estimate
         base = ModelParams(lam=0.45, **FAST)
         result = sweep(base, [("lambda", [0.2, 0.45, 1.0])], 300, master_seed=17)
         for (lam,), stats in result.grid_points():
-            assert stats.embedding_warnings == 300
             assert stats == estimate(replace(base, lam=lam), 300, master_seed=17)
 
     def test_given_drive_matches_drawn_drive(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,17 +9,14 @@ from hypothesis import strategies as st
 from quenchsim import (
     ModelParams,
     PathWorkspace,
-    assemble_matrix,
     bm_increments,
-    bound_report,
     derive_seed,
-    factorize,
     fgn_autocovariance,
     fgn_circulant,
     mixed_path,
 )
-from quenchsim.config import RunConfig
-from quenchsim.solver import simulate_batch
+import quenchsim.noise as noise_mod
+from quenchsim.cli import main
 
 
 def bartlett_se(k, H, n, truncation=400):
@@ -194,49 +192,37 @@ class TestMixedPath:
         assert np.array_equal(N, np.concatenate([[0.0], np.cumsum(a * db + b * dbh)]))
 
 
-def hostile_autocov(k, H, dt=1.0):
-    k = np.abs(np.asarray(k, dtype=float))
-    out = np.zeros_like(k)
-    out[k == 0] = 1.0
-    out[k == 1] = 0.9  # rho=0.9 at lag 1 only is not nonneg definite
-    return out
-
-
-def test_fgn_negative_eigenvalue_fallback(monkeypatch):
-    # force a non-embeddable covariance: the sampler must clip and flag
-    import quenchsim.noise as noise_mod
-
-    monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
-    # bypass the spectrum cache: a cached (64, 1.0, 0.7) entry would hide the
-    # hostile covariance, and the hostile spectrum must not be cached either
-    monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
-    sample = noise_mod.fgn_circulant(64, 1.0, 0.7, seed=1)
+def test_fgn_negative_eigenvalue_fallback(hostile_covariance):
+    # a non-embeddable covariance: the sampler must clip and flag
+    sample = fgn_circulant(64, 1.0, 0.7, seed=1)
     assert sample.eigenvalue_clipped is True
     assert np.all(np.isfinite(sample.increments))
 
 
 @pytest.mark.parametrize("covariance", ["fgn", "hostile"])
-def test_clip_flag_is_the_grids(monkeypatch, covariance):
+def test_clip_flag_is_the_grids(request, tmp_path, covariance):
     # Clipping depends on (n_steps, dt, H) alone: the sampler's flag on every
-    # seed, every simulate_batch column and the bound report's count all
-    # follow `_embedding_clipped`.
-    import quenchsim.noise as noise_mod
-
+    # seed and the flags that realization.json and bounds_report.json write
+    # all follow `_embedding_clipped`.
     if covariance == "hostile":
-        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
-        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+        request.getfixturevalue("hostile_covariance")
     seeds = [derive_seed(18, i) for i in range(6)]
     for n in (1, 2, 3, 100):
         for H in (0.5, 0.7):
-            params = ModelParams(M=11, N=n, H=H, lam=1e-5, a_fn=0.1, b_fn=0.1)
+            params = ModelParams(M=11, N=n, H=H)
             clipped = noise_mod._embedding_clipped(n, params.dt, H)
             assert clipped is (covariance == "hostile" and H != 0.5 and n > 1)
             for seed in seeds:
                 assert fgn_circulant(n, params.dt, H, seed).eigenvalue_clipped is clipped
-            factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
-            results = simulate_batch(factor, params, seeds, lams=(0.4, 1.0))
-            assert [r.embedding_warning for r in results] == [clipped] * 12
-            report = bound_report(RunConfig(params=params, bound_paths=5))
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text(f"M = 11\nN = {n}\nH = {H}\nlambda = 1e-5\na = 0.1\nb = 0.1\n"
+                           "bound_paths = 5\n")
+            out = tmp_path / f"{n}-{H}"
+            for command in ("simulate", "bounds"):
+                assert main([command, "--config", str(cfg), "--seed", "18", "--out", str(out)]) == 0
+            meta = json.loads((out / "realization.json").read_text())
+            assert meta["embedding_warning"] is clipped
+            report = json.loads((out / "bounds_report.json").read_text())
             assert report["monte_carlo"]["embedding_warnings"] == (5 if clipped else 0)
 
 
@@ -244,8 +230,6 @@ def test_fgn_embedding_covariance_is_exact():
     # the sampler is linear in its 2n standard-normal draws; materializing
     # that map column by column gives the exact output covariance, which
     # must equal the target Toeplitz autocovariance to rounding
-    import quenchsim.noise as noise_mod
-
     n, H, dt = 64, 0.8, 0.5
     m = 2 * n
     g = fgn_autocovariance(np.arange(n + 1), H, dt)
@@ -283,16 +267,12 @@ def test_fgn_embedding_covariance_is_exact():
 
 class TestCirculantScaleCache:
     def test_cached_scales_are_read_only(self):
-        import quenchsim.noise as noise_mod
-
         ends, inner, _ = noise_mod._circulant_scale(100, 0.01, 0.7)
         assert not ends.flags.writeable and not inner.flags.writeable
         with pytest.raises(ValueError):
             inner[0] = 0.0
 
     def test_interleaved_keys_match_first_calls(self):
-        import quenchsim.noise as noise_mod
-
         keys = [(100, 0.01, 0.7), (64, 1.0, 0.9), (100, 0.01, 0.55), (257, 0.5, 0.7)]
         first = {}
         for key in keys:
@@ -346,11 +326,7 @@ class TestPathWorkspace:
                 params = ModelParams(N=n, T=T, H=H, a_fn=0.3, b_fn=1.7)
                 self.assert_reuse_matches_fresh(params, seed, workspaces[n])
 
-    def test_clipped_embedding(self, monkeypatch):
-        import quenchsim.noise as noise_mod
-
-        monkeypatch.setattr(noise_mod, "fgn_autocovariance", hostile_autocov)
-        monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)
+    def test_clipped_embedding(self, hostile_covariance):
         for n in (2, 3, 100):
             workspace = self.poisoned(n)
             for seed in range(5):
