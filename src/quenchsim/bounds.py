@@ -8,8 +8,10 @@ can be checked against the theory.  The Monte Carlo loop
 (`bound_monte_carlo`) evaluates only the first-crossing times of tau* and
 tau_*: it forms the path-independent exponents once per call and
 accumulates each path's exponential functional through a running
-log-sum-exp, which stays finite even when the raw integrand overflows and
-stops at its threshold.  The paths are drawn on one worker thread per CPU.
+log-sum-exp, which stays finite even when the raw integrand overflows.  A
+path's Brownian increments are drawn and summed segment by segment, only
+until both sums have crossed.  The paths are drawn on one worker thread per
+CPU, the fGN of a block of them by one transform.
 `bound_report` runs the whole pipeline from a run configuration; the
 `bounds` command and the `validate` check both call it.
 """
@@ -25,7 +27,7 @@ from scipy.special import gammainc
 
 from .config import RunConfig
 from .errors import NumericalError
-from .noise import PathWorkspace, _embedding_clipped, mixed_path
+from .noise import PATH_BLOCK, PathWorkspace, _drive, _embedding_clipped, _paths
 from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
@@ -209,35 +211,83 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
 CROSSING_PREFIX = 256
 
 
-def _first_crossing(log_terms: np.ndarray, threshold: float, dt: float) -> float:
-    """First step time at which the running log-sum-exp of log_terms reaches threshold.
+def _segments(n_terms: int):
+    """(start, stop) of the scan's segments: CROSSING_PREFIX terms, doubling each round."""
+    start, size = 0, CROSSING_PREFIX
+    while start < n_terms:
+        stop = min(start + size, n_terms)
+        yield start, stop
+        start, size = stop, 2 * size
 
-    np.logaddexp.accumulate runs on a prefix of CROSSING_PREFIX terms that
-    doubles each round, and each round restarts from the previous round's
-    last value, so it follows the full accumulate's recurrence and finds the
-    same index.  Paths that cross early never pay for the rest of the horizon.
+
+class _Crossing:
+    """The running log-sum-exp of a sum's log terms, fed one `_segments` segment at a time.
+
+    np.logaddexp.accumulate runs on each segment and restarts from the
+    previous segment's last value, so it follows the recurrence of one
+    accumulate over all the terms and finds the same first index at which
+    the sum reaches `threshold`.  A non-finite threshold is never reached.
+    `time` is dt times the number of terms up to that index, or infinite.
     """
-    if not math.isfinite(threshold):
-        return INFINITE_TIME
-    log_threshold = math.log(threshold)
-    start, size, carry = 0, CROSSING_PREFIX, log_terms[:0]
-    while start < log_terms.size:
-        stop = min(start + size, log_terms.size)
-        running = np.logaddexp.accumulate(np.concatenate([carry, log_terms[start:stop]]))
-        hits = np.flatnonzero(running >= log_threshold)
+
+    def __init__(self, threshold: float, dt: float) -> None:
+        self.open = math.isfinite(threshold)
+        self.log_threshold = math.log(threshold) if self.open else math.nan
+        self.dt = dt
+        self.carry = np.empty(0)
+        self.time = INFINITE_TIME
+
+    def feed(self, start: int, log_terms: np.ndarray) -> None:
+        running = np.logaddexp.accumulate(np.concatenate([self.carry, log_terms]))
+        hits = np.flatnonzero(running >= self.log_threshold)
         if hits.size:
-            return dt * (start - carry.size + int(hits[0]) + 1)
-        carry, start, size = running[-1:], stop, 2 * size
-    return INFINITE_TIME
+            self.time = self.dt * (start - self.carry.size + int(hits[0]) + 1)
+            self.open = False
+        else:
+            self.carry = running[-1:]
 
 
-def _log_terms(
-    base: np.ndarray, three_n: np.ndarray, log_dt: float, out: np.ndarray
-) -> np.ndarray:
-    """Per-step log integrand base + 3 N plus log dt into `out`, for left-endpoint sums."""
-    np.add(base, three_n, out=out)
-    out += log_dt
-    return out
+@dataclass(frozen=True)
+class _Scan:
+    """What every path's scan reads: dt, a, log dt, and each sum's exponent base and threshold."""
+
+    dt: float
+    a: float
+    log_dt: float
+    sums: tuple  # ((base, threshold) of tau*, (base, threshold) of tau_*)
+
+
+def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan, buffers) -> tuple[float, float]:
+    """tau* and tau_* of the path `seed`, whose Brownian stream is `rng` and fGN term is `fgn`.
+
+    The path is formed one `_segments` segment at a time: stream 1 is drawn
+    for the segment's steps (`_drive`), the drive a dB + fgn is added to the
+    running sum N from its last value, and the log terms of both sums are
+    fed to their `_Crossing`.  The scan stops when both sums have crossed,
+    so stream 1 is drawn only as far as the later crossing's segment, or to
+    the horizon.  np.cumsum adds in order, so N matches `mixed_path`'s one
+    cumsum bit for bit.
+    """
+    workspace, three_n, log_terms = buffers
+    N = workspace.N
+    N[0] = 0.0
+    crossings = [_Crossing(threshold, scan.dt) for _, threshold in scan.sums]
+    for start, stop in _segments(three_n.size):
+        if not any(crossing.open for crossing in crossings):
+            break
+        drive = _drive(rng, scan.dt, scan.a, fgn, start, stop, workspace.db)
+        if start:
+            drive[0] += N[start]
+        np.cumsum(drive, out=N[start + 1 : stop + 1])
+        np.multiply(N[start:stop], 3.0, out=three_n[start:stop])
+        for crossing, (base, _) in zip(crossings, scan.sums):
+            if crossing.open:
+                # the log of the left-endpoint term, base + 3 N + log dt
+                terms = np.add(base[start:stop], three_n[start:stop], out=log_terms[start:stop])
+                terms += scan.log_dt
+                crossing.feed(start, terms)
+    star, low = (crossing.time for crossing in crossings)
+    return star, low
 
 
 def eigen_mu(bp: BoundParams, t):
@@ -262,16 +312,17 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
     (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path.
     Only the first-crossing times are evaluated: the drift and mu(t)
-    exponents are formed once per call, and each path's log-sum-exp stops
-    at its threshold.
+    exponents are formed once per call, the fGN of `PATH_BLOCK` paths is
+    drawn by one transform, and each path is summed only as far as its
+    scan (`_path_crossings`) reads.
 
     The paths are split into contiguous ranges, one per worker thread
     (`_worker_count`); numpy's normal fill and FFT release the GIL.  Each
     path's draw depends only on its index, and the per-range counts are
     combined exactly, so the result does not depend on the worker count.
-    Each worker's `PathWorkspace` and buffers are allocated here, on the
-    calling thread, before the pool starts; the calling thread then only
-    waits, and a worker's exception leaves this function.
+    Each worker's buffers are allocated here, on the calling thread, before
+    the pool starts; the calling thread then only waits, and a worker's
+    exception leaves this function.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -285,18 +336,18 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
         # exp underflow: a large k or a drives mu(t) to zero within the horizon
         raise ValueError("mu(t) must be positive on the path horizon")
     lower_base = -3.0 * np.log(mu_vals)
-    w, lower_threshold = bp.tau_star_threshold(), bp.tau_lower_threshold()
-    log_dt = math.log(params.dt)
+    scan = _Scan(
+        params.dt,
+        params.a_fn,
+        math.log(params.dt),
+        ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold())),
+    )
 
-    def draw(paths: range, workspace: PathWorkspace, three_n, log_terms) -> tuple[int, bool]:
+    def draw(paths: range, buffers) -> tuple[int, bool]:
         crossings, ordered = 0, True
-        for i in paths:
-            N = mixed_path(params, derive_seed(master_seed, i), workspace)
-            np.multiply(N[:-1], 3.0, out=three_n)
-            star = _first_crossing(_log_terms(star_base, three_n, log_dt, log_terms), w, params.dt)
-            low = _first_crossing(
-                _log_terms(lower_base, three_n, log_dt, log_terms), lower_threshold, params.dt
-            )
+        seeds = [derive_seed(master_seed, i) for i in paths]
+        for seed, (rng, fgn) in zip(seeds, _paths(params, seeds, params.b_fn, buffers[0])):
+            star, low = _path_crossings(seed, rng, fgn, scan, buffers)
             crossings += star <= params.T
             ordered = ordered and low <= star
         return crossings, ordered
@@ -304,12 +355,12 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     workers = _worker_count(n_paths)
     edges = [n_paths * j // workers for j in range(workers + 1)]
     buffers = [
-        (PathWorkspace(params.N), np.empty(params.N), np.empty(params.N))
+        (PathWorkspace(params.N, PATH_BLOCK), np.empty(params.N), np.empty(params.N))
         for _ in range(workers)
     ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(draw, range(lo, hi), *buf)
+            pool.submit(draw, range(lo, hi), buf)
             for lo, hi, buf in zip(edges, edges[1:], buffers)
         ]
         crossings, ordered = zip(*(future.result() for future in futures))
@@ -321,8 +372,9 @@ def bound_report(config: RunConfig) -> dict:
 
     Assembles the operator, solves the principal eigenpair and evaluates the
     thresholds, nu(T), M(T), the tail and Chebyshev upper bounds, the gamma
-    lower bound (when lambda > 0) and `bound_monte_carlo`.  The keys and
-    their order are the `bounds_report.json` format.
+    lower bound (when lambda > 0) and `bound_monte_carlo`.  When dt >= w the
+    Monte Carlo is skipped and reported as 0 paths with null results.  The
+    keys and their order are the `bounds_report.json` format.
     """
     params = config.params
     pair = principal_eigenpair(assemble_matrix(params.grid, params.alpha))
@@ -358,13 +410,19 @@ def bound_report(config: RunConfig) -> dict:
             "value": gamma_result.value,
             "almost_sure": gamma_result.almost_sure,
         }
-    empirical, ordered = bound_monte_carlo(bp, config.bound_paths, config.master_seed)
+    if params.dt >= w:
+        # the first left-endpoint term of tau*'s sum is dt itself, so every
+        # path would cross at the first step: the estimate says nothing
+        paths, empirical, ordered = 0, None, None
+    else:
+        paths = config.bound_paths
+        empirical, ordered = bound_monte_carlo(bp, paths, config.master_seed)
     # every path shares the grid's embedding, so all are clipped or none is
     clipped = _embedding_clipped(params.N, params.dt, params.H)
     report["monte_carlo"] = {
-        "paths": config.bound_paths,
+        "paths": paths,
         "empirical_P_tau_star_le_T": empirical,
         "per_path_ordering_ok": ordered,
-        "embedding_warnings": config.bound_paths if clipped else 0,
+        "embedding_warnings": paths if clipped else 0,
     }
     return report

@@ -22,35 +22,42 @@ class FgnSample(NamedTuple):
     eigenvalue_clipped: bool
 
 
+# Paths drawn per transform: `batch_drive` and the bound loop draw the fGN of
+# this many seeds through one FFT call, which pocketfft vectorizes across the
+# rows (timings and the block sizes tried are in docs/decision-log.md).
+PATH_BLOCK = 4
+
+
 class PathWorkspace:
     """Buffers that every path of one length is drawn into, refilled in place.
 
     `batch_drive` draws all its seeds through one workspace, and a loop over
     many `mixed_path` draws passes one workspace to each draw instead of
-    allocating the draws, the spectral vector and N afresh:
+    allocating the draws, the spectral vectors and N afresh:
     at large n_steps those arrays let the heap trim and re-fault their pages
-    on every path.  A path drawn into a workspace is overwritten by the next
-    draw into it.
+    on every path.  The fGN of up to `rows` seeds is drawn at once, one
+    spectrum row each.  A path drawn into a workspace is overwritten by the
+    next draw into it.
     """
 
-    def __init__(self, n_steps: int) -> None:
+    def __init__(self, n_steps: int, rows: int = 1) -> None:
         self.db = np.empty(n_steps)  # Brownian increments, then the drive
-        self.draws = np.empty(2 * n_steps)  # the fGN sampler's standard normals
-        self.spectrum = np.empty(2 * n_steps, dtype=complex)
+        self.draws = np.empty(2 * n_steps)  # one seed's standard normals for the fGN sampler
+        self.spectrum = np.empty((rows, 2 * n_steps), dtype=complex)
         self.N = np.empty(n_steps + 1)
 
 
-def bm_increments(n_steps: int, dt: float, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+def bm_increments(n_steps: int, dt: float, seed: int) -> np.ndarray:
     """i.i.d. Normal(0, dt) increments, deterministic per seed.
 
-    `out`, when given, is a length-n_steps buffer filled in place and returned.
+    These are the increments `_drive` draws from a path's stream 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_steps, out=out)
+    x = rng.standard_normal(n_steps)
     x *= np.sqrt(dt)
     return x
 
@@ -63,9 +70,7 @@ def fgn_autocovariance(k, H: float, dt: float = 1.0) -> np.ndarray:
     )
 
 
-def fgn_circulant(
-    n_steps: int, dt: float, H: float, seed: int, workspace: PathWorkspace | None = None
-) -> FgnSample:
+def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     """Stationary fractional Gaussian noise via exact circulant embedding.
 
     Returns increments with per-step variance dt^(2H) and autocovariance
@@ -73,13 +78,8 @@ def fgn_circulant(
     2 * n_steps diagonalized by FFT (Davies-Harte); the embedding is
     nonnegative definite for fGN, but if rounding produces negative
     eigenvalues they are clipped to zero and the sample is flagged with
-    `_embedding_clipped(n_steps, dt, H)`, which no seed enters.
-
-    Draw order is pinned for reproducibility: one standard-normal block of
-    length 2 * n_steps consumed as (real DC term, real Nyquist term,
-    n_steps - 1 real parts, n_steps - 1 imaginary parts).  With a
-    `workspace` the draws and the transform are made in its buffers, and the
-    increments are a view of it.
+    `_embedding_clipped(n_steps, dt, H)`, which no seed enters.  This is the
+    one-row case of `_fgn_rows`, which fixes the draw order.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -87,31 +87,46 @@ def fgn_circulant(
         raise ValueError("dt must be positive")
     if not 0.5 <= H < 1.0:
         raise ValueError(f"Hurst index must lie in [1/2, 1), got {H}")
-    rng = np.random.default_rng(seed)
+    increments = _fgn_rows(n_steps, dt, H, [seed], PathWorkspace(n_steps))[0]
+    return FgnSample(increments, _embedding_clipped(n_steps, dt, H))
+
+
+def _fgn_rows(n_steps: int, dt: float, H: float, seeds, workspace: PathWorkspace) -> np.ndarray:
+    """The fGN increments of each seed, one row per seed, through one transform.
+
+    Draw order is pinned for reproducibility: per seed, one standard-normal
+    block of length 2 * n_steps consumed as (real DC term, real Nyquist
+    term, n_steps - 1 real parts, n_steps - 1 imaginary parts).  The rows'
+    spectral vectors are transformed by a single `np.fft.fft(axis=1)` call,
+    whose rows equal separate one-row calls bit for bit.  The white (H = 1/2)
+    and one-step draws need no embedding: n_steps normals scaled by dt^H.
+    Returns a (len(seeds), n_steps) view of the real part of the workspace's
+    spectrum, which has at least len(seeds) rows.
+    """
+    y = workspace.spectrum[: len(seeds)]
+    draws = workspace.draws
     if H == 0.5 or n_steps == 1:
-        out = None if workspace is None else workspace.draws[:n_steps]
-        x = rng.standard_normal(n_steps, out=out)
+        x = y.real[:, :n_steps]
+        for row, seed in zip(x, seeds):
+            row[:] = np.random.default_rng(seed).standard_normal(n_steps, out=draws[:n_steps])
         x *= np.sqrt(dt) if H == 0.5 else dt**H
-        return FgnSample(x, _embedding_clipped(n_steps, dt, H))
+        return x
 
     ends, inner, _ = _circulant_scale(n_steps, dt, H)
-    m = 2 * n_steps
-    if workspace is None:
-        draws, y = rng.standard_normal(m), np.empty(m, dtype=complex)
-    else:
-        draws, y = rng.standard_normal(m, out=workspace.draws), workspace.spectrum
-    # y is Hermitian: y[0] and y[n] are real, y[m - k] = conj(y[k]).  Every
-    # entry is written on every draw, since the transform overwrites y.
-    re, im = y.real, y.imag
-    re[0] = ends[0] * draws[0]
-    re[n_steps] = ends[1] * draws[1]
-    im[0] = im[n_steps] = 0.0
-    np.multiply(inner, draws[2 : n_steps + 1], out=re[1:n_steps])
-    np.multiply(inner, draws[n_steps + 1 :], out=im[1:n_steps])
-    re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
-    np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
-    # transform in place: no second 2n complex buffer, and none at all with a workspace
-    return FgnSample(np.fft.fft(y, out=y).real[:n_steps], _embedding_clipped(n_steps, dt, H))
+    for row, seed in zip(y, seeds):
+        np.random.default_rng(seed).standard_normal(2 * n_steps, out=draws)
+        # row is Hermitian: row[0] and row[n] are real, row[m - k] = conj(row[k]).
+        # Every entry is written on every draw, since the transform overwrites it.
+        re, im = row.real, row.imag
+        re[0] = ends[0] * draws[0]
+        re[n_steps] = ends[1] * draws[1]
+        im[0] = im[n_steps] = 0.0
+        np.multiply(inner, draws[2 : n_steps + 1], out=re[1:n_steps])
+        np.multiply(inner, draws[n_steps + 1 :], out=im[1:n_steps])
+        re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
+        np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
+    # transform in place: no second complex buffer
+    return np.fft.fft(y, axis=1, out=y).real[:, :n_steps]
 
 
 # One entry: every chunk drive and bound report samples all its paths on one
@@ -156,19 +171,36 @@ def _noise_key(params) -> tuple:
     return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
 
 
-def _drive(params, seed: int, c1: float, c2: float, workspace: PathWorkspace) -> np.ndarray:
-    """c1 dB + c2 dB^H on the step grid of `params`.
+def _paths(params, seeds, c2: float, workspace: PathWorkspace):
+    """Yield each seed's Brownian stream and its fGN term c2 dB^H, in seed order.
 
-    The Brownian and fractional increments are the seed's derived streams 1
-    and 2.  `batch_drive` and `mixed_path` both draw through here, so that
-    rule has one owner.  The fGN increments, a view of the workspace, are
-    scaled in place, and the sum is formed in its Brownian buffer.
+    This is the one owner of the draw rule: a seed's Brownian increments are
+    its derived stream 1, read through `_drive`, and its fGN increments its
+    derived stream 2.  The fGN of as many seeds as the workspace has rows is
+    drawn at once by `_fgn_rows` and scaled in place, so a row is overwritten
+    once the generator moves past its block.
     """
-    db = bm_increments(params.N, params.dt, derive_seed(seed, 1), workspace.db)
-    fgn = fgn_circulant(params.N, params.dt, params.H, derive_seed(seed, 2), workspace).increments
-    fgn *= c2
+    rows = workspace.spectrum.shape[0]
+    for lo in range(0, len(seeds), rows):
+        block = seeds[lo : lo + rows]
+        streams = [derive_seed(seed, 2) for seed in block]
+        fgn = _fgn_rows(params.N, params.dt, params.H, streams, workspace)
+        fgn *= c2
+        for seed, row in zip(block, fgn):
+            yield np.random.default_rng(derive_seed(seed, 1)), row
+
+
+def _drive(rng, dt: float, c1: float, fgn: np.ndarray, start: int, stop: int, out: np.ndarray):
+    """c1 dB + fgn on steps start..stop-1, formed in out[start:stop] and returned.
+
+    dB are the next stop - start Normal(0, dt) draws of the Brownian stream
+    `rng`, so drawing a path in consecutive segments gives the same
+    increments as drawing it whole.
+    """
+    db = rng.standard_normal(stop - start, out=out[start:stop])
+    db *= np.sqrt(dt)
     db *= c1
-    db += fgn
+    db += fgn[start:stop]
     return db
 
 
@@ -177,16 +209,17 @@ def batch_drive(params, seeds, out: np.ndarray | None = None) -> np.ndarray:
 
     The drive depends on `params` only through `_noise_key`, so every
     parameter set sharing that key can step on it.  The seeds are drawn
-    through one `PathWorkspace`.  `out`, when given, is an (N, width) buffer
-    with width >= len(seeds); its leading columns are filled in place and
-    returned as a view, so a caller can reuse one buffer across batches.
+    through one `PathWorkspace` of `PATH_BLOCK` rows.  `out`, when given, is
+    an (N, width) buffer with width >= len(seeds); its leading columns are
+    filled in place and returned as a view, so a caller can reuse one buffer
+    across batches.
     """
     if out is None:
         out = np.empty((params.N, len(seeds)))
     drive = out[:, : len(seeds)]
-    workspace = PathWorkspace(params.N)
-    for j, seed in enumerate(seeds):
-        drive[:, j] = _drive(params, seed, params.kappa1, params.kappa2, workspace)
+    workspace = PathWorkspace(params.N, PATH_BLOCK)
+    for j, (rng, fgn) in enumerate(_paths(params, seeds, params.kappa2, workspace)):
+        drive[:, j] = _drive(rng, params.dt, params.kappa1, fgn, 0, params.N, workspace.db)
     return drive
 
 
@@ -201,7 +234,8 @@ def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> np.
     """
     if workspace is None:
         workspace = PathWorkspace(params.N)
+    ((rng, fgn),) = _paths(params, [seed], params.b_fn, workspace)
     N = workspace.N
     N[0] = 0.0
-    np.cumsum(_drive(params, seed, params.a_fn, params.b_fn, workspace), out=N[1:])
+    np.cumsum(_drive(rng, params.dt, params.a_fn, fgn, 0, params.N, workspace.db), out=N[1:])
     return N

@@ -236,14 +236,17 @@ class TestPathOrdering:
 
 
 class TestBoundMonteCarlo:
+    # The loop hands each path to `bounds._path_crossings` with the path's
+    # seed; these spies wrap it and call through.
     def test_master_seeds_draw_disjoint_paths(self, monkeypatch, pair41):
         drawn = []
+        path_crossings = bounds._path_crossings
 
-        def recording_path(params, seed, workspace=None):
+        def recording_scan(seed, *args):
             drawn.append(seed)
-            return mixed_path(params, seed, workspace)
+            return path_crossings(seed, *args)
 
-        monkeypatch.setattr(bounds, "mixed_path", recording_path)
+        monkeypatch.setattr(bounds, "_path_crossings", recording_scan)
         bp = eigen_bp(ModelParams(lam=1e-5, N=64, a_fn=0.1, b_fn=0.1), pair41)
         seeds = []
         for master in (0, 1):
@@ -262,12 +265,13 @@ class TestBoundMonteCarlo:
     def test_result_does_not_depend_on_worker_count(self, monkeypatch, pair41, n_paths):
         bp = self.crossing_case(pair41)
         workers = []
+        path_crossings = bounds._path_crossings
 
-        def recording_path(params, seed, workspace=None):
+        def recording_scan(seed, *args):
             workers.append(threading.get_ident())
-            return mixed_path(params, seed, workspace)
+            return path_crossings(seed, *args)
 
-        monkeypatch.setattr(bounds, "mixed_path", recording_path)
+        monkeypatch.setattr(bounds, "_path_crossings", recording_scan)
         results = []
         for cpus in (1, 2, 3):
             affinity = set(range(cpus))
@@ -286,18 +290,68 @@ class TestBoundMonteCarlo:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         error = RuntimeError("draw failed")
         failing = derive_seed(3, 7)  # path 7 of 10 lies in the second range, 5..9
+        path_crossings = bounds._path_crossings
 
-        def failing_path(params, seed, workspace=None):
+        def failing_scan(seed, *args):
             if seed == failing:
                 raise error
-            return mixed_path(params, seed, workspace)
+            return path_crossings(seed, *args)
 
-        monkeypatch.setattr(bounds, "mixed_path", failing_path)
+        monkeypatch.setattr(bounds, "_path_crossings", failing_scan)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError) as raised:
             bound_monte_carlo(bp, 10, 3)
         assert raised.value is error
         assert [t for t in threading.enumerate() if t not in before] == []
+
+    @pytest.mark.parametrize("lam, last_ends", [(2e-5, {1024}), (0.01, {256, 768})])
+    def test_brownian_stream_drawn_to_the_crossing_segment(
+        self, monkeypatch, pair41, lam, last_ends
+    ):
+        # Stream 1 is drawn segment by segment, CROSSING_PREFIX steps and then
+        # doubling, up to the segment that holds the tau* crossing, and over
+        # all N steps when tau* does not cross.  At 2e-5 most paths never
+        # cross and the rest cross in the last segment; at 0.01 every path
+        # crosses, on both sides of the first prefix.
+        bp = eigen_bp(ModelParams(lam=lam, N=1024, a_fn=0.1, b_fn=0.1), pair41)
+        n = bp.params.N
+        ends, size = [], bounds.CROSSING_PREFIX
+        while not ends or ends[-1] < n:
+            ends.append(min((ends[-1] if ends else 0) + size, n))
+            size *= 2
+        paths, drive, path_crossings = [], bounds._drive, bounds._path_crossings
+
+        def recording_scan(seed, *args):
+            paths.append([])
+            times = path_crossings(seed, *args)
+            # the running sum continued segment by segment is mixed_path's N
+            stop = paths[-1][-1][1]
+            summed = args[-1][0].N[: stop + 1].view(np.uint64)
+            assert np.array_equal(summed, mixed_path(bp.params, seed)[: stop + 1].view(np.uint64))
+            paths[-1] = (times, paths[-1])
+            return times
+
+        def recording_drive(rng, dt, c1, fgn, start, stop, out):
+            paths[-1].append((start, stop))
+            return drive(rng, dt, c1, fgn, start, stop, out)
+
+        monkeypatch.setattr(bounds, "_path_crossings", recording_scan)
+        monkeypatch.setattr(bounds, "_drive", recording_drive)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        _, ordered = bound_monte_carlo(bp, 40, 3)
+        assert ordered  # tau_* crosses first, so tau* alone decides where the draws end
+        last, stars = set(), []
+        for (star, _), segments in paths:
+            if math.isinf(star):
+                end = n
+            else:
+                end = next(e for e in ends if e >= round(star / bp.params.dt))
+            assert segments == list(zip([0] + ends, ends[: ends.index(end) + 1]))
+            last.add(end)
+            stars.append(star)
+        assert len(paths) == 40 and last == last_ends
+        assert any(map(math.isinf, stars)) == (lam == 2e-5)
+        assert any(map(math.isfinite, stars))
 
 
 class TestBoundReport:
@@ -327,6 +381,33 @@ class TestBoundReport:
         request.getfixturevalue("hostile_covariance")
         assert bound_report(config)["monte_carlo"]["embedding_warnings"] == 5
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e300])
+    def test_coarse_step_skips_monte_carlo(self, monkeypatch, tmp_path, gamma):
+        # dt = 0.05 >= w = 0.0203: every path's first left-endpoint term, dt,
+        # already reaches w, so the estimate is skipped.  At gamma = 1e300 it
+        # used to read 1.0 next to a tail bound of 0.0.
+        def no_monte_carlo(*args):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(bounds, "bound_monte_carlo", no_monte_carlo)
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(f"M = 11\nN = 20\nbound_paths = 2\ngamma = {gamma}\n")
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert 1.0 / 20 >= report["threshold_w"]
+        assert report["monte_carlo"] == {
+            "paths": 0,
+            "empirical_P_tau_star_le_T": None,
+            "per_path_ordering_ok": None,
+            "embedding_warnings": 0,
+        }
+        assert list(report) == [
+            "inputs", "threshold_w", "nu_T", "M_T", "tail_bound", "tail_bound_valid",
+            "chebyshev_independent", "chebyshev_volterra", "gamma_lower_bound", "monte_carlo",
+        ]
+        if gamma:
+            assert report["tail_bound"] == 0.0
+
     def test_noise_free_report(self, tmp_path):
         # M(T) = 0: tau* is deterministic with nu(T) < w, so P[tau* <= T] = 0
         cfg = tmp_path / "quiet.cfg"
@@ -336,6 +417,20 @@ class TestBoundReport:
         assert report["M_T"] == 0.0 and report["tail_bound_valid"]
         assert report["tail_bound"] == 0.0
         assert report["monte_carlo"]["empirical_P_tau_star_le_T"] == 0.0
+
+
+def scan_crossing(log_terms, threshold, dt):
+    """The bound scan's crossing rule on one array of log terms.
+
+    One `bounds._Crossing` fed over `bounds._segments`, as `_path_crossings`
+    feeds each of its sums, stopping at the crossing.
+    """
+    crossing = bounds._Crossing(threshold, dt)
+    for start, stop in bounds._segments(log_terms.size):
+        if not crossing.open:
+            break
+        crossing.feed(start, log_terms[start:stop])
+    return crossing.time
 
 
 class TestFirstCrossing:
@@ -352,14 +447,14 @@ class TestFirstCrossing:
     def test_spike_crossing_index(self, k):
         x = self.spike(k)
         expected = math.inf if k is None else float(k + 1)
-        assert bounds._first_crossing(x, math.exp(5.0), 1.0) == expected
-        assert bounds._first_crossing(x, math.exp(5.0), 1e-3) == full_crossing(
+        assert scan_crossing(x, math.exp(5.0), 1.0) == expected
+        assert scan_crossing(x, math.exp(5.0), 1e-3) == full_crossing(
             x, math.exp(5.0), 1e-3
         )
 
     @pytest.mark.parametrize("threshold", [math.inf, math.nan])
     def test_non_finite_threshold_never_crosses(self, threshold):
-        assert bounds._first_crossing(self.spike(3), threshold, 1.0) == math.inf
+        assert scan_crossing(self.spike(3), threshold, 1.0) == math.inf
 
     @pytest.mark.parametrize("k", [0, 300, 1000, None])
     def test_minus_infinity_and_nan_entries(self, k):
@@ -368,16 +463,16 @@ class TestFirstCrossing:
         x[:600] = -np.inf
         if k is not None:
             x[k] = 10.0
-        assert bounds._first_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+        assert scan_crossing(x, math.exp(5.0), 1.0) == full_crossing(
             x, math.exp(5.0), 1.0
         )
         x[700] = np.nan  # the running sum is NaN from here on and never crosses
         with np.errstate(invalid="ignore"):
-            assert bounds._first_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+            assert scan_crossing(x, math.exp(5.0), 1.0) == full_crossing(
                 x, math.exp(5.0), 1.0
             )
         x[:] = -np.inf  # the running sum stays -inf and never crosses
-        assert bounds._first_crossing(x, math.exp(-700.0), 1.0) == math.inf
+        assert scan_crossing(x, math.exp(-700.0), 1.0) == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -388,7 +483,7 @@ class TestFirstCrossing:
     def test_constant_terms(self, n, value, log_threshold):
         x = np.full(n, value)
         thr = math.exp(log_threshold)
-        assert bounds._first_crossing(x, thr, 0.01) == full_crossing(x, thr, 0.01)
+        assert scan_crossing(x, thr, 0.01) == full_crossing(x, thr, 0.01)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -401,7 +496,7 @@ class TestFirstCrossing:
         rng = np.random.default_rng(seed)
         x = drift * np.arange(n) + rng.standard_normal(n)
         thr = math.exp(log_threshold)
-        assert bounds._first_crossing(x, thr, 1.0 / n) == full_crossing(x, thr, 1.0 / n)
+        assert scan_crossing(x, thr, 1.0 / n) == full_crossing(x, thr, 1.0 / n)
 
 
 class TestBoundMonteCarloOracle:
@@ -422,20 +517,20 @@ class TestBoundMonteCarloOracle:
         expected, stars, lows = self.oracle(bp, n_paths, master)
         times = []
 
-        def recording_crossing(log_terms, threshold, dt):
-            times.append(first_crossing(log_terms, threshold, dt))
+        def recording_scan(*args):
+            times.append(path_crossings(*args))
             return times[-1]
 
-        first_crossing = bounds._first_crossing
+        path_crossings = bounds._path_crossings
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "_first_crossing", recording_crossing)
+            patch.setattr(bounds, "_path_crossings", recording_scan)
             # one worker, so the crossings are recorded in path order
             patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             result = bound_monte_carlo(bp, n_paths, master)
         assert result == expected
-        # the loop evaluates tau* then tau_* on each path, in path order
-        assert np.array_equal(times[0::2], stars)
-        assert np.array_equal(times[1::2], lows)
+        # the scan returns tau* and tau_* of each path, in path order
+        assert np.array_equal([star for star, _ in times], stars)
+        assert np.array_equal([low for _, low in times], lows)
         return stars / bp.params.dt, lows / bp.params.dt
 
     def test_validate_bound_parameters(self, monkeypatch, pair41):

@@ -203,14 +203,15 @@ class TestSharedNoise:
         [([("lambda", [0.2, 0.45, 1.0])], 1), ([("H", [0.6, 0.8])], 2)],
     )
     def test_noise_drawn_once_per_noise_key(self, monkeypatch, axes, draws_per_realization):
+        # `noise._fgn_rows` draws the fGN of a block of seeds, one row each
         calls = []
-        original = noise.fgn_circulant
+        original = noise._fgn_rows
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(n_steps, dt, H, seeds, workspace):
+            calls.extend(seeds)
+            return original(n_steps, dt, H, seeds, workspace)
 
-        monkeypatch.setattr(noise, "fgn_circulant", counted)
+        monkeypatch.setattr(noise, "_fgn_rows", counted)
         sweep(ModelParams(**FAST), axes, 300, master_seed=13)
         assert len(calls) == 300 * draws_per_realization
 

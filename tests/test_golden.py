@@ -2,8 +2,9 @@
 
 Every sweep preset at M = 11, N = 100, 300 realizations and seed 7 (custom
 on its own lambda grid) must reproduce these exact bytes, and so must
-`simulate`'s realization and trajectory, `eigen`'s eigenfunction and the
-bound reports of three small configs.
+`simulate`'s realization and trajectory, `eigen`'s eigenfunction, the
+bound reports of three small configs and the bound report of the default
+config.
 Every probability, mean and variance depends
 on which realizations quench and on their quench steps, so a change to the
 stepping kernel or to the noise that moves any quench set or quench time
@@ -279,3 +280,41 @@ def test_bound_report_bytes(pin, tmp_path):
     argv = ["bounds", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert (tmp_path / "bounds_report.json").read_bytes() == expected.encode()
+
+
+# The default config at seed 1: 2000 paths of N = 10^4 steps, the report of
+# the benchmark's analysis workload.  Every path crosses tau* by T.
+DEFAULT_BOUND_REPORT = """{
+  "inputs": {
+    "mu1": 1.316539979013362,
+    "v0_psi1": 0.2897313589170665,
+    "lambda": 0.4,
+    "gamma": 0.0,
+    "H": 0.7,
+    "W1": 0.5,
+    "T": 1.0
+  },
+  "threshold_w": 0.0202677371846466,
+  "nu_T": 4877206.27170603,
+  "M_T": 43.2,
+  "tail_bound": null,
+  "tail_bound_valid": false,
+  "chebyshev_independent": 1.0,
+  "chebyshev_volterra": 1.0,
+  "gamma_lower_bound": {
+    "value": 1.0,
+    "almost_sure": true
+  },
+  "monte_carlo": {
+    "paths": 2000,
+    "empirical_P_tau_star_le_T": 1.0,
+    "per_path_ordering_ok": true,
+    "embedding_warnings": 0
+  }
+}
+"""
+
+
+def test_default_bound_report_bytes(tmp_path):
+    assert main(["bounds", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "bounds_report.json").read_bytes() == DEFAULT_BOUND_REPORT.encode()

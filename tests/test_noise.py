@@ -16,6 +16,7 @@ from quenchsim import (
     mixed_path,
 )
 import quenchsim.noise as noise_mod
+from quenchsim.noise import batch_drive
 from quenchsim.cli import main
 
 
@@ -294,7 +295,7 @@ class TestPathWorkspace:
     # entry the sampler never writes shows too.
     @staticmethod
     def poisoned(n_steps):
-        workspace = PathWorkspace(n_steps)
+        workspace = PathWorkspace(n_steps, noise_mod.PATH_BLOCK)
         for buffer in vars(workspace).values():
             buffer.fill(np.nan)
         return workspace
@@ -302,12 +303,9 @@ class TestPathWorkspace:
     @staticmethod
     def assert_reuse_matches_fresh(params, seed, workspace):
         n, dt, H = params.N, params.dt, params.H
-        fresh = bm_increments(n, dt, seed)
-        assert np.array_equal(bits(bm_increments(n, dt, seed, workspace.db)), bits(fresh))
-        fresh = fgn_circulant(n, dt, H, seed)
-        reused = fgn_circulant(n, dt, H, seed, workspace)
-        assert np.array_equal(bits(reused.increments), bits(fresh.increments))
-        assert reused.eigenvalue_clipped == fresh.eigenvalue_clipped
+        fresh = fgn_circulant(n, dt, H, seed).increments
+        reused = noise_mod._fgn_rows(n, dt, H, [seed], workspace)[0]
+        assert np.array_equal(bits(reused), bits(fresh))
         fresh = mixed_path(params, seed)
         reused = mixed_path(params, seed, workspace)
         assert np.array_equal(bits(reused), bits(fresh))
@@ -333,3 +331,94 @@ class TestPathWorkspace:
                 params = ModelParams(N=n, H=0.7, a_fn=0.3, b_fn=1.7)
                 assert fgn_circulant(n, params.dt, 0.7, seed).eigenvalue_clipped
                 self.assert_reuse_matches_fresh(params, seed, workspace)
+
+
+def per_seed_fgn(n_steps, dt, H, seed):
+    """fGN drawn one seed and one 1-D transform at a time, as before paths were drawn in blocks."""
+    rng = np.random.default_rng(seed)
+    if H == 0.5 or n_steps == 1:
+        x = rng.standard_normal(n_steps)
+        x *= np.sqrt(dt) if H == 0.5 else dt**H
+        return x
+    ends, inner, _ = noise_mod._circulant_scale(n_steps, dt, H)
+    draws, y = rng.standard_normal(2 * n_steps), np.empty(2 * n_steps, dtype=complex)
+    re, im = y.real, y.imag
+    re[0] = ends[0] * draws[0]
+    re[n_steps] = ends[1] * draws[1]
+    im[0] = im[n_steps] = 0.0
+    np.multiply(inner, draws[2 : n_steps + 1], out=re[1:n_steps])
+    np.multiply(inner, draws[n_steps + 1 :], out=im[1:n_steps])
+    re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
+    np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
+    return np.fft.fft(y, out=y).real[:n_steps]
+
+
+def per_seed_drive(params, seed, c1, c2):
+    """c1 dB + c2 dB^H of one seed, from its streams 1 and 2, drawn one seed at a time."""
+    db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
+    fgn = per_seed_fgn(params.N, params.dt, params.H, derive_seed(seed, 2))
+    fgn *= c2
+    db *= c1
+    db += fgn
+    return db
+
+
+class TestBatchedTransform:
+    # The premise of the block draw: the rows of one axis=1 transform are
+    # the transforms of the rows, bit for bit, at composite and prime
+    # lengths (the latter by Bluestein's algorithm in pocketfft).
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 64, 97, 1009, 2000, 2003, 4093, 20000, 20014])
+    def test_rows_equal_per_row_calls(self, rng, m):
+        for rows in range(1, 6):
+            y = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+            batched = y.copy()
+            np.fft.fft(batched, axis=1, out=batched)
+            for j in range(rows):
+                row = y[j].copy()
+                np.fft.fft(row, out=row)
+                assert np.array_equal(bits(batched[j]), bits(row))
+
+
+class TestBlockDraw:
+    # A full block of PATH_BLOCK seeds and a partial one
+    SEEDS = [derive_seed(22, i) for i in range(noise_mod.PATH_BLOCK + 2)]
+
+    def assert_per_seed(self, params):
+        n, dt, H = params.N, params.dt, params.H
+        expected = [per_seed_fgn(n, dt, H, seed) for seed in self.SEEDS]
+        for k in range(1, 6):
+            rows = noise_mod._fgn_rows(n, dt, H, self.SEEDS[:k], PathWorkspace(n, k))
+            assert rows.shape == (k, n)
+            for row, want in zip(rows, expected):
+                assert np.array_equal(bits(row), bits(want))
+        for seed, want in zip(self.SEEDS, expected):
+            assert np.array_equal(bits(fgn_circulant(n, dt, H, seed).increments), bits(want))
+        drive = batch_drive(params, self.SEEDS)
+        for j, seed in enumerate(self.SEEDS):
+            want = per_seed_drive(params, seed, params.kappa1, params.kappa2)
+            assert np.array_equal(bits(drive[:, j]), bits(want))
+            want = per_seed_drive(params, seed, params.a_fn, params.b_fn)
+            want = np.concatenate([[0.0], np.cumsum(want)])
+            assert np.array_equal(bits(mixed_path(params, seed)), bits(want))
+
+    @pytest.mark.parametrize("H", [0.5, 0.7, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10007])
+    def test_block_draw_equals_per_seed_draw(self, n, H):
+        params = ModelParams(N=n, T=0.7, H=H, a_fn=0.3, b_fn=1.7, kappa1=0.2, kappa2=0.9)
+        self.assert_per_seed(params)
+
+    def test_clipped_embedding(self, hostile_covariance):
+        for n in (2, 3, 1000):
+            params = ModelParams(N=n, H=0.7, a_fn=0.3, b_fn=1.7, kappa1=0.2, kappa2=0.9)
+            assert noise_mod._embedding_clipped(n, params.dt, params.H)
+            self.assert_per_seed(params)
+
+    def test_segments_equal_one_draw(self):
+        # the bound scan draws stream 1 over CROSSING_PREFIX-doubling segments
+        n, dt = 1000, 1e-3
+        fgn = per_seed_fgn(n, dt, 0.7, 3)
+        whole = noise_mod._drive(np.random.default_rng(5), dt, 0.3, fgn, 0, n, np.empty(n))
+        rng, out = np.random.default_rng(5), np.full(n, np.nan)
+        for start, stop in ((0, 256), (256, 768), (768, n)):
+            noise_mod._drive(rng, dt, 0.3, fgn, start, stop, out)
+        assert np.array_equal(bits(out), bits(whole))
