@@ -15,13 +15,7 @@ from .bounds import (
 from .config import emit_config, emit_table, parse_config
 from .ensemble import EnsembleStats, estimate, sweep
 from .errors import ConfigError, NumericalError
-from .noise import (
-    PathWorkspace,
-    bm_increments,
-    fgn_autocovariance,
-    fgn_circulant,
-    mixed_path,
-)
+from .noise import bm_increments, fgn_autocovariance, fgn_circulant
 from .operator import GridSpec, assemble_matrix, singular_integral_constant
 from .seeding import derive_seed
 from .solver import ModelParams, RealizationResult, factorize, initial_condition, run_realization
@@ -37,7 +31,6 @@ __all__ = [
     "M_of",
     "ModelParams",
     "NumericalError",
-    "PathWorkspace",
     "RealizationResult",
     "assemble_matrix",
     "bm_increments",
@@ -55,7 +48,6 @@ __all__ = [
     "gamma_lower_bound",
     "initial_condition",
     "inner_product_v0_psi1",
-    "mixed_path",
     "nu_of",
     "parse_config",
     "principal_eigenpair",

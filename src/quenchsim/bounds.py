@@ -265,8 +265,8 @@ def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan, buffers) -> tu
     running sum N from its last value, and the log terms of both sums are
     fed to their `_Crossing`.  The scan stops when both sums have crossed,
     so stream 1 is drawn only as far as the later crossing's segment, or to
-    the horizon.  np.cumsum adds in order, so N matches `mixed_path`'s one
-    cumsum bit for bit.
+    the horizon.  np.cumsum adds in order, so N has the bits of one cumsum
+    over the whole drive.
     """
     workspace, three_n, log_terms = buffers
     N = workspace.N
@@ -307,8 +307,10 @@ def _worker_count(n_paths: int) -> int:
 def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[float, bool]:
     """Empirical P[tau* <= T] over sampled paths and the per-path ordering.
 
-    Path i is `mixed_path(bp.params, derive_seed(master_seed, i))`, the seeding
-    policy of the ensembles, so distinct master seeds draw disjoint paths.
+    Path i is N_t = a B_t + b B^H_t at t_0..t_N: the running sum from N_0 = 0
+    of a dB + b dB^H, with dB and dB^H drawn from streams 1 and 2 of
+    `derive_seed(master_seed, i)`, the seeding policy of the ensembles, so
+    distinct master seeds draw disjoint paths.
     tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
     (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path.
     Only the first-crossing times are evaluated: the drift and mu(t)
@@ -346,7 +348,7 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     def draw(paths: range, buffers) -> tuple[int, bool]:
         crossings, ordered = 0, True
         seeds = [derive_seed(master_seed, i) for i in paths]
-        for seed, (rng, fgn) in zip(seeds, _paths(params, seeds, params.b_fn, buffers[0])):
+        for seed, (rng, fgn) in zip(seeds, _paths(seeds, params.b_fn, buffers[0])):
             star, low = _path_crossings(seed, rng, fgn, scan, buffers)
             crossings += star <= params.T
             ordered = ordered and low <= star
@@ -355,7 +357,11 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     workers = _worker_count(n_paths)
     edges = [n_paths * j // workers for j in range(workers + 1)]
     buffers = [
-        (PathWorkspace(params.N, PATH_BLOCK), np.empty(params.N), np.empty(params.N))
+        (
+            PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK),
+            np.empty(params.N),
+            np.empty(params.N),
+        )
         for _ in range(workers)
     ]
     with ThreadPoolExecutor(max_workers=workers) as pool:

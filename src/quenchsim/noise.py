@@ -1,4 +1,4 @@
-"""Brownian and fractional-Brownian sampling plus the mixed driving process.
+"""Brownian and fractional-Brownian sampling and the solver drive.
 
 All samplers are pure functions of (parameters, seed).  The fractional
 Gaussian noise sampler uses exact circulant embedding, so the increments
@@ -7,7 +7,6 @@ carry the exact target autocovariance up to floating rounding.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -29,22 +28,24 @@ PATH_BLOCK = 4
 
 
 class PathWorkspace:
-    """Buffers that every path of one length is drawn into, refilled in place.
+    """One grid's draws: its embedding scales and the buffers its paths are drawn into.
 
-    `batch_drive` draws all its seeds through one workspace, and a loop over
-    many `mixed_path` draws passes one workspace to each draw instead of
-    allocating the draws, the spectral vectors and N afresh:
-    at large n_steps those arrays let the heap trim and re-fault their pages
-    on every path.  The fGN of up to `rows` seeds is drawn at once, one
-    spectrum row each.  A path drawn into a workspace is overwritten by the
-    next draw into it.
+    The scales of the grid (n_steps, dt, H) are formed once, here, and every
+    path of `batch_drive` or of a bound worker is drawn into the same
+    buffers instead of allocating the draws, the spectral vectors and N
+    afresh: at large n_steps those arrays let the heap trim and re-fault
+    their pages on every path.  The fGN of up to `rows` seeds is drawn at
+    once, one spectrum row each.  A path drawn into a workspace is
+    overwritten by the next draw into it.
     """
 
-    def __init__(self, n_steps: int, rows: int = 1) -> None:
+    def __init__(self, n_steps: int, dt: float, H: float, rows: int = 1) -> None:
+        self.n_steps, self.dt, self.H = n_steps, dt, H
+        self.scales = _circulant_scale(n_steps, dt, H)
         self.db = np.empty(n_steps)  # Brownian increments, then the drive
         self.draws = np.empty(2 * n_steps)  # one seed's standard normals for the fGN sampler
         self.spectrum = np.empty((rows, 2 * n_steps), dtype=complex)
-        self.N = np.empty(n_steps + 1)
+        self.N = np.empty(n_steps + 1)  # the bound scan's running sum
 
 
 def bm_increments(n_steps: int, dt: float, seed: int) -> np.ndarray:
@@ -77,9 +78,9 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
     `fgn_autocovariance`.  The covariance is embedded in a circulant of size
     2 * n_steps diagonalized by FFT (Davies-Harte); the embedding is
     nonnegative definite for fGN, but if rounding produces negative
-    eigenvalues they are clipped to zero and the sample is flagged with
-    `_embedding_clipped(n_steps, dt, H)`, which no seed enters.  This is the
-    one-row case of `_fgn_rows`, which fixes the draw order.
+    eigenvalues they are clipped to zero and the sample is flagged, as is
+    every sample of the grid whatever its seed (`_embedding_clipped`).  This
+    is the one-row case of `_fgn_rows`, which fixes the draw order.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -87,32 +88,34 @@ def fgn_circulant(n_steps: int, dt: float, H: float, seed: int) -> FgnSample:
         raise ValueError("dt must be positive")
     if not 0.5 <= H < 1.0:
         raise ValueError(f"Hurst index must lie in [1/2, 1), got {H}")
-    increments = _fgn_rows(n_steps, dt, H, [seed], PathWorkspace(n_steps))[0]
-    return FgnSample(increments, _embedding_clipped(n_steps, dt, H))
+    workspace = PathWorkspace(n_steps, dt, H)
+    increments = _fgn_rows([seed], workspace)[0]
+    return FgnSample(increments, workspace.scales is not None and workspace.scales[2])
 
 
-def _fgn_rows(n_steps: int, dt: float, H: float, seeds, workspace: PathWorkspace) -> np.ndarray:
-    """The fGN increments of each seed, one row per seed, through one transform.
+def _fgn_rows(seeds, workspace: PathWorkspace) -> np.ndarray:
+    """The fGN increments of each seed on the workspace's grid, one row per seed.
 
     Draw order is pinned for reproducibility: per seed, one standard-normal
     block of length 2 * n_steps consumed as (real DC term, real Nyquist
     term, n_steps - 1 real parts, n_steps - 1 imaginary parts).  The rows'
     spectral vectors are transformed by a single `np.fft.fft(axis=1)` call,
-    whose rows equal separate one-row calls bit for bit.  The white (H = 1/2)
-    and one-step draws need no embedding: n_steps normals scaled by dt^H.
+    whose rows equal separate one-row calls bit for bit.  The grids without
+    scales (`_circulant_scale`) draw n_steps normals scaled by dt^H.
     Returns a (len(seeds), n_steps) view of the real part of the workspace's
     spectrum, which has at least len(seeds) rows.
     """
+    n_steps, dt, H = workspace.n_steps, workspace.dt, workspace.H
     y = workspace.spectrum[: len(seeds)]
     draws = workspace.draws
-    if H == 0.5 or n_steps == 1:
+    if workspace.scales is None:
         x = y.real[:, :n_steps]
         for row, seed in zip(x, seeds):
             row[:] = np.random.default_rng(seed).standard_normal(n_steps, out=draws[:n_steps])
         x *= np.sqrt(dt) if H == 0.5 else dt**H
         return x
 
-    ends, inner, _ = _circulant_scale(n_steps, dt, H)
+    ends, inner, _ = workspace.scales
     for row, seed in zip(y, seeds):
         np.random.default_rng(seed).standard_normal(2 * n_steps, out=draws)
         # row is Hermitian: row[0] and row[n] are real, row[m - k] = conj(row[k]).
@@ -129,17 +132,16 @@ def _fgn_rows(n_steps: int, dt: float, H: float, seeds, workspace: PathWorkspace
     return np.fft.fft(y, axis=1, out=y).real[:, :n_steps]
 
 
-# One entry: every chunk drive and bound report samples all its paths on one
-# (n_steps, dt, H), and more entries would only hold memory.
-@functools.lru_cache(maxsize=1)
 def _circulant_scale(n_steps: int, dt: float, H: float):
     """Scales sqrt(lambda / m) of the circulant embedding's spectral draws.
 
-    The embedding of size m = 2 * n_steps depends only on (n_steps, dt, H),
-    so its spectrum is computed once per key.  Returns read-only arrays of
-    the real DC and Nyquist scales and of the n_steps - 1 complex-pair
+    The embedding of size m = 2 * n_steps depends only on (n_steps, dt, H).
+    Returns the real DC and Nyquist scales, the n_steps - 1 complex-pair
     scales (lambda halved), and whether negative eigenvalues were clipped.
+    The white (H = 1/2) and one-step grids need no embedding: None.
     """
+    if H == 0.5 or n_steps == 1:
+        return None
     g = fgn_autocovariance(np.arange(n_steps + 1), H, dt)
     c = np.concatenate([g[:n_steps], g[n_steps : n_steps + 1], g[n_steps - 1 : 0 : -1]])
     lam = np.fft.fft(c).real
@@ -149,8 +151,6 @@ def _circulant_scale(n_steps: int, dt: float, H: float):
     m = 2 * n_steps
     ends = np.sqrt(lam[[0, n_steps]] / m)
     inner = np.sqrt(lam[1:n_steps] / (2.0 * m))
-    ends.flags.writeable = False
-    inner.flags.writeable = False
     return ends, inner, clipped
 
 
@@ -158,12 +158,11 @@ def _embedding_clipped(n_steps: int, dt: float, H: float) -> bool:
     """Whether `fgn_circulant` clips negative embedding eigenvalues on this grid.
 
     The embedding depends only on the covariance and the grid, so every path
-    drawn on one (n_steps, dt, H) shares the flag, whatever its seed.  The
-    white (H = 1/2) and one-step draws use no embedding and are never clipped.
+    drawn on one (n_steps, dt, H) shares the flag, whatever its seed.  A grid
+    without an embedding is never clipped.
     """
-    if H == 0.5 or n_steps == 1:
-        return False
-    return _circulant_scale(n_steps, dt, H)[2]
+    scales = _circulant_scale(n_steps, dt, H)
+    return scales is not None and scales[2]
 
 
 def _noise_key(params) -> tuple:
@@ -171,7 +170,7 @@ def _noise_key(params) -> tuple:
     return (params.N, params.dt, params.H, params.kappa1, params.kappa2)
 
 
-def _paths(params, seeds, c2: float, workspace: PathWorkspace):
+def _paths(seeds, c2: float, workspace: PathWorkspace):
     """Yield each seed's Brownian stream and its fGN term c2 dB^H, in seed order.
 
     This is the one owner of the draw rule: a seed's Brownian increments are
@@ -184,7 +183,7 @@ def _paths(params, seeds, c2: float, workspace: PathWorkspace):
     for lo in range(0, len(seeds), rows):
         block = seeds[lo : lo + rows]
         streams = [derive_seed(seed, 2) for seed in block]
-        fgn = _fgn_rows(params.N, params.dt, params.H, streams, workspace)
+        fgn = _fgn_rows(streams, workspace)
         fgn *= c2
         for seed, row in zip(block, fgn):
             yield np.random.default_rng(derive_seed(seed, 1)), row
@@ -217,25 +216,8 @@ def batch_drive(params, seeds, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty((params.N, len(seeds)))
     drive = out[:, : len(seeds)]
-    workspace = PathWorkspace(params.N, PATH_BLOCK)
-    for j, (rng, fgn) in enumerate(_paths(params, seeds, params.kappa2, workspace)):
+    workspace = PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK)
+    for j, (rng, fgn) in enumerate(_paths(seeds, params.kappa2, workspace)):
         drive[:, j] = _drive(rng, params.dt, params.kappa1, fgn, 0, params.N, workspace.db)
     return drive
 
-
-def mixed_path(params, seed: int, workspace: PathWorkspace | None = None) -> np.ndarray:
-    """The mixed process N_t = a B_t + b B^H_t at t_0..t_N, with N_0 = 0.
-
-    The coefficients a = `params.a_fn` and b = `params.b_fn` are constants,
-    and N is accumulated by left-endpoint sums:
-    N_{t_{k+1}} = N_{t_k} + a dB_k + b dB^H_k.  The path is drawn into the
-    buffers of `workspace`, a `PathWorkspace` of `params.N` steps, or of a
-    new one when none is given, and the returned array is the workspace's N.
-    """
-    if workspace is None:
-        workspace = PathWorkspace(params.N)
-    ((rng, fgn),) = _paths(params, [seed], params.b_fn, workspace)
-    N = workspace.N
-    N[0] = 0.0
-    np.cumsum(_drive(rng, params.dt, params.a_fn, fgn, 0, params.N, workspace.db), out=N[1:])
-    return N

@@ -78,6 +78,8 @@ class ModelParams:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.N < 1:
             raise ValueError(f"step count N must be >= 1, got {self.N}")
+        if not self.T / self.N > 0:
+            raise ValueError(f"step T / N underflows to 0 at T = {self.T!r}, N = {self.N}")
         if self.M < 3:
             raise ValueError(f"space subintervals M must be >= 3, got {self.M}")
         for name in ("lam", "gamma", "kappa1", "kappa2"):

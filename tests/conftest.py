@@ -35,10 +35,5 @@ def _hostile_autocov(k, H, dt=1.0):
 
 @pytest.fixture()
 def hostile_covariance(monkeypatch):
-    """A non-embeddable fGN covariance: every embedding with n_steps > 1 and H > 1/2 clips.
-
-    The spectrum cache is bypassed, so a cached entry cannot hide the
-    hostile covariance and the hostile spectrum is not cached either.
-    """
+    """A non-embeddable fGN covariance: every embedding with n_steps > 1 and H > 1/2 clips."""
     monkeypatch.setattr(noise_mod, "fgn_autocovariance", _hostile_autocov)
-    monkeypatch.setattr(noise_mod, "_circulant_scale", noise_mod._circulant_scale.__wrapped__)

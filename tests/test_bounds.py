@@ -20,7 +20,6 @@ from quenchsim import (
     derive_seed,
     eigen_mu,
     gamma_lower_bound,
-    mixed_path,
     nu_of,
     parse_config,
     tail_upper_bound,
@@ -29,6 +28,7 @@ from quenchsim import bounds, validation
 from quenchsim.cli import main
 from quenchsim.spectral import inner_product_v0_psi1, trapezoid_integral
 
+from helpers import mixed_process
 from naive_reference import naive_incomplete_gamma
 from path_functionals import full_crossing, tau_lower, tau_star
 
@@ -194,7 +194,7 @@ class TestTauStarSample:
         # the crossing of a scalar re-accumulation of the same integrand on
         # the same path
         bp = make_bp(N=256, lam=5e-3, a_fn=0.2, b_fn=0.2, gamma=0.3)
-        N, dt = mixed_path(bp.params, 7), bp.params.dt
+        N, dt = mixed_process(bp.params, 7), bp.params.dt
         w = bp.tau_star_threshold()
         total, crossing = 0.0, math.inf
         for m in range(bp.params.N):
@@ -324,10 +324,11 @@ class TestBoundMonteCarlo:
         def recording_scan(seed, *args):
             paths.append([])
             times = path_crossings(seed, *args)
-            # the running sum continued segment by segment is mixed_path's N
+            # the running sum continued segment by segment is the path's N
             stop = paths[-1][-1][1]
-            summed = args[-1][0].N[: stop + 1].view(np.uint64)
-            assert np.array_equal(summed, mixed_path(bp.params, seed)[: stop + 1].view(np.uint64))
+            summed = args[-1][0].N[: stop + 1]
+            want = mixed_process(bp.params, seed)[: stop + 1]
+            assert np.array_equal(summed.view(np.uint64), want.view(np.uint64))
             paths[-1] = (times, paths[-1])
             return times
 
@@ -506,7 +507,7 @@ class TestBoundMonteCarloOracle:
     def oracle(bp, n_paths, master):
         stars, lows, dt = [], [], bp.params.dt
         for i in range(n_paths):
-            N = mixed_path(bp.params, derive_seed(master, i))
+            N = mixed_process(bp.params, derive_seed(master, i))
             stars.append(tau_star(N, dt, bp))
             lows.append(tau_lower(N, dt, bp, lambda t: eigen_mu(bp, t)))
         stars, lows = np.array(stars), np.array(lows)

@@ -302,6 +302,11 @@ class TestCli:
             bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
             for command in ("simulate", "sweep", "bounds", "eigen"):
                 assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2
+        # a horizon whose step T / N underflows to 0 used to end in a
+        # traceback (exit 1): "dt must be positive" or "math domain error"
+        underflow = self._cfg(tmp_path, "M = 11\nN = 10000\nT = 1e-320\n")
+        for command in ("simulate", "sweep", "bounds", "eigen"):
+            assert self._run(command, "--config", str(underflow), "--out", str(tmp_path)) == 2
         # a JSON null or list for out used to name the output directory by its
         # text, './None' or "./['a', 'b']"
         (tmp_path / "cwd").mkdir()

@@ -207,9 +207,9 @@ class TestSharedNoise:
         calls = []
         original = noise._fgn_rows
 
-        def counted(n_steps, dt, H, seeds, workspace):
+        def counted(seeds, workspace):
             calls.extend(seeds)
-            return original(n_steps, dt, H, seeds, workspace)
+            return original(seeds, workspace)
 
         monkeypatch.setattr(noise, "_fgn_rows", counted)
         sweep(ModelParams(**FAST), axes, 300, master_seed=13)

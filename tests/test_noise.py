@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchsim import (
+    BoundParams,
     ModelParams,
-    PathWorkspace,
     bm_increments,
+    bound_monte_carlo,
     derive_seed,
     fgn_autocovariance,
     fgn_circulant,
-    mixed_path,
+    sweep,
 )
 import quenchsim.noise as noise_mod
 from quenchsim.noise import batch_drive
 from quenchsim.cli import main
+
+from helpers import per_seed_drive, per_seed_fgn
 
 
 def bartlett_se(k, H, n, truncation=400):
@@ -26,6 +30,10 @@ def bartlett_se(k, H, n, truncation=400):
     gj = fgn_autocovariance(j, H)
     var = np.sum(gj**2 + fgn_autocovariance(j + k, H) * fgn_autocovariance(j - k, H)) / n
     return math.sqrt(var)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
 
 
 class TestBrownianIncrements:
@@ -159,38 +167,42 @@ class TestCovarianceRH:
 
 
 class TestMixedPath:
+    # N_t = a B_t + b B^H_t steps by a dB + b dB^H, which is a `batch_drive`
+    # column at kappa1 = a, kappa2 = b; a column sum is N_T.
+    SEEDS = range(10_000)
+
     def test_zero_coefficients_give_zero_process(self):
-        params = ModelParams(N=64, a_fn=0.0, b_fn=0.0)
-        N = mixed_path(params, seed=1)
-        assert np.all(N == 0.0)
-        assert len(N) == 65
+        drive = batch_drive(ModelParams(N=64, kappa1=0.0, kappa2=0.0), self.SEEDS[:100])
+        assert drive.shape == (64, 100)
+        assert np.all(drive == 0.0)
 
     def test_pure_brownian_terminal_variance(self):
-        params = ModelParams(N=64, T=1.0, a_fn=1.0, b_fn=0.0)
-        finals = np.array([mixed_path(params, seed=i)[-1] for i in range(10_000)])
+        params = ModelParams(N=64, T=1.0, kappa1=1.0, kappa2=0.0)
+        finals = batch_drive(params, self.SEEDS).sum(axis=0)
         assert finals.var() == pytest.approx(1.0, rel=0.05)
 
     def test_mixed_terminal_variance_adds(self):
         H = 0.7
-        params = ModelParams(N=64, T=1.0, H=H, a_fn=1.0, b_fn=1.0)
-        finals = np.array([mixed_path(params, seed=i)[-1] for i in range(10_000)])
+        params = ModelParams(N=64, T=1.0, H=H, kappa1=1.0, kappa2=1.0)
+        finals = batch_drive(params, self.SEEDS).sum(axis=0)
         assert finals.var() == pytest.approx(1.0 + 1.0 ** (2 * H), rel=0.05)
 
     def test_replay_bit_identical(self):
         params = ModelParams(N=256)
-        assert np.array_equal(mixed_path(params, seed=77), mixed_path(params, seed=77))
+        seeds = self.SEEDS[70:80]
+        assert np.array_equal(bits(batch_drive(params, seeds)), bits(batch_drive(params, seeds)))
 
     @pytest.mark.parametrize("a, b, H", [(0.1, 0.1, 0.7), (1.0, 0.3, 0.55), (0.0, 2.0, 0.9)])
     def test_streams_one_and_two_of_the_seed(self, a, b, H):
-        # N is the running sum of a dB + b dB^H, with dB and dB^H drawn from
-        # the seed's derived streams 1 and 2, bit for bit
-        params = ModelParams(N=300, T=0.7, H=H, a_fn=a, b_fn=b)
+        # the increment a dB + b dB^H, with dB and dB^H drawn from the seed's
+        # derived streams 1 and 2, bit for bit
+        params = ModelParams(N=300, T=0.7, H=H, kappa1=a, kappa2=b)
         seed = derive_seed(5, 12)
         dt = params.T / params.N
         db = bm_increments(params.N, dt, derive_seed(seed, 1))
         dbh = fgn_circulant(params.N, dt, H, derive_seed(seed, 2)).increments
-        N = mixed_path(params, seed)
-        assert np.array_equal(N, np.concatenate([[0.0], np.cumsum(a * db + b * dbh)]))
+        (drive,) = batch_drive(params, [seed]).T
+        assert np.array_equal(bits(drive), bits(a * db + b * dbh))
 
 
 def test_fgn_negative_eigenvalue_fallback(hostile_covariance):
@@ -266,101 +278,80 @@ def test_fgn_embedding_covariance_is_exact():
     assert np.max(np.abs(direct - packaged)) <= 1e-14
 
 
-class TestCirculantScaleCache:
-    def test_cached_scales_are_read_only(self):
-        ends, inner, _ = noise_mod._circulant_scale(100, 0.01, 0.7)
-        assert not ends.flags.writeable and not inner.flags.writeable
-        with pytest.raises(ValueError):
-            inner[0] = 0.0
+class TestCirculantScaleCalls:
+    # A workspace forms its grid's embedding scales once, when it is built:
+    # one per `batch_drive` call, per bound worker and per `fgn_circulant` call.
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        original = noise_mod._circulant_scale
 
-    def test_interleaved_keys_match_first_calls(self):
-        keys = [(100, 0.01, 0.7), (64, 1.0, 0.9), (100, 0.01, 0.55), (257, 0.5, 0.7)]
-        first = {}
-        for key in keys:
-            noise_mod._circulant_scale.cache_clear()
-            first[key] = fgn_circulant(*key, seed=3).increments
-        for _ in range(2):
-            for key in keys + keys[::-1]:
-                assert np.array_equal(fgn_circulant(*key, seed=3).increments, first[key])
+        def counted(*grid):
+            calls.append(grid)
+            return original(*grid)
 
+        monkeypatch.setattr(noise_mod, "_circulant_scale", counted)
+        return calls
 
-def bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
+    def test_one_per_batch_drive(self, calls):
+        # 300 realizations are two chunks, and a lambda sweep draws each once
+        params = ModelParams(M=11, N=100)
+        sweep(params, [("lambda", [0.2, 0.4, 1.0])], 300, master_seed=13)
+        assert calls == [(params.N, params.dt, params.H)] * 2
+
+    def test_one_per_bound_worker(self, calls, monkeypatch):
+        params = ModelParams(N=64, lam=1e-4, a_fn=0.1, b_fn=0.1)
+        bp = BoundParams(params, mu1=1.3, v0_psi1=0.3, mu0=0.5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        bound_monte_carlo(bp, 10, 3)
+        assert calls == [(params.N, params.dt, params.H)] * 2
+
+    def test_one_per_fgn_circulant(self, calls):
+        for seed in range(3):
+            fgn_circulant(100, 0.01, 0.7, seed)
+        assert calls == [(100, 0.01, 0.7)] * 3
 
 
 class TestPathWorkspace:
-    # A workspace reused across seeds and keys must reproduce the fresh
-    # allocation bit for bit: a stale buffer entry or a lost signed zero
-    # shows in the uint64 view.  Workspaces start filled with NaN, so an
-    # entry the sampler never writes shows too.
+    # One workspace per grid, reused across seeds, must reproduce a fresh
+    # draw bit for bit: a stale buffer entry or a lost signed zero shows in
+    # the uint64 view.  The buffers start filled with NaN, so an entry the
+    # sampler never writes shows too.
     @staticmethod
-    def poisoned(n_steps):
-        workspace = PathWorkspace(n_steps, noise_mod.PATH_BLOCK)
-        for buffer in vars(workspace).values():
+    def poisoned(params):
+        workspace = noise_mod.PathWorkspace(params.N, params.dt, params.H, noise_mod.PATH_BLOCK)
+        for buffer in (workspace.db, workspace.draws, workspace.spectrum, workspace.N):
             buffer.fill(np.nan)
         return workspace
 
     @staticmethod
     def assert_reuse_matches_fresh(params, seed, workspace):
-        n, dt, H = params.N, params.dt, params.H
-        fresh = fgn_circulant(n, dt, H, seed).increments
-        reused = noise_mod._fgn_rows(n, dt, H, [seed], workspace)[0]
+        fresh = fgn_circulant(params.N, params.dt, params.H, seed).increments
+        reused = noise_mod._fgn_rows([seed], workspace)[0]
         assert np.array_equal(bits(reused), bits(fresh))
-        fresh = mixed_path(params, seed)
-        reused = mixed_path(params, seed, workspace)
-        assert np.array_equal(bits(reused), bits(fresh))
-        assert reused is workspace.N
+        ((rng, fgn),) = noise_mod._paths([seed], 1.7, workspace)
+        reused = noise_mod._drive(rng, params.dt, 0.3, fgn, 0, params.N, workspace.db)
+        assert np.array_equal(bits(reused), bits(per_seed_drive(params, seed, 0.3, 1.7)))
 
     def test_interleaved_seeds_and_keys(self):
-        workspaces = {n: self.poisoned(n) for n in (1, 2, 3, 100, 1024)}
-        keys = [
-            (n, T, H)
+        grids = [
+            ModelParams(N=n, T=T, H=H)
             for T in (1.0, 0.3)
             for H in (0.5, 0.55, 0.7, 0.9)
-            for n in workspaces
+            for n in (1, 2, 3, 100, 1024)
         ]
+        workspaces = [self.poisoned(params) for params in grids]
         for seed in (0, derive_seed(4, 9), 17):
-            for n, T, H in keys:
-                params = ModelParams(N=n, T=T, H=H, a_fn=0.3, b_fn=1.7)
-                self.assert_reuse_matches_fresh(params, seed, workspaces[n])
+            for params, workspace in zip(grids, workspaces):
+                self.assert_reuse_matches_fresh(params, seed, workspace)
 
     def test_clipped_embedding(self, hostile_covariance):
         for n in (2, 3, 100):
-            workspace = self.poisoned(n)
+            params = ModelParams(N=n, H=0.7)
+            workspace = self.poisoned(params)
             for seed in range(5):
-                params = ModelParams(N=n, H=0.7, a_fn=0.3, b_fn=1.7)
                 assert fgn_circulant(n, params.dt, 0.7, seed).eigenvalue_clipped
                 self.assert_reuse_matches_fresh(params, seed, workspace)
-
-
-def per_seed_fgn(n_steps, dt, H, seed):
-    """fGN drawn one seed and one 1-D transform at a time, as before paths were drawn in blocks."""
-    rng = np.random.default_rng(seed)
-    if H == 0.5 or n_steps == 1:
-        x = rng.standard_normal(n_steps)
-        x *= np.sqrt(dt) if H == 0.5 else dt**H
-        return x
-    ends, inner, _ = noise_mod._circulant_scale(n_steps, dt, H)
-    draws, y = rng.standard_normal(2 * n_steps), np.empty(2 * n_steps, dtype=complex)
-    re, im = y.real, y.imag
-    re[0] = ends[0] * draws[0]
-    re[n_steps] = ends[1] * draws[1]
-    im[0] = im[n_steps] = 0.0
-    np.multiply(inner, draws[2 : n_steps + 1], out=re[1:n_steps])
-    np.multiply(inner, draws[n_steps + 1 :], out=im[1:n_steps])
-    re[n_steps + 1 :] = re[n_steps - 1 : 0 : -1]
-    np.negative(im[n_steps - 1 : 0 : -1], out=im[n_steps + 1 :])
-    return np.fft.fft(y, out=y).real[:n_steps]
-
-
-def per_seed_drive(params, seed, c1, c2):
-    """c1 dB + c2 dB^H of one seed, from its streams 1 and 2, drawn one seed at a time."""
-    db = bm_increments(params.N, params.dt, derive_seed(seed, 1))
-    fgn = per_seed_fgn(params.N, params.dt, params.H, derive_seed(seed, 2))
-    fgn *= c2
-    db *= c1
-    db += fgn
-    return db
 
 
 class TestBatchedTransform:
@@ -387,7 +378,7 @@ class TestBlockDraw:
         n, dt, H = params.N, params.dt, params.H
         expected = [per_seed_fgn(n, dt, H, seed) for seed in self.SEEDS]
         for k in range(1, 6):
-            rows = noise_mod._fgn_rows(n, dt, H, self.SEEDS[:k], PathWorkspace(n, k))
+            rows = noise_mod._fgn_rows(self.SEEDS[:k], noise_mod.PathWorkspace(n, dt, H, k))
             assert rows.shape == (k, n)
             for row, want in zip(rows, expected):
                 assert np.array_equal(bits(row), bits(want))
@@ -397,19 +388,16 @@ class TestBlockDraw:
         for j, seed in enumerate(self.SEEDS):
             want = per_seed_drive(params, seed, params.kappa1, params.kappa2)
             assert np.array_equal(bits(drive[:, j]), bits(want))
-            want = per_seed_drive(params, seed, params.a_fn, params.b_fn)
-            want = np.concatenate([[0.0], np.cumsum(want)])
-            assert np.array_equal(bits(mixed_path(params, seed)), bits(want))
 
     @pytest.mark.parametrize("H", [0.5, 0.7, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10007])
     def test_block_draw_equals_per_seed_draw(self, n, H):
-        params = ModelParams(N=n, T=0.7, H=H, a_fn=0.3, b_fn=1.7, kappa1=0.2, kappa2=0.9)
+        params = ModelParams(N=n, T=0.7, H=H, kappa1=0.2, kappa2=0.9)
         self.assert_per_seed(params)
 
     def test_clipped_embedding(self, hostile_covariance):
         for n in (2, 3, 1000):
-            params = ModelParams(N=n, H=0.7, a_fn=0.3, b_fn=1.7, kappa1=0.2, kappa2=0.9)
+            params = ModelParams(N=n, H=0.7, kappa1=0.2, kappa2=0.9)
             assert noise_mod._embedding_clipped(n, params.dt, params.H)
             self.assert_per_seed(params)
 
