@@ -19,7 +19,6 @@ CPU, the fGN of a block of them by one transform.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
+from .workers import _ranges
 
 # `quad` is imported inside the functions that integrate (here and in
 # validation.py): scipy.integrate loads scipy.optimize and scipy.sparse, and
@@ -295,15 +295,6 @@ def eigen_mu(bp: BoundParams, t):
     return bp.mu0 * np.exp(_drift(np.asarray(t, dtype=float), bp))
 
 
-def _worker_count(n_paths: int) -> int:
-    """One worker per CPU this process may run on (`taskset` limits it), at most one per path."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_paths)
-
-
 def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[float, bool]:
     """Empirical P[tau* <= T] over sampled paths and the per-path ordering.
 
@@ -319,7 +310,7 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     scan (`_path_crossings`) reads.
 
     The paths are split into contiguous ranges, one per worker thread
-    (`_worker_count`); numpy's normal fill and FFT release the GIL.  Each
+    (`workers._ranges`); numpy's normal fill and FFT release the GIL.  Each
     path's draw depends only on its index, and the per-range counts are
     combined exactly, so the result does not depend on the worker count.
     Each worker's buffers are allocated here, on the calling thread, before
@@ -354,21 +345,17 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
             ordered = ordered and low <= star
         return crossings, ordered
 
-    workers = _worker_count(n_paths)
-    edges = [n_paths * j // workers for j in range(workers + 1)]
+    ranges = _ranges(n_paths)
     buffers = [
         (
             PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK),
             np.empty(params.N),
             np.empty(params.N),
         )
-        for _ in range(workers)
+        for _ in ranges
     ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(draw, range(lo, hi), buf)
-            for lo, hi, buf in zip(edges, edges[1:], buffers)
-        ]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(draw, paths, buf) for paths, buf in zip(ranges, buffers)]
         crossings, ordered = zip(*(future.result() for future in futures))
     return sum(crossings) / n_paths, all(ordered)
 

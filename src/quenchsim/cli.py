@@ -186,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--realizations", type=int, default=None, help="ensemble size")
     p_sweep.add_argument(
         "--threads", type=int, default=None,
-        help="compatibility only; no effect (a sweep steps on the calling thread, "
-        "and the solve's BLAS uses the cores)",
+        help="compatibility only; no effect (a sweep on a grid of M >= 224 steps on one "
+        "worker thread per CPU of the affinity mask, a coarser one on the calling thread)",
     )
     p_sweep.add_argument(
         "--preset",

@@ -1,11 +1,12 @@
 import math
+import os
 import threading
 from dataclasses import replace
 
 import pytest
 
 from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
-from quenchsim import ConfigError, ensemble, noise
+from quenchsim import ConfigError, ensemble, noise, workers
 from quenchsim.ensemble import EnsembleStats, _run_chunks
 from quenchsim.noise import batch_drive
 from quenchsim.solver import MODEL_KEYS, simulate_batch
@@ -313,3 +314,105 @@ class TestFailureAccounting:
         )
         assert stats.mean_Tq == 0.4
         assert stats.var_Tq is None
+
+
+@pytest.mark.skipif(not workers._openblas(), reason="no OpenBLAS loaded: chunks never split")
+class TestSplitChunks:
+    # M = 321 has a half state of 160 nodes, above the cut; 300 realizations
+    # are one full chunk and one partial one.  Patching the affinity mask sets
+    # the worker count; the threads run wherever the host puts them.
+    FINE = dict(N=50, M=321)
+
+    @pytest.fixture()
+    def stepped_on(self, monkeypatch):
+        """(M, thread id, first seed) of every `simulate_batch` call, which calls through."""
+        calls = []
+        original = ensemble.simulate_batch
+
+        def recording(factor, params, seeds, **kwargs):
+            calls.append((params.M, threading.get_ident(), seeds[0]))
+            return original(factor, params, seeds, **kwargs)
+
+        monkeypatch.setattr(ensemble, "simulate_batch", recording)
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        affinity = set(range(n))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+    def test_split_reproduces_every_result(self, monkeypatch, stepped_on):
+        assert ModelParams(**self.FINE).M // 2 >= ensemble.SPLIT_HALF_NODES
+        received = []
+        from_results = EnsembleStats.from_results
+
+        def recording(results):
+            received.append(list(results))
+            return from_results(results)
+
+        monkeypatch.setattr(EnsembleStats, "from_results", staticmethod(recording))
+        base = ModelParams(lam=0.45, **self.FINE)
+        runs = []
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            received.clear()
+            stepped_on.clear()
+            stats = (
+                estimate(base, 300, master_seed=21),
+                sweep(base, [("lambda", [0.3, 0.6])], 300, master_seed=21).stats,
+            )
+            runs.append((stats, [list(r) for r in received]))
+            threads = {thread for _, thread, _ in stepped_on}
+            # one CPU steps inline; otherwise the caller only waits on the workers
+            assert (threads == {threading.get_ident()}) == (n == 1)
+            # one call per range of each chunk, in estimate and in the sweep:
+            # n even ranges of the full chunk and of the partial one of 44
+            starts = [256 * j // n for j in range(n)] + [256 + 44 * j // n for j in range(n)]
+            firsts = sorted(first for _, _, first in stepped_on)
+            assert firsts == sorted(2 * [derive_seed(21, i) for i in starts])
+        assert runs[0] == runs[1] == runs[2]
+        assert 0 < runs[0][0][0].n_quenched < 300
+
+    def test_m_axis_across_the_cut_equals_each_estimate(self, monkeypatch, stepped_on):
+        self.cpus(monkeypatch, 2)
+        base = ModelParams(lam=0.45, **self.FINE)
+        result = sweep(base, [("M", [41, 321])], 300, master_seed=22)
+        caller = threading.get_ident()
+        assert {thread for M, thread, _ in stepped_on if M == 41} == {caller}
+        assert caller not in {thread for M, thread, _ in stepped_on if M == 321}
+        direct = [estimate(replace(base, M=M), 300, master_seed=22) for M in (41, 321)]
+        assert list(result.stats) == direct
+
+    @staticmethod
+    def thread_counts():
+        return [get() for get, _ in workers._openblas()]
+
+    def test_worker_exception_leaves_sweep(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        before_counts = self.thread_counts()
+        error = RuntimeError("step failed")
+        failing = derive_seed(23, 128)  # the second range of the first chunk, 128..255
+        original = ensemble.simulate_batch
+        pinned = []
+
+        def failing_step(factor, params, seeds, **kwargs):
+            pinned.append(self.thread_counts())
+            if seeds[0] == failing:
+                raise error
+            return original(factor, params, seeds, **kwargs)
+
+        monkeypatch.setattr(ensemble, "simulate_batch", failing_step)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as raised:
+            sweep(ModelParams(**self.FINE), [("lambda", [0.4])], 300, master_seed=23)
+        assert raised.value is error
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert self.thread_counts() == before_counts
+        # every BLAS ran on one thread while the workers stepped
+        assert pinned and all(counts == [1] * len(before_counts) for counts in pinned)
+
+    def test_blas_thread_counts_restored_after_sweep(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        before = self.thread_counts()
+        sweep(ModelParams(**self.FINE), [("lambda", [0.4])], 300, master_seed=24)
+        assert self.thread_counts() == before

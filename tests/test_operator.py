@@ -102,6 +102,36 @@ def test_quadrature_oracle_matches_closed_form():
             assert val == pytest.approx(expected, rel=1e-7)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.2, 0.8, 0.9, 0.95])
+def test_quadrature_oracle_matches_closed_form_at_any_order(alpha):
+    # from alpha of about 0.7 the near field's rounding noise, magnified by
+    # xi^(-1-2 alpha), once swamped the integral (19.35 against 1.676 at
+    # alpha = 0.9, x = 0.3) and quad warned; the window's nodes of M = 81
+    expected = boundary_profile_constant(alpha)
+    u = lambda y: (1.0 - y * y) ** alpha
+    for x in GridSpec(81).interior_points[10:-10]:
+        assert fractional_laplacian_pv(u, x, alpha) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_matrix_matches_closed_form(alpha):
+    # the figure-2 orders; A (1-x^2)^alpha against its exact constant on the
+    # oracle window, with no quadrature in between, and closer on the finer grid
+    expected = boundary_profile_constant(alpha)
+
+    def deviation(M):
+        grid = GridSpec(M)
+        x = grid.interior_points
+        window = np.abs(x) <= 1.0 - INTERIOR_MARGIN + 1e-12
+        action = assemble_matrix(grid, alpha).entries @ (1.0 - x * x) ** alpha
+        return np.max(np.abs(action[window] / expected - 1.0))
+
+    fine = deviation(81)
+    assert fine <= 0.01
+    assert fine < deviation(41)
+
+
 def test_quadrature_oracle_vs_naive_midpoint():
     alpha = 0.6
     u = lambda y: (1.0 - y * y) ** 2
