@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .config import RunConfig
 from .errors import NumericalError
@@ -33,9 +32,10 @@ from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
 from .workers import _ranges
 
-# `quad` is imported inside the functions that integrate (here and in
-# validation.py): scipy.integrate loads scipy.optimize and scipy.sparse, and
-# `import quenchsim` runs at the start of every CLI command, sweeps included.
+# scipy is imported only inside the functions that use it (`quad` and
+# `gammainc` here, `quad` and `eigh` in validation.py): `import quenchsim`
+# runs at the start of every CLI command, sweeps included, and loads numpy
+# alone.
 
 INFINITE_TIME = math.inf
 
@@ -194,6 +194,8 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     P[quench in finite time].  nu >= 0 is the almost-sure case: the bound is
     returned as 1 with the flag set.
     """
+    from scipy.special import gammainc
+
     nu = (1.0 + bp.mu1 - bp.params.gamma) / 3.0
     if nu >= 0.0:
         return GammaBoundResult(value=1.0, almost_sure=True)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import gamma as _gamma
 
 
 @dataclass(frozen=True)
@@ -39,6 +37,63 @@ class GridSpec:
     def interior_points(self) -> np.ndarray:
         """x_j = -1 + j*dx for j = 1..M-1."""
         return -1.0 + self.dx * np.arange(1, self.M)
+
+
+# Coefficients of cephes' rational approximation of Gamma on [2, 3]
+# (S. L. Moshier, Cephes Math Library, gamma.c), the routine behind
+# scipy.special.gamma.
+_GAMMA_P = (
+    1.60119522476751861407e-4,
+    1.19135147006586384913e-3,
+    1.04213797561761569935e-2,
+    4.76367800457137231464e-2,
+    2.07448227648435975150e-1,
+    4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5,
+    5.39605580493303397842e-4,
+    -4.45641913851797240494e-3,
+    1.18139785222060435552e-2,
+    3.58236398605498653373e-2,
+    -2.34591795718243348568e-1,
+    7.14304917030273074085e-2,
+    1.00000000000000000320e0,
+)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for finite x in (-33, 33) off the non-positive integers.
+
+    A line-for-line port of cephes' `Gamma` without its Stirling branch for
+    |x| > 33: shift x into [2, 3) by the recurrence, then the rational
+    approximation, in the same operations and order, so the result has the
+    bits of scipy.special.gamma (math.gamma differs in the last bit).
+    """
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p = q = 0.0
+    for coef in _GAMMA_P:
+        p = p * x + coef
+    for coef in _GAMMA_Q:
+        q = q * x + coef
+    return z * p / q
 
 
 def singular_integral_constant(alpha: float) -> float:
@@ -100,5 +155,6 @@ def assemble_matrix(grid: GridSpec, alpha: float) -> OperatorMatrix:
     first_row[1] = -near
     first_row[2:] = -weights[: M - 3]
     scale = singular_integral_constant(alpha) * grid.dx ** (-2.0 * alpha) / chi
-    entries = scale * toeplitz(first_row)
+    nodes = np.arange(M - 1)
+    entries = scale * first_row[np.abs(nodes[:, None] - nodes)]
     return OperatorMatrix(entries=entries, alpha=alpha, grid=grid)

@@ -1,7 +1,7 @@
 """Semi-implicit Euler stepping of the stochastic membrane equation.
 
 State u lives on the interior grid nodes; the nonlocal diffusion is treated
-implicitly through (I + dt*A)^-1, formed once from a Cholesky factorization
+implicitly through (I + dt*A)^-1, formed once by Gauss-Jordan elimination
 and applied by matrix product to every step and realization, while the
 singular source lambda / (1-u)^2 - gamma * (1-u) and the multiplicative
 noise kick are explicit.  A realization quenches when max_j u_j exceeds
@@ -29,7 +29,6 @@ from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .noise import batch_drive
@@ -89,8 +88,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.5 <= self.H < 1.0:
             raise ValueError(f"Hurst index must lie in [1/2, 1), got {self.H}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
     @property
     def dt(self) -> float:
@@ -189,22 +188,47 @@ def initial_condition(grid: GridSpec, c: float) -> np.ndarray:
     return c * (1.0 - x * x)
 
 
-def factorize(op: OperatorMatrix, dt: float) -> Factorization:
-    """Form the folded inverse of I + dt*A through its Cholesky factor.
+def _folded_inverse(matrix: np.ndarray) -> np.ndarray:
+    """(S^-1 E)[:h] for an S that commutes with the reflection, E as above.
 
-    The matrix is SPD by construction, so the factorization always succeeds;
-    a failure raises NumericalError.
+    S (n x n) maps even vectors to even vectors, so S E = E F with the h x h
+    folded matrix F = (S E)[:h], and (S^-1 E)[:h] = F^-1.  F is inverted in
+    place by Gauss-Jordan elimination without pivoting.  For A and for
+    I + dt*A the folded rows keep nonpositive off-diagonals and positive
+    sums, so F is strictly diagonally dominant by rows and needs no pivoting
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9 and 14).
+    Only elementwise numpy operations run, no BLAS or LAPACK call, so the
+    bits depend on neither the BLAS kernel nor its thread count.  A pivot
+    that is not positive, which an S not positive definite on even vectors
+    gives, raises NumericalError.
+    """
+    n = matrix.shape[0]
+    h = (n + 1) // 2
+    inverse = matrix[:h, :h].copy()
+    inverse[:, : n - h] += matrix[:h, ::-1][:, : n - h]
+    for k in range(h):
+        pivot = inverse[k, k]
+        if not pivot > 0:
+            raise NumericalError(f"matrix is not positive definite: pivot {k} is {pivot!r}")
+        row = inverse[k] / pivot
+        row[k] = 1.0 / pivot
+        col = inverse[:, k].copy()
+        col[k] = 0.0
+        inverse[:, k] = 0.0
+        inverse -= col[:, None] * row
+        inverse[k] = row
+    return inverse
+
+
+def factorize(op: OperatorMatrix, dt: float) -> Factorization:
+    """Form the folded inverse of I + dt*A (see `_folded_inverse`).
+
+    The matrix is SPD by construction, so the elimination always succeeds;
+    a non-positive pivot raises NumericalError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n, h = op.n, (op.n + 1) // 2
-    try:
-        factor = cho_factor(np.eye(n) + dt * op.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericalError(f"stepping matrix is not positive definite: {exc}") from exc
-    mirror = np.eye(n, h)
-    mirror = np.maximum(mirror, mirror[::-1])
-    return Factorization(_inverse=np.ascontiguousarray(cho_solve(factor, mirror)[:h]))
+    return Factorization(_inverse=_folded_inverse(np.eye(op.n) + dt * op.entries))
 
 
 def simulate_batch(

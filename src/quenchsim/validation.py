@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import bounds
 from .config import RunConfig
@@ -142,6 +141,8 @@ def _check_fgn_covariance() -> CheckResult:
 
 
 def _check_spectral() -> CheckResult:
+    from scipy.linalg import eigh  # loaded on use, as in bounds.py
+
     grid = GridSpec(21)
     op = assemble_matrix(grid, 0.6)
     pair = principal_eigenpair(op)

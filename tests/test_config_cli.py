@@ -297,8 +297,10 @@ class TestCli:
         # repeated key (N) used to keep its last value, and these keys are
         # gone: the growth-envelope constants (eta1), and full_scale, which
         # only sweep --full read and the other commands ignored.
-        for line in ("T = nan", "kappa1 = inf", "epsilon = nan", "a = inf", "k = nan",
-                     "W1 = nan", "lambda_cap = nan", "N = 30", "eta1 = 1", "full_scale = true"):
+        # epsilon = 1.5 used to report a quench at t = 0 (threshold 1 - epsilon < 0)
+        for line in ("T = nan", "kappa1 = inf", "epsilon = nan", "epsilon = 1.5", "a = inf",
+                     "k = nan", "W1 = nan", "lambda_cap = nan", "N = 30", "eta1 = 1",
+                     "full_scale = true"):
             bad_value = self._cfg(tmp_path, f"M = 9\nN = 20\n{line}\n")
             for command in ("simulate", "sweep", "bounds", "eigen"):
                 assert self._run(command, "--config", str(bad_value), "--out", str(tmp_path)) == 2

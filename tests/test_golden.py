@@ -12,9 +12,17 @@ shows up here; rounding-level changes of the states that leave them alone
 do not.
 
 The bytes were captured with numpy 2.4.6 and scipy 1.17.1 (Python 3.11,
-OpenBLAS 0.3.31).  numpy guarantees no `Generator` stream across versions
-(NEP 19), and pocketfft and the gemm kernel can move the last bits, so the
-repository's `constraints.txt` pins these versions and CI installs with it.
+OpenBLAS 0.3.31).  They depend on numpy's build and on one BLAS call, the
+per-step product with the folded inverse (numpy's gemm): numpy guarantees
+no `Generator` stream across versions (NEP 19), pocketfft can move the last
+bits, and a gemm kernel without FMA (OpenBLAS's Sandybridge) gives other
+bits than the FMA kernels (SkylakeX, Haswell), which agree.  The folded
+inverse, the eigen-solve and the operator matrix use no BLAS or LAPACK
+call, so they depend on neither the BLAS kernel nor its thread count, and
+scipy enters only the bound reports, through its quadrature and incomplete
+gamma.  The repository's
+`constraints.txt` pins these versions and CI installs with it; CI also runs
+this file under `OPENBLAS_CORETYPE=Haswell`.
 """
 
 import hashlib
@@ -130,18 +138,18 @@ def test_simulate_realization_bytes(tmp_path):
 
 # simulate's trajectory (101 states; this realization does not quench) and
 # eigen's principal eigenfunction on the same toy grid
-TRAJECTORY_SHA256 = "9d4ed18d70a874b60a7653821ce0afcb056fadd34a2c75a2d1b98cd1d20eca33"
+TRAJECTORY_SHA256 = "664339a8dc25ada1f683975dabeeae36d9e577d867cd68f5a74ca2a482495fc9"
 PSI1 = """x,psi1
--0.8181818181818181,0.2749806010876428
+-0.8181818181818181,0.2749806010876427
 -0.6363636363636364,0.4586922270361688
--0.4545454545454546,0.5950250763474721
--0.2727272727272727,0.6872729115176773
--0.09090909090909083,0.7340291840110394
-0.09090909090909083,0.7340291840110394
-0.2727272727272727,0.6872729115176771
-0.4545454545454546,0.5950250763474715
-0.6363636363636365,0.4586922270361684
-0.8181818181818183,0.27498060108764255
+-0.4545454545454546,0.5950250763474719
+-0.2727272727272727,0.6872729115176772
+-0.09090909090909083,0.7340291840110393
+0.09090909090909083,0.7340291840110393
+0.2727272727272727,0.6872729115176772
+0.4545454545454546,0.5950250763474719
+0.6363636363636365,0.4586922270361688
+0.8181818181818183,0.2749806010876427
 """
 
 
@@ -153,7 +161,7 @@ def test_simulate_trajectory_bytes(tmp_path):
     data = (tmp_path / "trajectory.csv").read_bytes()
     lines = data.decode().splitlines()
     assert lines[:3] == ["t,sup_norm", "0.0,0.09917355371900827", "0.01,0.07536026198376959"]
-    assert lines[-1] == "1.0,0.34052401584258146" and len(lines) == 102
+    assert lines[-1] == "1.0,0.34052401584258346" and len(lines) == 102
     assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256
 
 
@@ -164,24 +172,48 @@ def test_eigen_psi1_bytes(tmp_path):
     assert (tmp_path / "psi1.csv").read_bytes() == PSI1.encode()
 
 
+# the same two outputs on a finer grid, M = 161, where the solve's inverse
+# and the eigen-solve used to change bits with the BLAS kernel and its
+# thread count
+TRAJECTORY_161_SHA256 = "b3db8256d26101e46810a3c232e58ab07858d0eb4474a1456198bdccaa3a28fa"
+PSI1_161_SHA256 = "aec04ef8484d75fd608142e89df32aa1cef0a467d7604014bb101e309266baed"
+
+
+def test_fine_grid_trajectory_and_psi1_bytes(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M = 161\nN = 100\n")
+    argv = ["simulate", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    lines = data.decode().splitlines()
+    assert lines[:2] == ["t,sup_norm", "0.0,0.09999614212414645"]
+    assert lines[-1] == "1.0,0.37201256951251893" and len(lines) == 102
+    assert hashlib.sha256(data).hexdigest() == TRAJECTORY_161_SHA256
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "psi1.csv").read_bytes()
+    lines = data.decode().splitlines()
+    assert lines[1] == "-0.9875776397515528,0.047931440463571534" and len(lines) == 161
+    assert hashlib.sha256(data).hexdigest() == PSI1_161_SHA256
+
+
 BOUND_CONFIG = "M = 11\nN = 128\nlambda = 1e-5\na = 0.1\nb = 0.1\nbound_paths = 20\n"
 BOUND_REPORT = (
     '{\n'
     '  "inputs": {\n'
-    '    "mu1": 1.3654840263806718,\n'
-    '    "v0_psi1": 0.30022011445202423,\n'
+    '    "mu1": 1.365484026380672,\n'
+    '    "v0_psi1": 0.3002201144520243,\n'
     '    "lambda": 1e-05,\n'
     '    "gamma": 0.0,\n'
     '    "H": 0.7,\n'
     '    "W1": 0.5,\n'
     '    "T": 1.0\n'
     '  },\n'
-    '  "threshold_w": 901.9824839348652,\n'
-    '  "nu_T": 482.9354922022711,\n'
+    '  "threshold_w": 901.9824839348659,\n'
+    '  "nu_T": 482.9354922022715,\n'
     '  "M_T": 0.4320000000000001,\n'
     '  "tail_bound": 1.0,\n'
     '  "tail_bound_valid": true,\n'
-    '  "chebyshev_independent": 0.5435805087547433,\n'
+    '  "chebyshev_independent": 0.5435805087547436,\n'
     '  "chebyshev_volterra": 1.0,\n'
     '  "gamma_lower_bound": {\n'
     '    "value": 1.0,\n'
@@ -208,21 +240,21 @@ BOUND_PINS = {
         "M = 11\nN = 128\nT = 0.5\nlambda = 3e-6\nk = 1\na = 0.1\nb = 0.05\nbound_paths = 20\n",
         """{
   "inputs": {
-    "mu1": 1.3654840263806718,
-    "v0_psi1": 0.30022011445202423,
+    "mu1": 1.365484026380672,
+    "v0_psi1": 0.3002201144520243,
     "lambda": 3e-06,
     "gamma": 0.0,
     "H": 0.7,
     "W1": 0.5,
     "T": 0.5
   },
-  "threshold_w": 3006.6082797828844,
+  "threshold_w": 3006.6082797828863,
   "nu_T": 0.8886495165927605,
   "M_T": 0.11387253592253879,
   "tail_bound": 2.3092715225149353e-126,
   "tail_bound_valid": true,
-  "chebyshev_independent": 0.0002958212385048945,
-  "chebyshev_volterra": 0.0007230813151310697,
+  "chebyshev_independent": 0.0002958212385048943,
+  "chebyshev_volterra": 0.0007230813151310693,
   "gamma_lower_bound": {
     "value": 1.0,
     "almost_sure": true
@@ -240,23 +272,23 @@ BOUND_PINS = {
         "M = 11\nN = 128\nlambda = 0.05\ngamma = 3\na = 0.3\nb = 1\nW1 = 0.9\nbound_paths = 40\n",
         """{
   "inputs": {
-    "mu1": 1.3654840263806718,
-    "v0_psi1": 0.5403962060136436,
+    "mu1": 1.365484026380672,
+    "v0_psi1": 0.5403962060136438,
     "lambda": 0.05,
     "gamma": 3.0,
     "H": 0.7,
     "W1": 0.9,
     "T": 1.0
   },
-  "threshold_w": 1.0520723692616265,
-  "nu_T": 12.462805416516924,
+  "threshold_w": 1.0520723692616278,
+  "nu_T": 12.46280541651694,
   "M_T": 26.82,
   "tail_bound": null,
   "tail_bound_valid": false,
   "chebyshev_independent": 1.0,
   "chebyshev_volterra": 1.0,
   "gamma_lower_bound": {
-    "value": 0.7590378858145121,
+    "value": 0.759037885814512,
     "almost_sure": false
   },
   "monte_carlo": {
@@ -286,16 +318,16 @@ def test_bound_report_bytes(pin, tmp_path):
 # the benchmark's analysis workload.  Every path crosses tau* by T.
 DEFAULT_BOUND_REPORT = """{
   "inputs": {
-    "mu1": 1.316539979013362,
-    "v0_psi1": 0.2897313589170665,
+    "mu1": 1.3165399790133607,
+    "v0_psi1": 0.2897313589170666,
     "lambda": 0.4,
     "gamma": 0.0,
     "H": 0.7,
     "W1": 0.5,
     "T": 1.0
   },
-  "threshold_w": 0.0202677371846466,
-  "nu_T": 4877206.27170603,
+  "threshold_w": 0.020267737184646625,
+  "nu_T": 4877206.271705993,
   "M_T": 43.2,
   "tail_bound": null,
   "tail_bound_valid": false,

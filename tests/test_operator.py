@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchsim import GridSpec, assemble_matrix, singular_integral_constant
+from quenchsim.operator import _gamma
 from quenchsim.validation import (
     INTERIOR_MARGIN,
     fractional_laplacian_pv,
@@ -155,6 +156,26 @@ def test_two_grid_consistency_improves():
 def test_kernel_constant_value():
     # alpha = 1/2: C = 2 * Gamma(1) / (sqrt(pi) * |Gamma(-1/2)|) = 1/pi
     assert singular_integral_constant(0.5) == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+
+def test_gamma_port_has_scipy_bits():
+    # the kernel constant's two Gamma arguments, on a dense grid of alpha
+    from scipy.special import gamma
+
+    for alpha in np.linspace(0.0, 1.0, 4002)[1:-1]:
+        for x in (0.5 + float(alpha), -float(alpha)):
+            assert _gamma(x) == gamma(x), x
+    assert _gamma(2.0) == 1.0 and _gamma(-1e-10) == gamma(-1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.6, 0.8])
+def test_matrix_is_scipy_toeplitz_of_its_first_row(alpha):
+    # entries[0] is scale * first_row, so this is scale * toeplitz(first_row)
+    from scipy.linalg import toeplitz
+
+    for M in (11, 12, 41):
+        entries = assemble_matrix(GridSpec(M), alpha).entries
+        assert toeplitz(entries[0]).tobytes() == entries.tobytes()
 
 
 def test_limit_check_improves_toward_local_operator():

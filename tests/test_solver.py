@@ -1,18 +1,27 @@
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quenchsim
 from quenchsim import (
     GridSpec,
     ModelParams,
+    NumericalError,
     assemble_matrix,
     derive_seed,
     factorize,
     initial_condition,
+    principal_eigenpair,
     run_realization,
 )
+from quenchsim.operator import OperatorMatrix
 from quenchsim.noise import batch_drive
 from quenchsim.solver import BLOCK, MACHINE_EPSILON, simulate_batch
 
@@ -128,6 +137,50 @@ class TestFactorization:
     def test_positive_dt_required(self, op41):
         with pytest.raises(ValueError):
             factorize(op41, 0.0)
+
+    @pytest.mark.parametrize("M", [11, 12, 41, 161])
+    def test_inverse_matches_lapack_cholesky(self, M):
+        from scipy.linalg import cho_factor, cho_solve
+
+        op = assemble_matrix(GridSpec(M), 0.6)
+        n, h = op.n, (op.n + 1) // 2
+        mirror = np.eye(n, h)
+        mirror = np.maximum(mirror, mirror[::-1])
+        for dt in (1e-4, 5e-4, 0.1):
+            expected = cho_solve(cho_factor(np.eye(n) + dt * op.entries), mirror)[:h]
+            inverse = factorize(op, dt)._inverse
+            assert inverse.flags.c_contiguous
+            assert np.max(np.abs(inverse - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_not_positive_definite_raises(self, op41):
+        # I - 10 A has negative eigenvalues on even vectors
+        flipped = OperatorMatrix(entries=-op41.entries, alpha=op41.alpha, grid=op41.grid)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            factorize(flipped, 10.0)
+
+    def test_bits_do_not_depend_on_blas(self, op41):
+        # the folded inverse and the eigenpair use no BLAS call, so another
+        # OpenBLAS kernel or thread count leaves every bit
+        code = (
+            "import hashlib, sys; import numpy as np; "
+            "from quenchsim import GridSpec, assemble_matrix, factorize, principal_eigenpair; "
+            "op = assemble_matrix(GridSpec(161), 0.6); "
+            "print(hashlib.sha256(factorize(op, 5e-4)._inverse.tobytes()).hexdigest(), "
+            "hashlib.sha256(principal_eigenpair(op).psi1.tobytes()).hexdigest())"
+        )
+        op = assemble_matrix(GridSpec(161), 0.6)
+        expected = " ".join(
+            hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (factorize(op, 5e-4)._inverse, principal_eigenpair(op).psi1)
+        )
+        src = str(Path(quenchsim.__file__).parents[1])
+        for setting in ({"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_NUM_THREADS": "1"}):
+            env = dict(os.environ, PYTHONPATH=src, **setting)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == expected, setting
 
 
 class TestStep:

@@ -56,6 +56,31 @@ def test_matches_dense_eigensolver_m21():
     assert np.max(np.abs(dense - pair.psi1)) <= 1e-8
 
 
+@pytest.mark.parametrize("M", [11, 12, 41, 161])
+def test_matches_lapack_inverse_iteration(M):
+    # the eigen-solve used LAPACK's Cholesky before; mu1 stays within 1e-14
+    # relative, and psi1 is now exactly mirror-symmetric
+    from scipy.linalg import cho_factor, cho_solve
+
+    op = assemble_matrix(GridSpec(M), 0.6)
+    pair = principal_eigenpair(op)
+    factor, v = cho_factor(op.entries), np.ones(op.n)
+    for _ in range(200):
+        v = cho_solve(factor, v)
+        v /= np.linalg.norm(v)
+    assert abs(pair.mu1 - v @ (op.entries @ v)) <= 1e-14 * pair.mu1
+    assert np.max(np.abs(pair.psi1 - v / trapezoid_integral(v, op.grid.dx))) <= 1e-8
+    assert np.array_equal(pair.psi1, pair.psi1[::-1])
+
+
+def test_not_positive_definite_raises(op41):
+    # shifted past mu1 the operator keeps its structure but has a negative
+    # eigenvalue on even vectors
+    shifted = _wrap(op41.entries - 2.8 * np.eye(op41.n), 41)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        principal_eigenpair(shifted)
+
+
 def test_rayleigh_minimum(op41, pair41, rng):
     assert rayleigh_min_check(op41, pair41, n_trials=100, seed=8)
     # eigenvector itself attains the minimum
