@@ -10,8 +10,9 @@ tau_*: it forms the path-independent exponents once per call and
 accumulates each path's exponential functional through a running
 log-sum-exp, which stays finite even when the raw integrand overflows.  A
 path's Brownian increments are drawn and summed segment by segment, only
-until both sums have crossed.  The paths are drawn on one worker thread per
-CPU, the fGN of a block of them by one transform.
+until both sums have crossed.  The paths are drawn in one contiguous range
+per CPU, the fGN of a block of them by one transform; one range runs on the
+calling thread, two or more on one worker thread each (`workers._map_ranges`).
 `bound_report` runs the whole pipeline from a run configuration; the
 `bounds` command and the `validate` check both call it.
 """
@@ -30,7 +31,7 @@ from .operator import assemble_matrix
 from .seeding import derive_seed
 from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
-from .workers import _ranges
+from .workers import _map_ranges, _ranges
 
 # scipy is imported only inside the functions that use it (`quad` and
 # `gammainc` here, `quad` and `eigh` in validation.py): `import quenchsim`
@@ -311,16 +312,14 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     drawn by one transform, and each path is summed only as far as its
     scan (`_path_crossings`) reads.
 
-    The paths are split into contiguous ranges, one per worker thread
-    (`workers._ranges`); numpy's normal fill and FFT release the GIL.  Each
-    path's draw depends only on its index, and the per-range counts are
-    combined exactly, so the result does not depend on the worker count.
-    Each worker's buffers are allocated here, on the calling thread, before
-    the pool starts; the calling thread then only waits, and a worker's
-    exception leaves this function.
+    The paths are split into contiguous ranges, one per CPU of the affinity
+    mask (`workers._ranges`), and `workers._map_ranges` runs them: one range
+    inline, two or more on one worker thread each, with no BLAS to pin;
+    numpy's normal fill and FFT release the GIL.  Each path's draw depends
+    only on its index, and the per-range counts are combined exactly, so
+    the result does not depend on the worker count.  Each range's buffers
+    are allocated here, on the calling thread, before any path is drawn.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     params = bp.params
@@ -338,27 +337,25 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
         ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold())),
     )
 
-    def draw(paths: range, buffers) -> tuple[int, bool]:
+    def draw(paths: range) -> tuple[int, bool]:
         crossings, ordered = 0, True
         seeds = [derive_seed(master_seed, i) for i in paths]
-        for seed, (rng, fgn) in zip(seeds, _paths(seeds, params.b_fn, buffers[0])):
-            star, low = _path_crossings(seed, rng, fgn, scan, buffers)
+        own = buffers[paths]
+        for seed, (rng, fgn) in zip(seeds, _paths(seeds, params.b_fn, own[0])):
+            star, low = _path_crossings(seed, rng, fgn, scan, own)
             crossings += star <= params.T
             ordered = ordered and low <= star
         return crossings, ordered
 
-    ranges = _ranges(n_paths)
-    buffers = [
-        (
+    buffers = {
+        paths: (
             PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK),
             np.empty(params.N),
             np.empty(params.N),
         )
-        for _ in ranges
-    ]
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(draw, paths, buf) for paths, buf in zip(ranges, buffers)]
-        crossings, ordered = zip(*(future.result() for future in futures))
+        for paths in _ranges(n_paths)
+    }
+    crossings, ordered = zip(*_map_ranges(draw, list(buffers), []))
     return sum(crossings) / n_paths, all(ordered)
 
 

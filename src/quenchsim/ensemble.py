@@ -5,18 +5,17 @@ Realization i always draws its noise from the stream derived from
 estimates over disjoint index ranges pool exactly.  A sweep steps all its
 grid points chunk by chunk, drawing each chunk's noise once per noise key
 and stepping the points that differ only in lambda in one call.
-On fine grids (a half state of SPLIT_HALF_NODES nodes or more) each chunk
-is stepped in contiguous ranges, one worker thread per CPU of the affinity
-mask, each on a one-thread BLAS; on coarser grids, or with one CPU,
-stepping runs on the calling thread and the solve's BLAS uses the cores.
-Either way every result is the same.
+When any point is on a fine grid (a half state of SPLIT_HALF_NODES nodes
+or more), every chunk of the call is stepped in contiguous ranges, one
+worker thread per CPU of the affinity mask, each on a one-thread BLAS;
+when none is, or with one CPU, stepping runs on the calling thread and the
+solve's BLAS uses the cores.  Either way every result is the same.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,14 +25,14 @@ from .operator import assemble_matrix
 from .seeding import derive_seed
 from .noise import _noise_key, batch_drive
 from .solver import MODEL_KEYS, ModelParams, factorize, simulate_batch
-from .workers import _one_blas_thread, _openblas, _ranges
+from .workers import _map_ranges, _openblas, _ranges
 
 CHUNK_SIZE = 256
 
-# Half-state size h = ceil((M-1)/2) = M // 2 from which a pack's chunks are
-# stepped on one worker thread per CPU.  Below it the GIL-bound ufunc loop
-# outweighs the solve, and one thread with a threaded BLAS is faster (the
-# crossover measurements are in docs/decision-log.md).
+# Half-state size h = ceil((M-1)/2) = M // 2 from which a point puts every
+# chunk of its call on one worker thread per CPU.  Below it the GIL-bound
+# ufunc loop outweighs the solve, and one thread with a threaded BLAS is
+# faster (the crossover measurements are in docs/decision-log.md).
 SPLIT_HALF_NODES = 112
 
 
@@ -117,18 +116,16 @@ def _run_chunks(grid, n_realizations: int, master_seed: int, index_offset: int =
     step together in one `simulate_batch` call.  A point's results are
     those of its own ensemble, in index order.
 
-    The packs whose half state has at least SPLIT_HALF_NODES nodes split
-    each chunk into contiguous ranges, one per CPU of the affinity mask
-    (`workers._ranges`), when the mask holds two CPUs or more and an
-    OpenBLAS is loaded.  Each range runs on a worker thread: it draws its
-    own columns of the buffer and steps those packs on them, while every
-    OpenBLAS runs on one thread (`workers._one_blas_thread`).  The calling
-    thread only waits, and a worker's exception leaves this function after
-    every worker has stopped.  The other packs of the key then step on the
-    whole chunk on the calling thread.  Without a split, the chunk is one
-    range stepped on the calling thread.  A column's drive and its solve
-    do not depend on the columns beside it (see `solver.BLOCK`), so the
-    results do not depend on the split.
+    Whether chunks split is decided once per call.  When a point's half
+    state has at least SPLIT_HALF_NODES nodes and an OpenBLAS is loaded,
+    every chunk is cut into contiguous ranges, one per CPU of the affinity
+    mask (`workers._ranges`); otherwise each chunk is one range.
+    `workers._map_ranges` runs the ranges: one inline, two or more on one
+    worker thread each, on a one-thread OpenBLAS, while the calling thread
+    only waits.  A range draws its own columns of the buffer and steps
+    every pack of the key on them.  A column's drive and its solve do not
+    depend on the columns beside it (see `solver.BLOCK`), so the results do
+    not depend on the split.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -141,53 +138,39 @@ def _run_chunks(grid, n_realizations: int, master_seed: int, index_offset: int =
             factors[key] = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
         packs = groups.setdefault(_noise_key(params), {})
         packs.setdefault(replace(params, lam=0.0), []).append(i)
-    # the packs that split, and the OpenBLAS to pin, looked up only when one may
-    wide = {p for packs in groups.values() for p in packs if p.M // 2 >= SPLIT_HALF_NODES}
-    libraries = _openblas() if wide and len(_ranges(CHUNK_SIZE)) > 1 else []
+    wide = any(params.M // 2 >= SPLIT_HALF_NODES for params in grid)
+    libraries = _openblas() if wide else []
     results = [[] for _ in grid]
     buffer = None
     for start in range(0, n_realizations, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, n_realizations))
         seeds = [derive_seed(master_seed, index_offset + i) for i in chunk]
+        ranges = _ranges(len(seeds)) if libraries else [range(len(seeds))]
         for packs in groups.values():
             shared = next(iter(packs))
             if buffer is None or buffer.shape[0] != shared.N:
                 buffer = None  # release the old buffer before allocating the new one
                 buffer = np.empty((shared.N, min(CHUNK_SIZE, n_realizations)))
-            split = {p: m for p, m in packs.items() if p in wide} if libraries else {}
-            ranges = _ranges(len(seeds)) if split else []
-            parts = []
-            if len(ranges) > 1:
-                with _one_blas_thread(libraries), ThreadPoolExecutor(len(ranges)) as pool:
-                    futures = [
-                        pool.submit(
-                            _range_results, grid, factors, split,
-                            seeds[r.start : r.stop], buffer[:, r.start : r.stop],
-                        )
-                        for r in ranges
-                    ]
-                    parts = [future.result() for future in futures]
-                rest = {p: m for p, m in packs.items() if p not in split}
-                if rest:
-                    parts.append(_range_results(grid, factors, rest, seeds, buffer, draw=False))
-            else:
-                parts.append(_range_results(grid, factors, packs, seeds, buffer))
-            for part in parts:
+
+            def step(r: range) -> dict[int, list]:
+                cols = slice(r.start, r.stop)
+                return _range_results(grid, factors, packs, seeds[cols], buffer[:, cols])
+
+            for part in _map_ranges(step, ranges, libraries):
                 for i, stepped in part.items():
                     results[i].extend(stepped)
     return [EnsembleStats.from_results(r) for r in results]
 
 
-def _range_results(grid, factors, packs, seeds, buffer, draw: bool = True) -> dict[int, list]:
+def _range_results(grid, factors, packs, seeds, buffer) -> dict[int, list]:
     """The per-realization results of one contiguous range of seeds, for each point of `packs`.
 
     `packs` maps parameters with lambda cleared to the indices in `grid` of
-    the points that step together on them; all share one noise key.
-    `buffer` holds the range's drive in its leading len(seeds) columns:
-    `draw` draws it there first, otherwise it is already drawn.  Returns
-    each point's results in index order, keyed by the point's index.
+    the points that step together on them; all share one noise key.  The
+    range's drive is drawn into the leading len(seeds) columns of `buffer`.
+    Returns each point's results in index order, keyed by the point's index.
     """
-    drive = batch_drive(next(iter(packs)), seeds, out=buffer) if draw else buffer
+    drive = batch_drive(next(iter(packs)), seeds, out=buffer)
     stepped = {}
     for params, members in packs.items():
         factor = factors[(params.M, params.alpha, params.dt)]

@@ -1,17 +1,19 @@
-"""Worker threads: the split of an index range over the CPUs, and a one-thread BLAS.
+"""Worker threads: the split of an index range over the CPUs, and the threads that run it.
 
 `_ranges` alone decides how many workers run and which indices each one
-gets; the bound loop (`bounds.bound_monte_carlo`) and the chunk loop
-(`ensemble._run_chunks`) both call it.  `_one_blas_thread` runs a block
-with every OpenBLAS loaded in the process on one thread, so that workers
-that each call BLAS do not also start BLAS threads of their own.
+gets, and `_map_ranges` alone starts them: the bound loop
+(`bounds.bound_monte_carlo`) and the chunk loop (`ensemble._run_chunks`)
+both call the two.  One range runs inline on the calling thread; two or
+more run one worker thread each while the calling thread waits, with
+every OpenBLAS the caller names on one thread, so that workers that each
+call BLAS do not also start BLAS threads of their own.
+`concurrent.futures` is imported only when a pool starts.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from contextlib import contextmanager
 
 
 def _ranges(n: int) -> list[range]:
@@ -67,19 +69,29 @@ def _openblas() -> list:
     return found
 
 
-@contextmanager
-def _one_blas_thread(libraries):
-    """Run the block with each of `libraries` (from `_openblas`) on one thread.
+def _map_ranges(fn, ranges, libraries) -> list:
+    """[fn(r) for r in ranges], on one worker thread per range when there are two or more.
 
-    Each library's thread count is restored on the way out, also when the
-    block raises.  The count is process-wide: every BLAS call made on any
-    thread while the block runs uses one thread.
+    One range runs inline, on the calling thread, and starts no thread.
+    Two or more each run on a worker thread of their own while the calling
+    thread only waits, and every library of `libraries` (from `_openblas`)
+    runs on one thread meanwhile.  That count is process-wide; each library
+    gets its own back on the way out, also when a worker raises.  The
+    results come in the order of `ranges`, and a worker's exception leaves
+    this function only after every worker has stopped.  This is the only
+    place in the package that starts a thread.
     """
+    if len(ranges) == 1:
+        return [fn(ranges[0])]
+    from concurrent.futures import ThreadPoolExecutor
+
     counts = [get() for get, _ in libraries]
     try:
         for _, set_threads in libraries:
             set_threads(1)
-        yield
+        with ThreadPoolExecutor(len(ranges)) as pool:
+            futures = [pool.submit(fn, r) for r in ranges]
+            return [future.result() for future in futures]
     finally:
         for (_, set_threads), count in zip(libraries, counts):
             set_threads(count)

@@ -71,3 +71,14 @@ def mixed_process(params, seed):
     """N_t = a B_t + b B^H_t of one seed at t_0..t_N: N_0 = 0, then the running sum."""
     drive = per_seed_drive(params, seed, params.a_fn, params.b_fn)
     return np.concatenate([[0.0], np.cumsum(drive)])
+
+
+def coarsen(drive, r):
+    """The drive of the grid with r times the step: each row sums r consecutive rows of `drive`.
+
+    Brownian and fBM increments add, so the sums are exactly the coarse
+    grid's increments of the same paths (the coupling of multilevel Monte
+    Carlo).  The row count must be a multiple of r.
+    """
+    steps, width = drive.shape
+    return drive.reshape(steps // r, r, width).sum(axis=1)

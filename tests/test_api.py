@@ -52,15 +52,19 @@ def test_unused_import_detector():
 
 def test_import_leaves_quadrature_unloaded():
     # every command starts on numpy alone: scipy is imported only where a
-    # bound or a validate check uses it
+    # bound or a validate check uses it, and concurrent.futures only where
+    # a worker pool starts
     env = dict(os.environ, PYTHONPATH=str(Path(quenchsim.__file__).parents[1]))
     code = (
         "import sys, quenchsim.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'concurrent.futures' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stdout) == []
+    scipy_modules, futures_loaded = proc.stdout.rsplit(maxsplit=1)
+    assert ast.literal_eval(scipy_modules) == []
+    assert futures_loaded == "False"
 
 
 def test_bound_params_hold_no_model_constant():

@@ -25,6 +25,7 @@ from quenchsim.operator import OperatorMatrix
 from quenchsim.noise import batch_drive
 from quenchsim.solver import BLOCK, MACHINE_EPSILON, simulate_batch
 
+from helpers import coarsen
 from naive_reference import gaussian_solve, naive_trajectory
 from solver_states import ORACLE_PARAMS, naive_deviation, oracle_deviation, record_states
 
@@ -520,3 +521,42 @@ class TestTimeStepConvergence:
         for N in (250, 500, 1000, 2000, 4000):
             t_q, dt = self.quench_time(N)
             assert abs(t_q - reference) <= self.C * dt
+
+
+class TestCoupledTimeRefinement:
+    # Every level steps the same 256 paths: the drive at N_f / r steps sums
+    # r consecutive rows of the fine drive (`helpers.coarsen`), so the
+    # differences from the finest level carry no sampling noise.  Measured
+    # at master seed 20240901, r = 2, 4, 8, 16:
+    #   M = 11: mean |T_q - T_q(N_f)| 0.0016, 0.0048, 0.0107, 0.0213;
+    #           status mismatches 0, 3, 6, 16
+    #   M = 12: mean |T_q - T_q(N_f)| 0.0017, 0.0049, 0.0109, 0.0217;
+    #           status mismatches 4, 6, 9, 15
+    # Each coarsening multiplies the mean error by about 2 to 3: first order
+    # in dt once the error spans several fine steps.
+    N_FINE = 2000
+    LEVELS = (2, 4, 8, 16)
+
+    @pytest.mark.parametrize("M", [11, 12])
+    def test_pathwise_error_grows_with_every_coarsening(self, M):
+        fine = ModelParams(lam=0.4, N=self.N_FINE, M=M)
+        seeds = [derive_seed(20240901, i) for i in range(256)]
+        drive = batch_drive(fine, seeds)
+        runs = {}
+        for r in (1, *self.LEVELS):
+            params = replace(fine, N=fine.N // r)
+            factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+            runs[r] = simulate_batch(factor, params, seeds, drive=coarsen(drive, r))
+        finest = runs[1]
+        assert 0 < sum(result.quenched for result in finest) < len(seeds)
+        errors, mismatches = [], []
+        for r in self.LEVELS:
+            pairs = list(zip(runs[r], finest))
+            errors.append(
+                np.mean([abs(a.T_q - b.T_q) for a, b in pairs if a.quenched and b.quenched])
+            )
+            mismatches.append(sum(a.quenched != b.quenched for a, b in pairs))
+        ratios = [late / early for early, late in zip(errors, errors[1:])]
+        assert all(1.5 < ratio < 3.5 for ratio in ratios), errors
+        assert errors[-1] < 0.03, errors
+        assert mismatches == sorted(mismatches), mismatches
