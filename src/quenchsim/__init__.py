@@ -13,12 +13,12 @@ from .bounds import (
     tail_upper_bound,
 )
 from .config import emit_config, emit_table, parse_config
-from .ensemble import EnsembleStats, estimate, sweep
+from .ensemble import EnsembleStats, estimate, run_realization, sweep
 from .errors import ConfigError, NumericalError
 from .noise import bm_increments, fgn_autocovariance, fgn_circulant
 from .operator import GridSpec, assemble_matrix, singular_integral_constant
 from .seeding import derive_seed
-from .solver import ModelParams, RealizationResult, factorize, initial_condition, run_realization
+from .solver import ModelParams, RealizationResult, factorize, initial_condition
 from .spectral import inner_product_v0_psi1, principal_eigenpair, rayleigh_min_check
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ log-sum-exp, which stays finite even when the raw integrand overflows.  A
 path's Brownian increments are drawn and summed segment by segment, only
 until both sums have crossed.  The paths are drawn in one contiguous range
 per CPU, the fGN of a block of them by one transform; one range runs on the
-calling thread, two or more on one worker thread each (`workers._map_ranges`).
+calling thread, two or more on one worker thread each (`workers._map_ranges`),
+and each owns a `_Scan` of constants and buffers built on the calling thread.
 `bound_report` runs the whole pipeline from a run configuration; the
 `bounds` command and the `validate` check both call it.
 """
@@ -250,17 +251,22 @@ class _Crossing:
             self.carry = running[-1:]
 
 
-@dataclass(frozen=True)
 class _Scan:
-    """What every path's scan reads: dt, a, log dt, and each sum's exponent base and threshold."""
+    """One range's scan: the constants its paths read and the buffers each path overwrites.
 
-    dt: float
-    a: float
-    log_dt: float
-    sums: tuple  # ((base, threshold) of tau*, (base, threshold) of tau_*)
+    dt, a and log dt; `sums`, each sum's (base, threshold), tau*'s then
+    tau_*'s; the `workspace`, N (N + 1 entries) and `log_terms` (N entries).
+    """
+
+    def __init__(self, params: ModelParams, sums: tuple) -> None:
+        self.dt, self.a, self.log_dt = params.dt, params.a_fn, math.log(params.dt)
+        self.sums = sums
+        self.workspace = PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK)
+        self.N = np.empty(params.N + 1)
+        self.log_terms = np.empty(params.N)
 
 
-def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan, buffers) -> tuple[float, float]:
+def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan) -> tuple[float, float]:
     """tau* and tau_* of the path `seed`, whose Brownian stream is `rng` and fGN term is `fgn`.
 
     The path is formed one `_segments` segment at a time: stream 1 is drawn
@@ -271,22 +277,21 @@ def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan, buffers) -> tu
     the horizon.  np.cumsum adds in order, so N has the bits of one cumsum
     over the whole drive.
     """
-    workspace, three_n, log_terms = buffers
-    N = workspace.N
+    N, log_terms = scan.N, scan.log_terms
     N[0] = 0.0
     crossings = [_Crossing(threshold, scan.dt) for _, threshold in scan.sums]
-    for start, stop in _segments(three_n.size):
+    for start, stop in _segments(log_terms.size):
         if not any(crossing.open for crossing in crossings):
             break
-        drive = _drive(rng, scan.dt, scan.a, fgn, start, stop, workspace.db)
+        drive = _drive(rng, scan.dt, scan.a, fgn, start, stop, scan.workspace.db)
         if start:
             drive[0] += N[start]
         np.cumsum(drive, out=N[start + 1 : stop + 1])
-        np.multiply(N[start:stop], 3.0, out=three_n[start:stop])
         for crossing, (base, _) in zip(crossings, scan.sums):
             if crossing.open:
-                # the log of the left-endpoint term, base + 3 N + log dt
-                terms = np.add(base[start:stop], three_n[start:stop], out=log_terms[start:stop])
+                # the log of the left-endpoint term, 3 N + base + log dt
+                terms = np.multiply(N[start:stop], 3.0, out=log_terms[start:stop])
+                terms += base[start:stop]
                 terms += scan.log_dt
                 crossing.feed(start, terms)
     star, low = (crossing.time for crossing in crossings)
@@ -317,8 +322,8 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     inline, two or more on one worker thread each, with no BLAS to pin;
     numpy's normal fill and FFT release the GIL.  Each path's draw depends
     only on its index, and the per-range counts are combined exactly, so
-    the result does not depend on the worker count.  Each range's buffers
-    are allocated here, on the calling thread, before any path is drawn.
+    the result does not depend on the worker count.  Each range's `_Scan`
+    is built here, on the calling thread, before any path is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -330,32 +335,20 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
         # exp underflow: a large k or a drives mu(t) to zero within the horizon
         raise ValueError("mu(t) must be positive on the path horizon")
     lower_base = -3.0 * np.log(mu_vals)
-    scan = _Scan(
-        params.dt,
-        params.a_fn,
-        math.log(params.dt),
-        ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold())),
-    )
+    sums = ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold()))
 
     def draw(paths: range) -> tuple[int, bool]:
         crossings, ordered = 0, True
         seeds = [derive_seed(master_seed, i) for i in paths]
-        own = buffers[paths]
-        for seed, (rng, fgn) in zip(seeds, _paths(seeds, params.b_fn, own[0])):
-            star, low = _path_crossings(seed, rng, fgn, scan, own)
+        scan = scans[paths]
+        for seed, (rng, fgn) in zip(seeds, _paths(seeds, params.b_fn, scan.workspace)):
+            star, low = _path_crossings(seed, rng, fgn, scan)
             crossings += star <= params.T
             ordered = ordered and low <= star
         return crossings, ordered
 
-    buffers = {
-        paths: (
-            PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK),
-            np.empty(params.N),
-            np.empty(params.N),
-        )
-        for paths in _ranges(n_paths)
-    }
-    crossings, ordered = zip(*_map_ranges(draw, list(buffers), []))
+    scans = {paths: _Scan(params, sums) for paths in _ranges(n_paths)}
+    crossings, ordered = zip(*_map_ranges(draw, list(scans), []))
     return sum(crossings) / n_paths, all(ordered)
 
 

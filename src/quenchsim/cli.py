@@ -3,7 +3,7 @@
 Subcommands: simulate (one realization + trajectory dump), sweep (table
 presets and custom grids), bounds (JSON bound report), eigen, validate.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (float
-overflow and division by zero included), 4 I/O.
+overflow, division by zero and an unallocatable array included), 4 I/O.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .config import (
     _write_json,
     _write_rows,
 )
-from .ensemble import sweep
+from .ensemble import run_realization, sweep
 from .errors import ConfigError, NumericalError
 from .noise import _embedding_clipped
 from .operator import assemble_matrix
-from .solver import ModelParams, run_realization
+from .solver import ModelParams
 from .spectral import principal_eigenpair
 from .validation import run_validation_suite
 
@@ -233,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         # a float overflow or division by zero that no check caught first
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array that cannot be allocated
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

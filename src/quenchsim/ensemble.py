@@ -10,6 +10,7 @@ or more), every chunk of the call is stepped in contiguous ranges, one
 worker thread per CPU of the affinity mask, each on a one-thread BLAS;
 when none is, or with one CPU, stepping runs on the calling thread and the
 solve's BLAS uses the cores.  Either way every result is the same.
+`run_realization` steps one seed on the drive an ensemble gives it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigError, NumericalError
 from .operator import assemble_matrix
 from .seeding import derive_seed
 from .noise import _noise_key, batch_drive
-from .solver import MODEL_KEYS, ModelParams, factorize, simulate_batch
+from .solver import MODEL_KEYS, ModelParams, RealizationResult, factorize, simulate_batch
 from .workers import _map_ranges, _openblas, _ranges
 
 CHUNK_SIZE = 256
@@ -103,6 +104,26 @@ def estimate(
     of one logical ensemble be computed separately and pooled.
     """
     return _run_chunks([params], n_realizations, master_seed, index_offset)[0]
+
+
+def run_realization(params: ModelParams, seed: int) -> RealizationResult:
+    """Run a single realization to quenching or the horizon.
+
+    The result carries the sup-norm series max_j |u_j| of every state up to
+    and including the one that quenched.  The noise is `batch_drive(params,
+    [seed])`, the drive an ensemble steps seed `seed` on.  Deterministic:
+    identical (params, seed) reproduce the result bitwise.
+    """
+    factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
+    series: list[float] = []
+
+    def record(n: int, u: np.ndarray, active: np.ndarray) -> None:
+        if active[0]:
+            series.append(float(np.max(np.abs(u[:, 0]))))
+
+    drive = batch_drive(params, [seed])
+    result = simulate_batch(factor, params, [seed], observer=record, drive=drive)[0]
+    return replace(result, sup_norm_series=np.asarray(series))
 
 
 def _run_chunks(grid, n_realizations: int, master_seed: int, index_offset: int = 0):

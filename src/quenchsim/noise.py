@@ -2,7 +2,8 @@
 
 All samplers are pure functions of (parameters, seed).  The fractional
 Gaussian noise sampler uses exact circulant embedding, so the increments
-carry the exact target autocovariance up to floating rounding.
+carry the exact target autocovariance up to floating rounding.  A
+`PathWorkspace` holds only what drawing one grid's paths needs.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ class PathWorkspace:
     """One grid's draws: its embedding scales and the buffers its paths are drawn into.
 
     The scales of the grid (n_steps, dt, H) are formed once, here, and every
-    path of `batch_drive` or of a bound worker is drawn into the same
-    buffers instead of allocating the draws, the spectral vectors and N
-    afresh: at large n_steps those arrays let the heap trim and re-fault
-    their pages on every path.  The fGN of up to `rows` seeds is drawn at
-    once, one spectrum row each.  A path drawn into a workspace is
-    overwritten by the next draw into it.
+    path of `batch_drive` or of a bound scan is drawn into the same buffers
+    instead of allocating the draws and the spectral vectors afresh: at
+    large n_steps those arrays let the heap trim and re-fault their pages
+    on every path.  The fGN of up to `rows` seeds is drawn at once, one
+    spectrum row each.  A path drawn into a workspace is overwritten by the
+    next draw into it.
     """
 
     def __init__(self, n_steps: int, dt: float, H: float, rows: int = 1) -> None:
@@ -45,7 +46,6 @@ class PathWorkspace:
         self.db = np.empty(n_steps)  # Brownian increments, then the drive
         self.draws = np.empty(2 * n_steps)  # one seed's standard normals for the fGN sampler
         self.spectrum = np.empty((rows, 2 * n_steps), dtype=complex)
-        self.N = np.empty(n_steps + 1)  # the bound scan's running sum
 
 
 def bm_increments(n_steps: int, dt: float, seed: int) -> np.ndarray:

@@ -6,10 +6,11 @@ and applied by matrix product to every step and realization, while the
 singular source lambda / (1-u)^2 - gamma * (1-u) and the multiplicative
 noise kick are explicit.  A realization quenches when max_j u_j exceeds
 1 - epsilon; the quench time is reported as the last compliant step time.
-Realizations are stepped packed, as a contiguous block of columns.  One
-that stops is parked at rest in place, and the pack is re-laid without the
-parked columns only when that saves a block of the solve.  One call can
-step several lambda values on the same noise, one batch each.
+The caller hands in the drive (`noise.batch_drive`).  Realizations are
+stepped packed, as a contiguous block of columns.  One that stops is
+parked at rest in place, and the pack is re-laid without the parked
+columns only when that saves a block of the solve.  One call can step
+several lambda values on the same noise, one batch each.
 
 The kernel steps half the nodes.  It relies on two preconditions: the
 initial data is even in x, and the noise is spatially uniform (one scalar
@@ -31,8 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .noise import batch_drive
-from .operator import GridSpec, OperatorMatrix, assemble_matrix
+from .operator import GridSpec, OperatorMatrix
 
 MACHINE_EPSILON = 2.2204e-16
 
@@ -236,7 +236,8 @@ def simulate_batch(
     params: ModelParams,
     seeds: Sequence[int],
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    drive: np.ndarray | None = None,
+    *,
+    drive: np.ndarray,
     lams: Sequence[float] | None = None,
 ) -> list[RealizationResult]:
     """Advance a batch of realizations in lock step sharing one factorization.
@@ -277,10 +278,9 @@ def simulate_batch(
     state it stopped in.  Both arrays are live: an observer that keeps them
     must copy.
 
-    `drive`, when given, is the (N, len(seeds)) `batch_drive(params, seeds)`
-    drawn beforehand, which lets parameter sets that share a noise key step
-    on one draw; it is only read.  A drive with fewer rows or columns raises
-    ValueError before the first step.
+    `drive` is the caller's (N, len(seeds)) `noise.batch_drive(params, seeds)`,
+    so parameter sets that share a noise key step on one draw; it is only
+    read.  A shorter or narrower drive raises ValueError before any step.
     """
     if lams is None:
         lams = (params.lam,)
@@ -291,8 +291,6 @@ def simulate_batch(
     dt, n_steps = params.dt, params.N
     gamma = params.gamma
     threshold = 1.0 - params.epsilon
-    if drive is None:
-        drive = batch_drive(params, seeds)
     if drive.ndim != 2 or drive.shape[0] < n_steps or drive.shape[1] < n_seeds:
         raise ValueError(
             f"drive needs {n_steps} rows and {n_seeds} columns, got shape {drive.shape}"
@@ -388,20 +386,3 @@ def simulate_batch(
         )
     return results
 
-
-def run_realization(params: ModelParams, seed: int) -> RealizationResult:
-    """Run a single realization to quenching or the horizon.
-
-    The result carries the sup-norm series max_j |u_j| of every state up to
-    and including the one that quenched.  Deterministic: identical
-    (params, seed) reproduce the result bitwise.
-    """
-    factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
-    series: list[float] = []
-
-    def record(n: int, u: np.ndarray, active: np.ndarray) -> None:
-        if active[0]:
-            series.append(float(np.max(np.abs(u[:, 0]))))
-
-    result = simulate_batch(factor, params, [seed], observer=record)[0]
-    return replace(result, sup_norm_series=np.asarray(series))

@@ -7,6 +7,7 @@ the oracle checks the kernel the ensembles run rather than a replay of it.
 import numpy as np
 
 from quenchsim import ModelParams, assemble_matrix, factorize
+from quenchsim.noise import batch_drive
 from quenchsim.solver import simulate_batch
 
 from naive_reference import naive_quench_time, naive_trajectory
@@ -35,7 +36,8 @@ def record_states(params, seeds, columns=None, factor=None, lams=None):
             if active[j]:
                 kept.append(u[:, j].copy())
 
-    results = simulate_batch(factor, params, seeds, observer=observe, lams=lams)
+    drive = batch_drive(params, seeds)
+    results = simulate_batch(factor, params, seeds, observer=observe, drive=drive, lams=lams)
     return results, states
 
 

@@ -330,7 +330,7 @@ class TestBoundMonteCarlo:
             times = path_crossings(seed, *args)
             # the running sum continued segment by segment is the path's N
             stop = paths[-1][-1][1]
-            summed = args[-1][0].N[: stop + 1]
+            summed = args[-1].N[: stop + 1]
             want = mixed_process(bp.params, seed)[: stop + 1]
             assert np.array_equal(summed.view(np.uint64), want.view(np.uint64))
             paths[-1] = (times, paths[-1])

@@ -360,6 +360,17 @@ class TestCli:
         assert report["tail_bound"] == 0.0
         assert report["monte_carlo"]["empirical_P_tau_star_le_T"] == 0.0
 
+    def test_unallocatable_array_exit_code(self, tmp_path, capsys):
+        # N = 10**15 steps ask numpy for petabytes, beyond the address space,
+        # so the allocation fails at once whatever the overcommit setting; it
+        # used to end in an _ArrayMemoryError traceback (exit 1)
+        cfg = self._cfg(tmp_path, f"M = 9\nN = {10**15}\n")
+        out = tmp_path / "out"
+        for command in (["simulate"], ["sweep", "--preset", "t1", "--realizations", "2"]):
+            assert self._run(*command, "--config", str(cfg), "--out", str(out)) == 3, command
+            assert "numerical failure: out of memory: " in capsys.readouterr().err
+            assert not out.exists()
+
     def test_config_errors_name_the_config_key(self, tmp_path, capsys):
         # they used to name the fields lam and a_fn
         for line, message in (("lambda = -1", "lambda must be non-negative"),

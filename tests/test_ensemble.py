@@ -5,11 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from quenchsim import ModelParams, assemble_matrix, derive_seed, estimate, factorize, sweep
+from quenchsim import ModelParams, derive_seed, estimate, sweep
 from quenchsim import ConfigError, ensemble, noise, workers
 from quenchsim.ensemble import EnsembleStats, _run_chunks
-from quenchsim.noise import batch_drive
-from quenchsim.solver import MODEL_KEYS, simulate_batch
+from quenchsim.solver import MODEL_KEYS
 
 FAST = dict(N=200, M=21)
 
@@ -267,14 +266,6 @@ class TestSharedNoise:
         result = sweep(base, [("lambda", [0.2, 0.45, 1.0])], 300, master_seed=17)
         for (lam,), stats in result.grid_points():
             assert stats == estimate(replace(base, lam=lam), 300, master_seed=17)
-
-    def test_given_drive_matches_drawn_drive(self):
-        params = ModelParams(lam=0.45, **FAST)
-        factor = factorize(assemble_matrix(params.grid, params.alpha), params.dt)
-        seeds = [derive_seed(14, i) for i in range(70)]
-        drawn = simulate_batch(factor, params, seeds)
-        assert simulate_batch(factor, params, seeds, drive=batch_drive(params, seeds)) == drawn
-        assert 0 < sum(r.quenched for r in drawn) < 70
 
 
 class TestFailureAccounting:

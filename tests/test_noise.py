@@ -320,7 +320,7 @@ class TestPathWorkspace:
     @staticmethod
     def poisoned(params):
         workspace = noise_mod.PathWorkspace(params.N, params.dt, params.H, noise_mod.PATH_BLOCK)
-        for buffer in (workspace.db, workspace.draws, workspace.spectrum, workspace.N):
+        for buffer in (workspace.db, workspace.draws, workspace.spectrum):
             buffer.fill(np.nan)
         return workspace
 
