@@ -15,13 +15,17 @@ per CPU, the fGN of a block of them by one transform; one range runs on the
 calling thread, two or more on one worker thread each (`workers._map_ranges`),
 and each owns a `_Scan` of constants and buffers built on the calling thread.
 `bound_report` runs the whole pipeline from a run configuration; the
-`bounds` command and the `validate` check both call it.
+`bounds` command and the `validate` check both call it.  The integrals run
+through `_quad`, an adaptive 21-point Gauss-Kronrod rule, and the gamma
+bound through `_gammainc`, both in plain Python floats, so the bounds need
+numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -34,12 +38,118 @@ from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
 from .workers import _map_ranges, _ranges
 
-# scipy is imported only inside the functions that use it (`quad` and
-# `gammainc` here, `quad` and `eigh` in validation.py): `import quenchsim`
-# runs at the start of every CLI command, sweeps included, and loads numpy
-# alone.
-
 INFINITE_TIME = math.inf
+
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983) on [-1, 1]: the nodes
+# in the order it evaluates them (the centre, then +- pairs, the 10-point
+# Gauss nodes first), the 21-point Kronrod weight of the centre and of each
+# pair, and the Gauss weight of each Gauss pair.
+_ABSCISSAE = (
+    0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
+    0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
+    0.148874338981631210884826001129720, 0.995657163025808080735527280689003,
+    0.930157491355708226001207180059508, 0.780817726586416897063717578345042,
+    0.562757134668604683339000099272694, 0.294392862701460198131126603103866,
+)
+_KRONROD = (
+    0.032558162307964727478818972459390, 0.075039674810919952767043140916190,
+    0.109387158802297641899210590325805, 0.134709217311473325928054001771707,
+    0.147739104901338491374841515972068, 0.011694638867371874278064396062192,
+    0.054755896574351996031381300244580, 0.093125454583697605535065465083366,
+    0.123491976262065851077208931883988, 0.142775938577060080797094273138717,
+)
+_GAUSS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.0, 0.0, 0.0, 0.0, 0.0,
+)
+_CENTRE_WEIGHT = 0.149445554002916905664936468389821
+_NODES = (0.0, *(sign * x for x in _ABSCISSAE for sign in (-1.0, 1.0)))
+_WEIGHTS = (_CENTRE_WEIGHT, *(w for w in _KRONROD for _ in range(2)))
+_EPS = 2.220446049250313e-16
+QUAD_TOL = 1.49e-8  # scipy.integrate.quad's default absolute and relative tolerances
+QUAD_LIMIT = 400  # subintervals
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+    """(-error, a, b, integral) of f on [a, b]: dqk21's sums, in its order, and error estimate."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = [f(centre + half * x) for x in _NODES]
+    kronrod, gauss = _CENTRE_WEIGHT * values[0], 0.0
+    for wk, wg, low, high in zip(_KRONROD, _GAUSS, values[1::2], values[2::2]):
+        kronrod += wk * (low + high)
+        gauss += wg * (low + high)
+    mean = 0.5 * kronrod
+    spread = abs(half) * sum(map(mul, _WEIGHTS, [abs(v - mean) for v in values]))
+    size = abs(half) * sum(map(mul, _WEIGHTS, map(abs, values)))
+    error = abs((kronrod - gauss) * half)
+    if spread and error:
+        error = spread * min(1.0, (200.0 * error / spread) ** 1.5)
+    if size > 2.2250738585072014e-308 / (50.0 * _EPS):
+        error = max(50.0 * _EPS * size, error)
+    return -error, a, b, kronrod * half
+
+
+def _quad(f, a: float, b: float, points=()) -> float:
+    """Int_a^b f by globally adaptive 21-point Gauss-Kronrod quadrature.
+
+    [a, b] is first cut at the `points` inside it; then the subinterval with
+    the largest error estimate is bisected until the estimates sum to at
+    most QUAD_TOL, absolute or relative, QUADPACK's default tolerances.  f
+    gets Python floats, so its overflow raises.  More than QUAD_LIMIT
+    subintervals is a NumericalError.
+    """
+    edges = [a, *sorted({p for p in points if a < p < b}), b]
+    pieces = [_gk21(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    error = -math.fsum(piece[0] for piece in pieces)
+    total = math.fsum(piece[3] for piece in pieces)
+    while error > QUAD_TOL * max(1.0, abs(total)):
+        if len(pieces) >= QUAD_LIMIT:
+            raise NumericalError(
+                f"quadrature on [{a:.6g}, {b:.6g}] did not converge in {QUAD_LIMIT} subintervals"
+            )
+        worst = min(pieces)  # the largest error: the estimates are stored negated
+        pieces.remove(worst)
+        mid = 0.5 * (worst[1] + worst[2])
+        left, right = _gk21(f, worst[1], mid), _gk21(f, mid, worst[2])
+        pieces += left, right
+        error += worst[0] - left[0] - right[0]
+        total += left[3] + right[3] - worst[3]
+    return math.fsum(piece[3] for piece in pieces)
+
+
+def _gammainc(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x) for s > 0 and x >= 0.
+
+    For x < s + 1 the series x^s e^-x / Gamma(s + 1) sum_n x^n / ((s + 1)..(s + n)),
+    otherwise 1 - Q(s, x) with Q's continued fraction by the modified Lentz
+    method (Press et al., Numerical Recipes, 6.2).
+    """
+    if x == 0.0 or x == math.inf:
+        return float(x > 0.0)
+    try:
+        front = x**s * math.exp(-x - math.lgamma(s))  # pow rounds s ln x only once
+    except OverflowError:
+        front = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1.0:
+        term = total = 1.0
+        for n in range(1, 10_000):
+            term *= x / (s + n)
+            total += term
+            if term <= _EPS * total:
+                return total * front / s
+    else:
+        b = x + 1.0 - s
+        c, d = 1.0 / 1e-300, 1.0 / b
+        h = d
+        for n in range(1, 10_000):
+            an, b = n * (s - n), b + 2.0
+            d = 1.0 / (an * d + b or 1e-300)
+            c = an / c + b or 1e-300
+            h *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return 1.0 - front * h
+    raise NumericalError(f"incomplete gamma P({s:.6g}, {x:.6g}) did not converge")
 
 
 @dataclass(frozen=True)
@@ -112,15 +222,13 @@ def nu_of(bp: BoundParams) -> float:
     the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t), with
     Var N_t = a^2 t + b^2 t^(2H) for the independent drivers.
     """
-    from scipy.integrate import quad
-
     p = bp.params
 
     def integrand(t: float) -> float:
         var = p.a_fn**2 * t + p.b_fn**2 * t ** (2.0 * p.H)
         return _exp(-3.0 * _drift(t, bp) + 4.5 * var)
 
-    return quad(integrand, 0.0, p.T, limit=200)[0]
+    return _quad(integrand, 0.0, p.T)
 
 
 def tail_upper_bound(w: float, bp: BoundParams, nu_T: float) -> float:
@@ -146,8 +254,6 @@ def chebyshev_bounds(bp: BoundParams, independent: bool) -> float:
     independent=True evaluates the bound for independent drivers; False the
     Volterra-representation variant.  Both are clamped to [0, 1].
     """
-    from scipy.integrate import quad
-
     w = bp.tau_star_threshold()
     if not math.isfinite(w):
         return 0.0
@@ -164,7 +270,7 @@ def chebyshev_bounds(bp: BoundParams, independent: bool) -> float:
             )
             return _exp(e)
 
-        value = quad(integrand, 0.0, p.T, limit=200)[0] / w
+        value = _quad(integrand, 0.0, p.T) / w
     else:
         def first(t: float) -> float:
             k_term = bp.mu1 * _half_square(t, p.k_fn)
@@ -175,9 +281,7 @@ def chebyshev_bounds(bp: BoundParams, independent: bool) -> float:
                 6.0 * _half_square(t, p.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * (p.b_fn**2 * t)
             )
 
-        value = (
-            quad(first, 0.0, p.T, limit=200)[0] + quad(second, 0.0, p.T, limit=200)[0]
-        ) / w
+        value = (_quad(first, 0.0, p.T) + _quad(second, 0.0, p.T)) / w
     return min(1.0, value)
 
 
@@ -196,8 +300,6 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
     P[quench in finite time].  nu >= 0 is the almost-sure case: the bound is
     returned as 1 with the flag set.
     """
-    from scipy.special import gammainc
-
     nu = (1.0 + bp.mu1 - bp.params.gamma) / 3.0
     if nu >= 0.0:
         return GammaBoundResult(value=1.0, almost_sure=True)
@@ -209,7 +311,7 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
         raise ValueError(f"scaled cap must be non-negative, got {lam_tilde}")
     if lam_tilde == 0.0:
         return GammaBoundResult(value=0.0, almost_sure=False)
-    return GammaBoundResult(value=float(gammainc(-nu, lam_tilde)), almost_sure=False)
+    return GammaBoundResult(value=_gammainc(-nu, lam_tilde), almost_sure=False)
 
 
 CROSSING_PREFIX = 256

@@ -3,7 +3,9 @@
 The centerpiece is an adaptive-quadrature evaluation of the fractional
 Laplacian's principal-value integral, used as ground truth for the
 assembled finite-difference matrix.  `run_validation_suite` bundles the
-cross-checks exposed by the CLI `validate` subcommand.
+cross-checks exposed by the CLI `validate` subcommand.  The integrals run
+through `bounds._quad` and the dense eigenvalues through numpy's `eigvalsh`,
+so `validate` needs numpy alone.
 """
 
 from __future__ import annotations
@@ -43,22 +45,20 @@ def fractional_laplacian_pv(
     second difference is rounding noise, which xi^(-1 - 2 alpha) magnifies
     past the integral itself once alpha exceeds about 0.7.
     """
-    from scipy.integrate import quad  # loaded on use, as in bounds.py
-
     if not -1.0 < x < 1.0:
         raise ValueError(f"x={x} must lie inside the domain (-1, 1)")
     c = singular_integral_constant(alpha)
 
-    def uu(y: float) -> float:
-        return u(y) if -1.0 <= y <= 1.0 else 0.0
-
-    ux = uu(x)
+    ux = u(x)
+    power = -1.0 - 2.0 * alpha
 
     def second_difference(xi: float) -> float:
-        return 2.0 * ux - uu(x + xi) - uu(x - xi)
+        # u is 0 outside [-1, 1]; for xi > 0, x + xi > -1 and x - xi < 1
+        right, left = x + xi, x - xi
+        return 2.0 * ux - (u(right) if right <= 1.0 else 0.0) - (u(left) if left >= -1.0 else 0.0)
 
     def integrand(xi: float) -> float:
-        return second_difference(xi) * xi ** (-1.0 - 2.0 * alpha)
+        return second_difference(xi) * xi**power
 
     xi_max = max(1.0 - x, x + 1.0)
     h = 1e-5
@@ -66,14 +66,16 @@ def fractional_laplacian_pv(
     delta = 0.005
     xi_min = 1e-3  # see the docstring
 
-    near = quad(
-        lambda xi: integrand(xi) + upp * xi ** (1.0 - 2.0 * alpha),
-        xi_min,
-        delta,
-        limit=400,
-    )[0] - upp * delta ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
-    kinks = sorted(p for p in (1.0 - x, x + 1.0) if delta < p < xi_max)
-    far = quad(integrand, delta, xi_max, points=kinks or None, limit=400)[0]
+    near = bounds._quad(
+        lambda xi: integrand(xi) + upp * xi ** (1.0 - 2.0 * alpha), xi_min, delta
+    ) - upp * delta ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
+    # The integrand varies on the scale of xi near delta, and on the scale of
+    # p - xi below each p where x + xi or x - xi leaves the domain (u may end
+    # like (p - xi)^alpha); `_quad` does not extrapolate, so a mesh graded by
+    # decades toward both starts where its bisections would end.
+    ends = (1.0 - x, x + 1.0)
+    graded = [10.0 * delta, 100.0 * delta, *(p - 10.0**-k for p in ends for k in range(1, 6))]
+    far = bounds._quad(integrand, delta, xi_max, points=[*ends, *graded])
     tail = 2.0 * ux * xi_max ** (-2.0 * alpha) / (2.0 * alpha)
     return c * (near + far + tail)
 
@@ -141,12 +143,10 @@ def _check_fgn_covariance() -> CheckResult:
 
 
 def _check_spectral() -> CheckResult:
-    from scipy.linalg import eigh  # loaded on use, as in bounds.py
-
     grid = GridSpec(21)
     op = assemble_matrix(grid, 0.6)
     pair = principal_eigenpair(op)
-    evals = eigh(op.entries, eigvals_only=True)
+    evals = np.linalg.eigvalsh(op.entries)
     gap = abs(pair.mu1 - evals[0]) / abs(evals[0])
     positive = bool(np.all(pair.psi1 > 0))
     rayleigh = rayleigh_min_check(op, pair, n_trials=100, seed=7)

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -51,9 +52,8 @@ def test_unused_import_detector():
 
 
 def test_import_leaves_quadrature_unloaded():
-    # every command starts on numpy alone: scipy is imported only where a
-    # bound or a validate check uses it, and concurrent.futures only where
-    # a worker pool starts
+    # every command starts on numpy alone, and concurrent.futures is
+    # imported only where a worker pool starts
     env = dict(os.environ, PYTHONPATH=str(Path(quenchsim.__file__).parents[1]))
     code = (
         "import sys, quenchsim.cli; "
@@ -65,6 +65,22 @@ def test_import_leaves_quadrature_unloaded():
     scipy_modules, futures_loaded = proc.stdout.rsplit(maxsplit=1)
     assert ast.literal_eval(scipy_modules) == []
     assert futures_loaded == "False"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # every command also runs on numpy alone: with any scipy import made to
+    # raise, the five commands exit 0 and no scipy module is loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(quenchsim.__file__).parents[1]))
+    script = Path(__file__).with_name("scipy_blocked.py")
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit_codes"] == dict.fromkeys(
+        ["simulate", "sweep", "eigen", "bounds", "validate"], 0
+    )
+    assert result["scipy_modules"] == []
 
 
 def test_bound_params_hold_no_model_constant():

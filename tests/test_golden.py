@@ -18,9 +18,10 @@ no `Generator` stream across versions (NEP 19), pocketfft can move the last
 bits, and a gemm kernel without FMA (OpenBLAS's Sandybridge) gives other
 bits than the FMA kernels (SkylakeX, Haswell), which agree.  The folded
 inverse, the eigen-solve and the operator matrix use no BLAS or LAPACK
-call, so they depend on neither the BLAS kernel nor its thread count, and
-scipy enters only the bound reports, through its quadrature and incomplete
-gamma.  The repository's
+call, so they depend on neither the BLAS kernel nor its thread count.  No
+output depends on scipy: the bound reports' integrals and incomplete gamma
+are the package's own Python-float routines (`bounds._quad`,
+`bounds._gammainc`).  The repository's
 `constraints.txt` pins these versions and CI installs with it; CI also runs
 this file under `OPENBLAS_CORETYPE=Haswell`.
 """
@@ -281,14 +282,14 @@ BOUND_PINS = {
     "T": 1.0
   },
   "threshold_w": 1.0520723692616278,
-  "nu_T": 12.46280541651694,
+  "nu_T": 12.462805416516938,
   "M_T": 26.82,
   "tail_bound": null,
   "tail_bound_valid": false,
   "chebyshev_independent": 1.0,
   "chebyshev_volterra": 1.0,
   "gamma_lower_bound": {
-    "value": 0.759037885814512,
+    "value": 0.7590378858145123,
     "almost_sure": false
   },
   "monte_carlo": {

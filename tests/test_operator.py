@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from quenchsim import GridSpec, assemble_matrix, singular_integral_constant
+from quenchsim import GridSpec, assemble_matrix, bounds, singular_integral_constant
 from quenchsim.operator import _gamma
 from quenchsim.validation import (
     INTERIOR_MARGIN,
@@ -139,6 +140,19 @@ def test_quadrature_oracle_vs_naive_midpoint():
     adaptive = fractional_laplacian_pv(u, 0.25, alpha)
     brute = naive_pv_integral(u, 0.25, alpha)
     assert adaptive == pytest.approx(brute, rel=5e-4)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.4, 0.6, 0.8, 0.9])
+def test_oracle_deviation_matches_the_quadpack_path(monkeypatch, alpha):
+    # the same integrals and break points through scipy.integrate.quad
+    ours = operator_oracle_deviation(81, alpha)
+
+    def quadpack(f, a, b, points=()):
+        inside = sorted({p for p in points if a < p < b})
+        return quad(f, a, b, points=inside or None, limit=400)[0]
+
+    monkeypatch.setattr(bounds, "_quad", quadpack)
+    assert abs(ours - operator_oracle_deviation(81, alpha)) <= 1e-6
 
 
 def test_matrix_action_matches_oracle_m41():
