@@ -1,12 +1,14 @@
 """Analytic quenching-time and quenching-probability bounds.
 
 The coefficients a, b and k are constants, so the clocks K(t) = k^2 t / 2
-and A(t) = a^2 t / 2 are closed forms.  Every bound is evaluated two ways
-where possible: as a closed-form or quadrature expression in the model
-constants, and by Monte Carlo over sampled noise paths, so the estimates
-can be checked against the theory.  The Monte Carlo loop
+and A(t) = a^2 t / 2 are closed forms, and the drift exponent
+gamma t - mu1 K(t) - A(t) has one copy, `_drift`.  Every bound is evaluated
+two ways where possible: as a closed-form or quadrature expression in the
+model constants, and by Monte Carlo over sampled noise paths, so the
+estimates can be checked against the theory.  nu(T) and both Chebyshev
+bounds are integrals of one form, `_moment`.  The Monte Carlo loop
 (`bound_monte_carlo`) evaluates only the first-crossing times of tau* and
-tau_*: it forms the path-independent exponents once per call and
+tau_*: it forms both sums' log-domain bases from `_drift` once per call and
 accumulates each path's exponential functional through a running
 log-sum-exp, which stays finite even when the raw integrand overflows.  A
 path's Brownian increments are drawn and summed segment by segment, only
@@ -37,8 +39,6 @@ from .seeding import derive_seed
 from .solver import ModelParams
 from .spectral import inner_product_v0_psi1, principal_eigenpair
 from .workers import _map_ranges, _ranges
-
-INFINITE_TIME = math.inf
 
 # QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983) on [-1, 1]: the nodes
 # in the order it evaluates them (the centre, then +- pairs, the 10-point
@@ -178,34 +178,41 @@ class BoundParams:
         """w = <v0, psi1>^3 / (3 lambda); infinite when undefined."""
         denom = 3.0 * self.params.lam
         if denom <= 0.0:
-            return INFINITE_TIME
+            return math.inf
         return self.v0_psi1**3 / denom
 
     def tau_lower_threshold(self) -> float:
         """1 / (4 lambda); infinite when undefined."""
         denom = 4.0 * self.params.lam
         if denom <= 0.0:
-            return INFINITE_TIME
+            return math.inf
         return 1.0 / denom
-
-
-def _half_square(t, c: float):
-    """(1/2) Int_0^t c^2 ds = c^2 t / 2 for a constant c, at a time or on a grid."""
-    return 0.5 * c**2 * t
 
 
 def _drift(tk, bp: BoundParams):
     """gamma t - mu1 K(t) - A(t) at a time or on a grid; the exponents carry -3 times this."""
     p = bp.params
-    return p.gamma * tk - bp.mu1 * _half_square(tk, p.k_fn) - _half_square(tk, p.a_fn)
+    return p.gamma * tk - bp.mu1 * (0.5 * p.k_fn**2 * tk) - 0.5 * p.a_fn**2 * tk
 
 
-def _exp(x: float) -> float:
-    """math.exp for the bound integrands; overflow is a NumericalError."""
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise NumericalError(f"bound integrand exp({x:.6g}) overflows a float") from exc
+def _moment(bp: BoundParams, s: float, alpha: float, beta: float) -> float:
+    """Int_0^T exp(-s drift(t) + alpha a^2 t + beta b^2 t^(2H)) dt, every moment bound's integral.
+
+    The drift is `_drift`; the a^2 t and b^2 t^(2H) terms are the variances of
+    the Brownian and fractional-Brownian drivers.  An integrand that
+    overflows a float is a NumericalError.
+    """
+    p = bp.params
+    a2, b2, two_h = p.a_fn**2, p.b_fn**2, 2.0 * p.H
+
+    def integrand(t: float) -> float:
+        x = -s * _drift(t, bp) + alpha * a2 * t + beta * b2 * t**two_h
+        try:
+            return math.exp(x)
+        except OverflowError as exc:
+            raise NumericalError(f"bound integrand exp({x:.6g}) overflows a float") from exc
+
+    return _quad(integrand, 0.0, p.T)
 
 
 def M_of(bp: BoundParams) -> float:
@@ -222,13 +229,7 @@ def nu_of(bp: BoundParams) -> float:
     the deterministic envelope times E[e^(3 N_t)] = exp(4.5 Var N_t), with
     Var N_t = a^2 t + b^2 t^(2H) for the independent drivers.
     """
-    p = bp.params
-
-    def integrand(t: float) -> float:
-        var = p.a_fn**2 * t + p.b_fn**2 * t ** (2.0 * p.H)
-        return _exp(-3.0 * _drift(t, bp) + 4.5 * var)
-
-    return _quad(integrand, 0.0, p.T)
+    return _moment(bp, 3.0, 4.5, 4.5)
 
 
 def tail_upper_bound(w: float, bp: BoundParams, nu_T: float) -> float:
@@ -252,36 +253,17 @@ def chebyshev_bounds(bp: BoundParams, independent: bool) -> float:
     """First-moment (Chebyshev) upper bound on P[tau* <= T].
 
     independent=True evaluates the bound for independent drivers; False the
-    Volterra-representation variant.  Both are clamped to [0, 1].
+    Volterra-representation variant.  Both are clamped to [0, 1]:
+    `_moment(3, 4.5, 9H) / w` and `(_moment(6, 0, 0) + _moment(0, 3, 36H)) / w`.
     """
     w = bp.tau_star_threshold()
     if not math.isfinite(w):
         return 0.0
-    p = bp.params
-    H = p.H
-
+    H = bp.params.H
     if independent:
-        def integrand(t: float) -> float:
-            e = 3.0 * (
-                bp.mu1 * _half_square(t, p.k_fn)
-                - p.gamma * t
-                + 4.0 * _half_square(t, p.a_fn)
-                + 3.0 * H * t ** (2.0 * H - 1.0) * (p.b_fn**2 * t)
-            )
-            return _exp(e)
-
-        value = _quad(integrand, 0.0, p.T) / w
+        value = _moment(bp, 3.0, 4.5, 9.0 * H) / w
     else:
-        def first(t: float) -> float:
-            k_term = bp.mu1 * _half_square(t, p.k_fn)
-            return _exp(6.0 * (k_term + _half_square(t, p.a_fn) - p.gamma * t))
-
-        def second(t: float) -> float:
-            return _exp(
-                6.0 * _half_square(t, p.a_fn) + 36.0 * H * t ** (2.0 * H - 1.0) * (p.b_fn**2 * t)
-            )
-
-        value = (_quad(first, 0.0, p.T) + _quad(second, 0.0, p.T)) / w
+        value = (_moment(bp, 6.0, 0.0, 0.0) + _moment(bp, 0.0, 3.0, 36.0 * H)) / w
     return min(1.0, value)
 
 
@@ -341,7 +323,7 @@ class _Crossing:
         self.log_threshold = math.log(threshold) if self.open else math.nan
         self.dt = dt
         self.carry = np.empty(0)
-        self.time = INFINITE_TIME
+        self.time = math.inf
 
     def feed(self, start: int, log_terms: np.ndarray) -> None:
         running = np.logaddexp.accumulate(np.concatenate([self.carry, log_terms]))
@@ -412,12 +394,13 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     of a dB + b dB^H, with dB and dB^H drawn from streams 1 and 2 of
     `derive_seed(master_seed, i)`, the seeding policy of the ensembles, so
     distinct master seeds draw disjoint paths.
-    tau_* uses mu(t) of the eigenfunction initial data v0 = W1 psi1
-    (`eigen_mu`).  The flag is True when tau_* <= tau* held on every path.
-    Only the first-crossing times are evaluated: the drift and mu(t)
-    exponents are formed once per call, the fGN of `PATH_BLOCK` paths is
-    drawn by one transform, and each path is summed only as far as its
-    scan (`_path_crossings`) reads.
+    tau_* uses mu(t) = mu0 e^drift of the eigenfunction initial data
+    v0 = W1 psi1 in the log domain: its base -3 log mu(t) is tau*'s base
+    -3 drift less 3 log mu0, so no exp is taken and none can overflow.  The
+    flag is True when tau_* <= tau* held on every path.  Only the
+    first-crossing times are evaluated: both bases are formed once per call,
+    the fGN of `PATH_BLOCK` paths is drawn by one transform, and each path
+    is summed only as far as its scan (`_path_crossings`) reads.
 
     The paths are split into contiguous ranges, one per CPU of the affinity
     mask (`workers._ranges`), and `workers._map_ranges` runs them: one range
@@ -432,11 +415,7 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     params = bp.params
     tk = params.dt * np.arange(params.N)
     star_base = -3.0 * _drift(tk, bp)
-    mu_vals = eigen_mu(bp, tk)
-    if np.any(mu_vals <= 0):
-        # exp underflow: a large k or a drives mu(t) to zero within the horizon
-        raise ValueError("mu(t) must be positive on the path horizon")
-    lower_base = -3.0 * np.log(mu_vals)
+    lower_base = star_base - 3.0 * math.log(bp.mu0)
     sums = ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold()))
 
     def draw(paths: range) -> tuple[int, bool]:

@@ -108,7 +108,6 @@ class OperatorMatrix:
     """Dense symmetric discretization of (-Delta)^alpha with Dirichlet exterior."""
 
     entries: np.ndarray
-    alpha: float
     grid: GridSpec = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -157,4 +156,4 @@ def assemble_matrix(grid: GridSpec, alpha: float) -> OperatorMatrix:
     scale = singular_integral_constant(alpha) * grid.dx ** (-2.0 * alpha) / chi
     nodes = np.arange(M - 1)
     entries = scale * first_row[np.abs(nodes[:, None] - nodes)]
-    return OperatorMatrix(entries=entries, alpha=alpha, grid=grid)
+    return OperatorMatrix(entries=entries, grid=grid)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,49 @@ class TestChebyshevBounds:
         assert chebyshev_bounds(bp, False) == 1.0
 
 
+class TestMomentClosedForms:
+    """nu(T) and both Chebyshev bounds against closed forms of each of their integrals.
+
+    v0_psi1 = 100 and lambda = 1e-3 put w = 3.3e8 far above every integral,
+    so no bound clamps and each value is its integral (or their sum) over w.
+    """
+
+    MODEL = dict(v0_psi1=100.0, lam=1e-3)
+
+    @staticmethod
+    def check(bp, nu, independent, volterra):
+        w = bp.tau_star_threshold()
+        assert nu_of(bp) == pytest.approx(nu, rel=1e-9)
+        assert chebyshev_bounds(bp, True) == pytest.approx(independent / w, rel=1e-9)
+        assert chebyshev_bounds(bp, False) == pytest.approx(volterra / w, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma, a, k, T", [(0.5, 0.2, 0.5, 1.0), (2.0, 0.5, 1.0, 0.5),
+                                                (0.0, 0.3, 1.5, 2.0)])
+    def test_brownian_exponentials(self, gamma, a, k, T):
+        # b = 0: every integrand is e^(c t), with integral (e^(cT) - 1) / c
+        bp = make_bp(a_fn=a, b_fn=0.0, k_fn=k, gamma=gamma, T=T, **self.MODEL)
+        drift = gamma - bp.mu1 * k**2 / 2 - a**2 / 2
+
+        def integral(c):
+            return math.expm1(c * T) / c
+
+        moment = integral(-3.0 * drift + 4.5 * a**2)
+        self.check(bp, moment, moment, integral(-6.0 * drift) + integral(3.0 * a**2))
+
+    @pytest.mark.parametrize("H", [0.6, 0.7, 0.9])
+    def test_fractional_series(self, H):
+        # a = k = gamma = 0: every integrand is e^(beta b^2 t^(2H)), with integral
+        # sum_n (beta b^2)^n T^(2Hn+1) / (n! (2Hn+1))
+        b, T = 0.3, 1.0
+        bp = make_bp(a_fn=0.0, b_fn=b, k_fn=0.0, gamma=0.0, H=H, T=T, **self.MODEL)
+
+        def integral(beta):
+            return math.fsum((beta * b**2) ** n * T ** (2 * H * n + 1)
+                             / (math.factorial(n) * (2 * H * n + 1)) for n in range(60))
+
+        self.check(bp, integral(4.5), integral(9.0 * H), T + integral(36.0 * H))
+
+
 class TestGammaLowerBound:
     def test_full_mass_limit(self):
         bp = make_bp(mu1=1.0, gamma=5.0, lam=0.01, v0_psi1=0.3)
@@ -224,12 +268,21 @@ class TestTauLowerSample:
         time = tau_lower(flat_path(n=1000), 1e-3, bp, lambda t: np.ones_like(np.asarray(t, float)))
         assert time == pytest.approx(0.25, abs=2e-3)
 
-    def test_nonpositive_mu_rejected(self):
-        # mu(t) = mu(0) exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100
+    def test_underflowing_mu_still_scans(self):
+        # mu(t) = mu(0) exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100,
+        # but tau_*'s base -3 log mu(t) is formed in the log domain: both sums
+        # cross at the second step
         bp = make_bp(N=64, k_fn=100.0)
         assert eigen_mu(bp, bp.params.T) == 0.0
-        with pytest.raises(ValueError, match="positive"):
-            bound_monte_carlo(bp, 1, 0)
+        assert bound_monte_carlo(bp, 1, 0) == (1.0, True)
+
+    def test_overflowing_mu_raises_no_warning(self):
+        # mu(t) = mu(0) exp(gamma t - ...) overflows at gamma = 1e6; no exp of
+        # the drift is taken, so no RuntimeWarning, and neither sum crosses
+        bp = make_bp(N=64, gamma=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bound_monte_carlo(bp, 4, 0) == (0.0, True)
 
 
 class TestPathOrdering:

@@ -318,7 +318,6 @@ class TestCli:
             assert self._run("simulate", "--config", str(bad_out)) == 2
         assert not any((tmp_path / "cwd").iterdir())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # exp in the nu(T) integrand overflows at k = 100; it used to escape
         # as an OverflowError traceback (exit 1)

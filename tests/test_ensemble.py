@@ -237,15 +237,15 @@ class TestSharedNoise:
 
     def test_only_lambda_may_differ_within_a_call(self, calls, monkeypatch):
         # gamma differs, or alpha and so the factorization: separate calls.
-        # One factorization per (M, alpha, dt).
+        # One operator, assembled and factorized, per (M, alpha, dt).
         factored = []
-        original = ensemble.factorize
+        original = ensemble.assemble_matrix
 
-        def counted(op, dt):
-            factored.append(op.alpha)
-            return original(op, dt)
+        def counted(grid, alpha):
+            factored.append(alpha)
+            return original(grid, alpha)
 
-        monkeypatch.setattr(ensemble, "factorize", counted)
+        monkeypatch.setattr(ensemble, "assemble_matrix", counted)
         base = ModelParams(lam=0.45, **FAST)
         grid = [
             base,

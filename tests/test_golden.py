@@ -210,11 +210,11 @@ BOUND_REPORT = (
     '    "T": 1.0\n'
     '  },\n'
     '  "threshold_w": 901.9824839348659,\n'
-    '  "nu_T": 482.9354922022715,\n'
+    '  "nu_T": 482.93549220227146,\n'
     '  "M_T": 0.4320000000000001,\n'
     '  "tail_bound": 1.0,\n'
     '  "tail_bound_valid": true,\n'
-    '  "chebyshev_independent": 0.5435805087547436,\n'
+    '  "chebyshev_independent": 0.5435805087547435,\n'
     '  "chebyshev_volterra": 1.0,\n'
     '  "gamma_lower_bound": {\n'
     '    "value": 1.0,\n'
@@ -328,7 +328,7 @@ DEFAULT_BOUND_REPORT = """{
     "T": 1.0
   },
   "threshold_w": 0.020267737184646625,
-  "nu_T": 4877206.271705993,
+  "nu_T": 4877206.271705992,
   "M_T": 43.2,
   "tail_bound": null,
   "tail_bound_valid": false,

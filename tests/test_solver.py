@@ -155,7 +155,7 @@ class TestFactorization:
 
     def test_not_positive_definite_raises(self, op41):
         # I - 10 A has negative eigenvalues on even vectors
-        flipped = OperatorMatrix(entries=-op41.entries, alpha=op41.alpha, grid=op41.grid)
+        flipped = OperatorMatrix(entries=-op41.entries, grid=op41.grid)
         with pytest.raises(NumericalError, match="not positive definite"):
             factorize(flipped, 10.0)
 

@@ -17,7 +17,7 @@ from quenchsim.spectral import trapezoid_integral
 
 def _wrap(entries, M):
     grid = GridSpec(M)
-    return OperatorMatrix(entries=np.asarray(entries, float), alpha=0.5, grid=grid)
+    return OperatorMatrix(entries=np.asarray(entries, float), grid=grid)
 
 
 def test_identity_matrix():
