@@ -8,14 +8,13 @@ model constants, and by Monte Carlo over sampled noise paths, so the
 estimates can be checked against the theory.  nu(T) and both Chebyshev
 bounds are integrals of one form, `_moment`.  The Monte Carlo loop
 (`bound_monte_carlo`) evaluates only the first-crossing times of tau* and
-tau_*: it forms both sums' log-domain bases from `_drift` once per call and
-accumulates each path's exponential functional through a running
-log-sum-exp, which stays finite even when the raw integrand overflows.  A
-path's Brownian increments are drawn and summed segment by segment, only
-until both sums have crossed.  The paths are drawn in one contiguous range
-per CPU, the fGN of a block of them by one transform; one range runs on the
-calling thread, two or more on one worker thread each (`workers._map_ranges`),
-and each owns a `_Scan` of constants and buffers built on the calling thread.
+tau_*: tau_*'s sum is tau*'s times mu0^-3, so each path runs one
+log-sum-exp of tau*'s sum, finite where the raw integrand overflows, and
+reads it at both thresholds.  It is drawn and summed segment by segment,
+only until both are reached, the fGN of a block of paths by one transform.
+Paths of SPLIT_PATH_STEPS steps or more run in one contiguous range per
+CPU, one worker thread each (`workers._map_ranges`), and each range owns a
+`_Scan` of constants and buffers built on the calling thread.
 `bound_report` runs the whole pipeline from a run configuration; the
 `bounds` command and the `validate` check both call it.  The integrals run
 through `_quad`, an adaptive 21-point Gauss-Kronrod rule, and the gamma
@@ -26,7 +25,7 @@ numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul
 
 import numpy as np
@@ -298,6 +297,10 @@ def gamma_lower_bound(bp: BoundParams, Lambda_cap: float) -> GammaBoundResult:
 
 CROSSING_PREFIX = 256
 
+# Steps per path from which the bound paths run on one worker thread per CPU;
+# shorter paths do not pay for the threads (timings in docs/decision-log.md).
+SPLIT_PATH_STEPS = 4096
+
 
 def _segments(n_terms: int):
     """(start, stop) of the scan's segments: CROSSING_PREFIX terms, doubling each round."""
@@ -309,42 +312,43 @@ def _segments(n_terms: int):
 
 
 class _Crossing:
-    """The running log-sum-exp of a sum's log terms, fed one `_segments` segment at a time.
+    """One sum's running log-sum-exp, fed one `_segments` segment at a time, read at each threshold.
 
     np.logaddexp.accumulate runs on each segment and restarts from the
     previous segment's last value, so it follows the recurrence of one
-    accumulate over all the terms and finds the same first index at which
-    the sum reaches `threshold`.  A non-finite threshold is never reached.
-    `time` is dt times the number of terms up to that index, or infinite.
+    accumulate over all the terms.  `times[j]` is dt times the number of
+    terms up to the first one at which the value reaches `log_thresholds[j]`,
+    or infinite: a non-finite one is never reached.  The value never falls,
+    so a lower threshold is never reached after a higher one.
     """
 
-    def __init__(self, threshold: float, dt: float) -> None:
-        self.open = math.isfinite(threshold)
-        self.log_threshold = math.log(threshold) if self.open else math.nan
-        self.dt = dt
+    def __init__(self, log_thresholds, dt: float) -> None:
+        self.log_thresholds, self.dt = log_thresholds, dt
+        self.times = [math.inf] * len(log_thresholds)
+        self.pending = [j for j, x in enumerate(log_thresholds) if math.isfinite(x)]
         self.carry = np.empty(0)
-        self.time = math.inf
 
     def feed(self, start: int, log_terms: np.ndarray) -> None:
         running = np.logaddexp.accumulate(np.concatenate([self.carry, log_terms]))
-        hits = np.flatnonzero(running >= self.log_threshold)
-        if hits.size:
-            self.time = self.dt * (start - self.carry.size + int(hits[0]) + 1)
-            self.open = False
-        else:
-            self.carry = running[-1:]
+        for j in list(self.pending):
+            hits = np.flatnonzero(running >= self.log_thresholds[j])
+            if hits.size:
+                self.times[j] = self.dt * (start - self.carry.size + int(hits[0]) + 1)
+                self.pending.remove(j)
+        self.carry = running[-1:]
 
 
 class _Scan:
     """One range's scan: the constants its paths read and the buffers each path overwrites.
 
-    dt, a and log dt; `sums`, each sum's (base, threshold), tau*'s then
-    tau_*'s; the `workspace`, N (N + 1 entries) and `log_terms` (N entries).
+    dt, a and log dt; tau*'s `base` -3 drift and the `log_thresholds` of
+    tau* and tau_*; the `workspace`, N (N + 1 entries) and `log_terms`
+    (N entries).
     """
 
-    def __init__(self, params: ModelParams, sums: tuple) -> None:
+    def __init__(self, params: ModelParams, base: np.ndarray, log_thresholds: tuple) -> None:
         self.dt, self.a, self.log_dt = params.dt, params.a_fn, math.log(params.dt)
-        self.sums = sums
+        self.base, self.log_thresholds = base, log_thresholds
         self.workspace = PathWorkspace(params.N, params.dt, params.H, PATH_BLOCK)
         self.N = np.empty(params.N + 1)
         self.log_terms = np.empty(params.N)
@@ -355,31 +359,28 @@ def _path_crossings(seed: int, rng, fgn: np.ndarray, scan: _Scan) -> tuple[float
 
     The path is formed one `_segments` segment at a time: stream 1 is drawn
     for the segment's steps (`_drive`), the drive a dB + fgn is added to the
-    running sum N from its last value, and the log terms of both sums are
-    fed to their `_Crossing`.  The scan stops when both sums have crossed,
-    so stream 1 is drawn only as far as the later crossing's segment, or to
-    the horizon.  np.cumsum adds in order, so N has the bits of one cumsum
-    over the whole drive.
+    running sum N from its last value, and the log terms of tau*'s sum are
+    fed once to one `_Crossing`, read at both log thresholds.  The scan
+    stops when both are reached, so stream 1 is drawn only as far as the
+    later crossing's segment, or to the horizon.  np.cumsum adds in order,
+    so N has the bits of one cumsum over the whole drive.
     """
     N, log_terms = scan.N, scan.log_terms
     N[0] = 0.0
-    crossings = [_Crossing(threshold, scan.dt) for _, threshold in scan.sums]
+    crossing = _Crossing(scan.log_thresholds, scan.dt)
     for start, stop in _segments(log_terms.size):
-        if not any(crossing.open for crossing in crossings):
+        if not crossing.pending:
             break
         drive = _drive(rng, scan.dt, scan.a, fgn, start, stop, scan.workspace.db)
         if start:
             drive[0] += N[start]
         np.cumsum(drive, out=N[start + 1 : stop + 1])
-        for crossing, (base, _) in zip(crossings, scan.sums):
-            if crossing.open:
-                # the log of the left-endpoint term, 3 N + base + log dt
-                terms = np.multiply(N[start:stop], 3.0, out=log_terms[start:stop])
-                terms += base[start:stop]
-                terms += scan.log_dt
-                crossing.feed(start, terms)
-    star, low = (crossing.time for crossing in crossings)
-    return star, low
+        # the log of the left-endpoint term, 3 N + base + log dt
+        terms = np.multiply(N[start:stop], 3.0, out=log_terms[start:stop])
+        terms += scan.base[start:stop]
+        terms += scan.log_dt
+        crossing.feed(start, terms)
+    return tuple(crossing.times)
 
 
 def eigen_mu(bp: BoundParams, t):
@@ -393,30 +394,29 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
     Path i is N_t = a B_t + b B^H_t at t_0..t_N: the running sum from N_0 = 0
     of a dB + b dB^H, with dB and dB^H drawn from streams 1 and 2 of
     `derive_seed(master_seed, i)`, the seeding policy of the ensembles, so
-    distinct master seeds draw disjoint paths.
-    tau_* uses mu(t) = mu0 e^drift of the eigenfunction initial data
-    v0 = W1 psi1 in the log domain: its base -3 log mu(t) is tau*'s base
-    -3 drift less 3 log mu0, so no exp is taken and none can overflow.  The
-    flag is True when tau_* <= tau* held on every path.  Only the
-    first-crossing times are evaluated: both bases are formed once per call,
-    the fGN of `PATH_BLOCK` paths is drawn by one transform, and each path
-    is summed only as far as its scan (`_path_crossings`) reads.
+    distinct master seeds draw disjoint paths.  For eigenfunction initial
+    data mu(t) = mu0 e^drift, so tau_*'s sum is mu0^-3 times tau*'s: it is
+    read off tau*'s running sum at log(1 / (4 lambda)) + 3 log mu0, and no
+    exp of the drift is taken.  The flag is True when tau_* <= tau* held on
+    every path, as it must when that threshold lies below log w.  tau*'s
+    base and both log thresholds are formed once per call, the fGN of
+    `PATH_BLOCK` paths is drawn by one transform, and each path is summed
+    only as far as its scan (`_path_crossings`) reads.
 
-    The paths are split into contiguous ranges, one per CPU of the affinity
-    mask (`workers._ranges`), and `workers._map_ranges` runs them: one range
-    inline, two or more on one worker thread each, with no BLAS to pin;
-    numpy's normal fill and FFT release the GIL.  Each path's draw depends
-    only on its index, and the per-range counts are combined exactly, so
-    the result does not depend on the worker count.  Each range's `_Scan`
-    is built here, on the calling thread, before any path is drawn.
+    With N >= SPLIT_PATH_STEPS the paths are split into contiguous ranges,
+    one per CPU of the affinity mask (`workers._ranges`), else they are one
+    range.  `workers._map_ranges` runs one range inline, two or more on one
+    worker thread each, with no BLAS to pin; numpy's normal fill and FFT
+    release the GIL.  Each path's draw depends only on its index, so the
+    result does not depend on the worker count.  Each range's `_Scan` is
+    built here, on the calling thread, before any path is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     params = bp.params
-    tk = params.dt * np.arange(params.N)
-    star_base = -3.0 * _drift(tk, bp)
-    lower_base = star_base - 3.0 * math.log(bp.mu0)
-    sums = ((star_base, bp.tau_star_threshold()), (lower_base, bp.tau_lower_threshold()))
+    base = -3.0 * _drift(params.dt * np.arange(params.N), bp)
+    log_low = math.log(bp.tau_lower_threshold()) + 3.0 * math.log(bp.mu0)
+    log_thresholds = (math.log(bp.tau_star_threshold()), log_low)
 
     def draw(paths: range) -> tuple[int, bool]:
         crossings, ordered = 0, True
@@ -428,8 +428,9 @@ def bound_monte_carlo(bp: BoundParams, n_paths: int, master_seed: int) -> tuple[
             ordered = ordered and low <= star
         return crossings, ordered
 
-    scans = {paths: _Scan(params, sums) for paths in _ranges(n_paths)}
-    crossings, ordered = zip(*_map_ranges(draw, list(scans), []))
+    ranges = _ranges(n_paths) if params.N >= SPLIT_PATH_STEPS else [range(n_paths)]
+    scans = {paths: _Scan(params, base, log_thresholds) for paths in ranges}
+    crossings, ordered = zip(*_map_ranges(draw, ranges, []))
     return sum(crossings) / n_paths, all(ordered)
 
 
@@ -471,11 +472,7 @@ def bound_report(config: RunConfig) -> dict:
         "chebyshev_volterra": chebyshev_bounds(bp, independent=False),
     }
     if params.lam > 0:
-        gamma_result = gamma_lower_bound(bp, config.lambda_cap)
-        report["gamma_lower_bound"] = {
-            "value": gamma_result.value,
-            "almost_sure": gamma_result.almost_sure,
-        }
+        report["gamma_lower_bound"] = asdict(gamma_lower_bound(bp, config.lambda_cap))
     if params.dt >= w:
         # the first left-endpoint term of tau*'s sum is dt itself, so every
         # path would cross at the first step: the estimate says nothing

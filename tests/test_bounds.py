@@ -270,15 +270,15 @@ class TestTauLowerSample:
 
     def test_underflowing_mu_still_scans(self):
         # mu(t) = mu(0) exp(-mu1 k^2 t / 2 - ...) underflows to 0 at k = 100,
-        # but tau_*'s base -3 log mu(t) is formed in the log domain: both sums
-        # cross at the second step
+        # but tau_* is read off tau*'s sum in the log domain: both crossings
+        # fall at the second step
         bp = make_bp(N=64, k_fn=100.0)
         assert eigen_mu(bp, bp.params.T) == 0.0
         assert bound_monte_carlo(bp, 1, 0) == (1.0, True)
 
     def test_overflowing_mu_raises_no_warning(self):
         # mu(t) = mu(0) exp(gamma t - ...) overflows at gamma = 1e6; no exp of
-        # the drift is taken, so no RuntimeWarning, and neither sum crosses
+        # the drift is taken, so no RuntimeWarning, and neither time crosses
         bp = make_bp(N=64, gamma=1e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -291,6 +291,33 @@ class TestPathOrdering:
         params = ModelParams(lam=1e-5, N=512, a_fn=0.1, b_fn=0.1)
         _, ordered = bound_monte_carlo(eigen_bp(params, pair41, w1), 50, master_seed=0)
         assert ordered
+
+
+class TestEigenDataOrdering:
+    """For v0 = W1 psi1, tau_*'s threshold read on tau*'s sum lies below w.
+
+    With the trapezoid integral of psi1 equal to 1, <v0, psi1> = W1 Int psi1^2
+    >= W1 min psi1 = mu0, so w = <v0, psi1>^3 / (3 lambda) > mu0^3 / (4 lambda),
+    and the running sum reaches tau_*'s threshold no later than w.
+    """
+
+    @pytest.mark.parametrize("lam", [1e-5, 0.4])
+    @pytest.mark.parametrize("w1", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("m", [11, 41, 161])
+    def test_rescaled_threshold_below_w(self, m, w1, lam):
+        # T = 0.01 keeps dt below the smallest w, 1.6e-4 at W1 = 0.1 and lambda = 0.4
+        text = f"M = {m}\nW1 = {w1}\nlambda = {lam}\nN = 256\nT = 0.01\nbound_paths = 20\n"
+        config = parse_config(text)
+        params = config.params
+        pair = principal_eigenpair(assemble_matrix(params.grid, params.alpha))
+        assert trapezoid_integral(pair.psi1, pair.dx) == pytest.approx(1.0, rel=1e-12)
+        bp = BoundParams(params, pair.mu1, inner_product_v0_psi1(w1 * pair.psi1, pair),
+                         w1 * float(np.min(pair.psi1)))
+        rescaled = math.log(bp.tau_lower_threshold()) + 3.0 * math.log(bp.mu0)
+        assert rescaled < math.log(bp.tau_star_threshold())
+        monte_carlo = bound_report(config)["monte_carlo"]
+        assert monte_carlo["paths"] == 20
+        assert monte_carlo["per_path_ordering_ok"] is True
 
 
 class TestBoundMonteCarlo:
@@ -322,6 +349,7 @@ class TestBoundMonteCarlo:
     @pytest.mark.parametrize("n_paths", [1, 2, 25])
     def test_result_does_not_depend_on_worker_count(self, monkeypatch, pair41, n_paths):
         bp = self.crossing_case(pair41)
+        monkeypatch.setattr(bounds, "SPLIT_PATH_STEPS", bp.params.N)
         workers = []
         path_crossings = bounds._path_crossings
 
@@ -349,6 +377,7 @@ class TestBoundMonteCarlo:
 
     def test_worker_exception_leaves_and_no_worker_survives(self, monkeypatch, pair41):
         bp = self.crossing_case(pair41)
+        monkeypatch.setattr(bounds, "SPLIT_PATH_STEPS", bp.params.N)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         error = RuntimeError("draw failed")
         failing = derive_seed(3, 7)  # path 7 of 10 lies in the second range, 5..9
@@ -365,6 +394,56 @@ class TestBoundMonteCarlo:
             bound_monte_carlo(bp, 10, 3)
         assert raised.value is error
         assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_short_paths_are_drawn_on_the_caller(self, monkeypatch, pair41):
+        # below the split cut two CPUs draw every path on the calling thread
+        bp = self.crossing_case(pair41)
+        assert bp.params.N < bounds.SPLIT_PATH_STEPS
+        workers, path_crossings = [], bounds._path_crossings
+
+        def recording_scan(seed, *args):
+            workers.append(threading.get_ident())
+            return path_crossings(seed, *args)
+
+        monkeypatch.setattr(bounds, "_path_crossings", recording_scan)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = set(threading.enumerate())
+        bound_monte_carlo(bp, 25, 3)
+        assert workers == [threading.get_ident()] * 25
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_accumulate_per_segment(self, monkeypatch, pair41, cpus):
+        # tau_* is read off tau*'s running sum: one accumulate per drawn
+        # segment, and tau_*'s threshold rescaled once per call
+        bp = eigen_bp(ModelParams(lam=0.01, N=1024, a_fn=0.1, b_fn=0.1), pair41)
+        # list.append is atomic, so the worker threads lose no count
+        segments, accumulates, rescaled = [], [], []
+        drive, logaddexp = bounds._drive, np.logaddexp
+        lower_threshold = BoundParams.tau_lower_threshold
+
+        def recording_drive(*args):
+            segments.append(args[4:6])
+            return drive(*args)
+
+        class RecordingLogaddexp:
+            def accumulate(self, *args, **kwargs):
+                accumulates.append(len(args[0]))
+                return logaddexp.accumulate(*args, **kwargs)
+
+        def recording_threshold(self):
+            rescaled.append(self)
+            return lower_threshold(self)
+
+        monkeypatch.setattr(bounds, "SPLIT_PATH_STEPS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(bounds, "_drive", recording_drive)
+        monkeypatch.setattr(np, "logaddexp", RecordingLogaddexp())
+        monkeypatch.setattr(BoundParams, "tau_lower_threshold", recording_threshold)
+        bound_monte_carlo(bp, 40, 3)
+        assert len(segments) > 40
+        assert len(accumulates) == len(segments)
+        assert rescaled == [bp]
 
     @pytest.mark.parametrize("lam, last_ends", [(2e-5, {1024}), (0.01, {256, 768})])
     def test_brownian_stream_drawn_to_the_crossing_segment(
@@ -482,22 +561,35 @@ class TestBoundReport:
         assert report["monte_carlo"]["empirical_P_tau_star_le_T"] == 0.0
 
 
-def scan_crossing(log_terms, threshold, dt):
-    """The bound scan's crossing rule on one array of log terms.
+def scan_crossing(log_terms, thresholds, dt):
+    """The bound scan's crossing rule on one array of log terms, read at each threshold.
 
-    One `bounds._Crossing` fed over `bounds._segments`, as `_path_crossings`
-    feeds each of its sums, stopping at the crossing.
+    One `bounds._Crossing` at the log thresholds fed over `bounds._segments`,
+    as `_path_crossings` feeds tau*'s sum, stopping once every threshold is
+    reached.
     """
-    crossing = bounds._Crossing(threshold, dt)
+    crossing = bounds._Crossing([math.log(x) for x in thresholds], dt)
     for start, stop in bounds._segments(log_terms.size):
-        if not crossing.open:
+        if not crossing.pending:
             break
         crossing.feed(start, log_terms[start:stop])
-    return crossing.time
+    return crossing.times
 
 
 class TestFirstCrossing:
     N_TERMS = 2000
+    # thresholds fed beside each case's: reached inside the first prefix by
+    # the -50 terms alone, never reached, and the two non-finite ones
+    PARTNERS = (math.exp(-45.0), math.exp(12.0), math.inf, math.nan)
+
+    def crossing(self, x, threshold, dt):
+        """The case's crossing time, also read with each partner threshold fed together."""
+        (alone,) = scan_crossing(x, [threshold], dt)
+        for partner in self.PARTNERS:
+            (other,) = scan_crossing(x, [partner], dt)
+            assert scan_crossing(x, [threshold, partner], dt) == [alone, other]
+            assert scan_crossing(x, [partner, threshold], dt) == [other, alone]
+        return alone
 
     def spike(self, k):
         # negligible terms everywhere except one large term at index k
@@ -510,14 +602,14 @@ class TestFirstCrossing:
     def test_spike_crossing_index(self, k):
         x = self.spike(k)
         expected = math.inf if k is None else float(k + 1)
-        assert scan_crossing(x, math.exp(5.0), 1.0) == expected
-        assert scan_crossing(x, math.exp(5.0), 1e-3) == full_crossing(
+        assert self.crossing(x, math.exp(5.0), 1.0) == expected
+        assert self.crossing(x, math.exp(5.0), 1e-3) == full_crossing(
             x, math.exp(5.0), 1e-3
         )
 
     @pytest.mark.parametrize("threshold", [math.inf, math.nan])
     def test_non_finite_threshold_never_crosses(self, threshold):
-        assert scan_crossing(self.spike(3), threshold, 1.0) == math.inf
+        assert self.crossing(self.spike(3), threshold, 1.0) == math.inf
 
     @pytest.mark.parametrize("k", [0, 300, 1000, None])
     def test_minus_infinity_and_nan_entries(self, k):
@@ -526,16 +618,16 @@ class TestFirstCrossing:
         x[:600] = -np.inf
         if k is not None:
             x[k] = 10.0
-        assert scan_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+        assert self.crossing(x, math.exp(5.0), 1.0) == full_crossing(
             x, math.exp(5.0), 1.0
         )
         x[700] = np.nan  # the running sum is NaN from here on and never crosses
         with np.errstate(invalid="ignore"):
-            assert scan_crossing(x, math.exp(5.0), 1.0) == full_crossing(
+            assert self.crossing(x, math.exp(5.0), 1.0) == full_crossing(
                 x, math.exp(5.0), 1.0
             )
         x[:] = -np.inf  # the running sum stays -inf and never crosses
-        assert scan_crossing(x, math.exp(-700.0), 1.0) == math.inf
+        assert self.crossing(x, math.exp(-700.0), 1.0) == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -546,7 +638,7 @@ class TestFirstCrossing:
     def test_constant_terms(self, n, value, log_threshold):
         x = np.full(n, value)
         thr = math.exp(log_threshold)
-        assert scan_crossing(x, thr, 0.01) == full_crossing(x, thr, 0.01)
+        assert scan_crossing(x, [thr], 0.01) == [full_crossing(x, thr, 0.01)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -559,7 +651,7 @@ class TestFirstCrossing:
         rng = np.random.default_rng(seed)
         x = drift * np.arange(n) + rng.standard_normal(n)
         thr = math.exp(log_threshold)
-        assert scan_crossing(x, thr, 1.0 / n) == full_crossing(x, thr, 1.0 / n)
+        assert scan_crossing(x, [thr], 1.0 / n) == [full_crossing(x, thr, 1.0 / n)]
 
 
 class TestBoundMonteCarloOracle:

@@ -18,6 +18,7 @@ from quenchsim import (
     sweep,
 )
 import quenchsim.noise as noise_mod
+from quenchsim import bounds
 from quenchsim.noise import batch_drive
 from quenchsim.cli import main
 
@@ -302,6 +303,7 @@ class TestCirculantScaleCalls:
     def test_one_per_bound_worker(self, calls, monkeypatch):
         params = ModelParams(N=64, lam=1e-4, a_fn=0.1, b_fn=0.1)
         bp = BoundParams(params, mu1=1.3, v0_psi1=0.3, mu0=0.5)
+        monkeypatch.setattr(bounds, "SPLIT_PATH_STEPS", params.N)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         bound_monte_carlo(bp, 10, 3)
         assert calls == [(params.N, params.dt, params.H)] * 2
